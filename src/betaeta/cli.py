@@ -519,6 +519,9 @@ def main(argv=None) -> int:
     except (NotSeparable, Overflow, ResourceExhausted) as exc:
         _diag(f"budget: {exc}")
         return EXIT_BUDGET
+    except RecursionError:
+        _diag("budget: term too deep for the recursive evaluator")
+        return EXIT_BUDGET
     except BadCertificate as exc:
         _diag(f"certificate: {exc}")
         return EXIT_FAIL

@@ -12,6 +12,16 @@ terminal equation holds definitionally.  A contracted normal form is
 obtained from the long form by a maximal eta-contraction pass.  A plain
 beta normal form (no eta in either direction) is available as a
 diagnostic to exhibit equalities whose proofs genuinely need eta.
+
+Terms are hash-consed, so a closed subterm (``scope`` 0: no free de
+Bruijn index) has one value whatever environment it meets.  The
+evaluator computes each closed node once, in the empty environment, and
+keeps the value in a table keyed by the node's uid; a closed lambda
+therefore holds no outer environment.  The table belongs to one entry
+call (``decide_eq``, ``long_nf`` or ``beta_nf``): it is emptied when the
+call starts and when it ends, also by an exception, so no value passes
+from one call to the next, nor from ``separate`` into ``verify``.  A
+table hit still counts one step against the work budget.
 """
 
 from __future__ import annotations
@@ -27,6 +37,8 @@ from .syntax import (
 
 _WORK = [0]
 _WORK_LIMIT = [500_000_000]
+# values of closed terms by uid; filled and emptied by each entry point
+_CLOSED: dict = {}
 
 
 def set_work_budget(n: int | None):
@@ -135,26 +147,37 @@ def force(v):
 
 def eval_term(t: Term, env: tuple, lazy: bool = False):
     _tick()
+    closed = not t.scope
+    if closed:
+        out = _CLOSED.get(t.uid)
+        if out is not None:
+            return out
+        env = ()
     cls = type(t)
     if cls is Var:
         return force(env[-1 - t.index])
     if cls is Free:
-        return VNe(NFree(t.name, t.ty), t.ty)
-    if cls is Lam:
-        return VClosure(env, t.binder, t.body, lazy)
-    if cls is App:
+        out = VNe(NFree(t.name, t.ty), t.ty)
+    elif cls is Lam:
+        out = VClosure(env, t.binder, t.body, lazy)
+    elif cls is App:
         f = eval_term(t.fun, env, lazy)
         a = VThunk(env, t.arg) if lazy else eval_term(t.arg, env, lazy)
-        return apply_value(f, a)
-    if cls is Pair:
+        out = apply_value(f, a)
+    elif cls is Pair:
         if lazy:
-            return VPair(VThunk(env, t.fst), VThunk(env, t.snd))
-        return VPair(eval_term(t.fst, env, lazy), eval_term(t.snd, env, lazy))
-    if cls is Proj1:
-        return do_proj(1, eval_term(t.arg, env, lazy))
-    if cls is Proj2:
-        return do_proj(2, eval_term(t.arg, env, lazy))
-    return VUNIT
+            out = VPair(VThunk(env, t.fst), VThunk(env, t.snd))
+        else:
+            out = VPair(eval_term(t.fst, env, lazy), eval_term(t.snd, env, lazy))
+    elif cls is Proj1:
+        out = do_proj(1, eval_term(t.arg, env, lazy))
+    elif cls is Proj2:
+        out = do_proj(2, eval_term(t.arg, env, lazy))
+    else:
+        out = VUNIT
+    if closed:
+        _CLOSED[t.uid] = out
+    return out
 
 
 def apply_value(f, a):
@@ -370,8 +393,12 @@ def long_nf(a: Term, strategy: str = "eager") -> NormalForm:
     if strategy not in ("eager", "byname"):
         raise ValueError(f"unknown strategy '{strategy}'")
     _WORK[0] = 0  # the step budget applies per entry call
-    v = eval_term(a, (), lazy=(strategy == "byname"))
-    return NormalForm(readback(v, a.ty, 0), "expanded")
+    _CLOSED.clear()  # and so does the closed-value table
+    try:
+        v = eval_term(a, (), lazy=(strategy == "byname"))
+        return NormalForm(readback(v, a.ty, 0), "expanded")
+    finally:
+        _CLOSED.clear()
 
 
 def beta_eta_nf(a: Term, strategy: str = "eager") -> NormalForm:
@@ -384,8 +411,12 @@ def beta_nf(a: Term, strategy: str = "eager") -> NormalForm:
     if strategy not in ("eager", "byname"):
         raise ValueError(f"unknown strategy '{strategy}'")
     _WORK[0] = 0
-    v = eval_term(a, (), lazy=(strategy == "byname"))
-    return NormalForm(readback_beta(v, 0), "beta")
+    _CLOSED.clear()
+    try:
+        v = eval_term(a, (), lazy=(strategy == "byname"))
+        return NormalForm(readback_beta(v, 0), "beta")
+    finally:
+        _CLOSED.clear()
 
 
 def _check_common_context(a: Term, b: Term):
@@ -407,6 +438,10 @@ def decide_eq(a: Term, b: Term) -> bool:
         return True
     _check_common_context(a, b)
     _WORK[0] = 0
-    u = eval_term(a, ())
-    v = eval_term(b, ())
-    return values_equal(u, v, a.ty, 0)
+    _CLOSED.clear()
+    try:
+        u = eval_term(a, ())
+        v = eval_term(b, ())
+        return values_equal(u, v, a.ty, 0)
+    finally:
+        _CLOSED.clear()

@@ -6,17 +6,21 @@ against a fixed constant.
 Each builder constructs the defining term directly, never a normalized
 version of it, so a term printed here matches its defining equation up
 to renaming.  Levels index the iterated arrow tower: numerals at level
-``i`` operate on the ``i``-th tower type.
+``i`` operate on the ``i``-th tower type.  Builders are memoized, so
+each combinator is interned once per process however often it is asked
+for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import LevelTooSmall, SideConditionViolated
 from .syntax import Term, app, apps, bind, fresh_free, numeral_type, tower_type
 
 
+@cache
 def church(n: int, i: int) -> Term:
     """The numeral for ``n`` at level ``i``: \\x. \\y. x^n(y)."""
     x = fresh_free("x", tower_type(i + 1))
@@ -27,6 +31,7 @@ def church(n: int, i: int) -> Term:
     return bind(body, x, y)
 
 
+@cache
 def cond(i: int) -> Term:
     """Zero test: applied to a numeral and two branches, returns the
     first branch for 0 and the second otherwise."""
@@ -41,6 +46,7 @@ def cond(i: int) -> Term:
     return bind(body, x, y, z, u, v)
 
 
+@cache
 def lower(i: int) -> Term:
     """Maps a level-(i+1) numeral to the same numeral at level i."""
     x = fresh_free("x", numeral_type(i + 1))
@@ -52,6 +58,7 @@ def lower(i: int) -> Term:
     return bind(body, x, y)
 
 
+@cache
 def expo(i: int) -> Term:
     """Exponentiation: on level-(i+1) numerals n and m yields m^n at level i."""
     x = fresh_free("x", numeral_type(i + 1))
@@ -59,6 +66,7 @@ def expo(i: int) -> Term:
     return bind(app(x, app(lower(i), y)), x, y)
 
 
+@cache
 def add(i: int) -> Term:
     x = fresh_free("x", numeral_type(i))
     y = fresh_free("y", numeral_type(i))
@@ -67,6 +75,7 @@ def add(i: int) -> Term:
     return bind(apps(x, z, apps(y, z, u)), x, y, z, u)
 
 
+@cache
 def mul(i: int) -> Term:
     x = fresh_free("x", numeral_type(i))
     y = fresh_free("y", numeral_type(i))
@@ -75,6 +84,7 @@ def mul(i: int) -> Term:
     return bind(apps(x, app(y, z), u), x, y, z, u)
 
 
+@cache
 def pairing(i: int) -> Term:
     """Encodes two level-i numerals as one value of the next numeral type."""
     x = fresh_free("x", numeral_type(i))
@@ -83,16 +93,19 @@ def pairing(i: int) -> Term:
     return bind(apps(cond(i), z, x, y), x, y, z)
 
 
+@cache
 def proj_first(i: int) -> Term:
     u = fresh_free("u", numeral_type(i + 1))
     return bind(app(u, church(0, i)), u)
 
 
+@cache
 def proj_second(i: int) -> Term:
     u = fresh_free("u", numeral_type(i + 1))
     return bind(app(u, church(1, i)), u)
 
 
+@cache
 def step_pair(i: int) -> Term:
     """One predecessor step: maps an encoded pair (n, _) to (n+1, n)."""
     x = fresh_free("x", numeral_type(i + 1))
@@ -101,6 +114,7 @@ def step_pair(i: int) -> Term:
     return bind(body, x)
 
 
+@cache
 def fold_pairs(i: int) -> Term:
     """Iterates the pair step n times from (0, 0), giving (n, n-1)."""
     y = fresh_free("y", numeral_type(i + 3))
@@ -108,12 +122,14 @@ def fold_pairs(i: int) -> Term:
     return bind(body, y)
 
 
+@cache
 def pred(i: int) -> Term:
     """Predecessor: a level-(i+3) numeral for n yields n-1 (0 for 0) at level i."""
     y = fresh_free("y", numeral_type(i + 3))
     return bind(app(proj_second(i), app(fold_pairs(i), y)), y)
 
 
+@cache
 def raise_one(i: int) -> Term:
     """Maps level-(i-1) numerals for 0 and 1 to level i.  Proving that the
     result equals the level-i numeral genuinely requires eta."""
@@ -129,6 +145,7 @@ def raise_one(i: int) -> Term:
     return bind(body, x, y, z, u)
 
 
+@cache
 def check(k: int, i: int) -> Term:
     """Equality test against the constant ``k``: a level-i numeral for n
     maps to 0 if n = k and to 1 otherwise.  Requires i >= 3k because each
@@ -145,6 +162,7 @@ def check(k: int, i: int) -> Term:
     return bind(apps(cond(i), x, church(1, i), lifted), x)
 
 
+@cache
 def lowering_pair(i: int) -> tuple[Term, Term]:
     """The two closed arguments that drop numerals for 0 and 1 from level
     ``i`` to level ``i - 2`` (no such contract holds for 2 and above)."""

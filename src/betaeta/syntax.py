@@ -209,7 +209,8 @@ def split_arrows(ty: Ty) -> tuple[list[Ty], Ty]:
 # Terms
 
 class Term:
-    __slots__ = ("uid", "ty")
+    # scope: one more than the largest free de Bruijn index, 0 when closed
+    __slots__ = ("uid", "ty", "scope")
 
     def __repr__(self):
         if _max_annotation_nodes(self) > 64:
@@ -284,6 +285,7 @@ def var(index: int, ty: Ty) -> Var:
         t = Var()
         t.index = index
         t.ty = ty
+        t.scope = index + 1
         return t
     return _intern_term(("v", index, ty.uid), make)
 
@@ -293,6 +295,7 @@ def free(name: str, ty: Ty) -> Free:
         t = Free()
         t.name = name
         t.ty = ty
+        t.scope = 0
         return t
     return _intern_term(("f", name, ty.uid), make)
 
@@ -303,6 +306,7 @@ def lam(binder: Ty, body: Term) -> Lam:
         t.binder = binder
         t.body = body
         t.ty = arrow(binder, body.ty)
+        t.scope = max(body.scope - 1, 0)
         return t
     return _intern_term(("l", binder.uid, body.uid), make)
 
@@ -319,6 +323,7 @@ def app(fun: Term, arg: Term) -> App:
         t.fun = fun
         t.arg = arg
         t.ty = fty.cod
+        t.scope = max(fun.scope, arg.scope)
         return t
     return _intern_term(("a", fun.uid, arg.uid), make)
 
@@ -335,6 +340,7 @@ def pair(fst: Term, snd: Term) -> Pair:
         t.fst = fst
         t.snd = snd
         t.ty = prod(fst.ty, snd.ty)
+        t.scope = max(fst.scope, snd.scope)
         return t
     return _intern_term(("p", fst.uid, snd.uid), make)
 
@@ -346,6 +352,7 @@ def proj1(arg: Term) -> Proj1:
         t = Proj1()
         t.arg = arg
         t.ty = arg.ty.left
+        t.scope = arg.scope
         return t
     return _intern_term(("1", arg.uid), make)
 
@@ -357,6 +364,7 @@ def proj2(arg: Term) -> Proj2:
         t = Proj2()
         t.arg = arg
         t.ty = arg.ty.right
+        t.scope = arg.scope
         return t
     return _intern_term(("2", arg.uid), make)
 
@@ -364,6 +372,7 @@ def proj2(arg: Term) -> Proj2:
 def _make_unit():
     t = Unit()
     t.ty = TERMINAL
+    t.scope = 0
     return t
 
 

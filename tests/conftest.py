@@ -22,16 +22,13 @@ def gen_closed_term(ty: Ty, rng: random.Random, fuel: int = 3) -> Term:
             v = S.fresh_free("v", ty.dom)
             body = go(ty.cod, scope + [v], fuel)
             return S.lam(ty.dom, S.abstract(body, v))
-        # atom: apply some variable in scope through all its arguments
-        if fuel > 0:
-            candidates = [v for v in scope]
-        else:
-            candidates = [v for v in scope if v.ty is ty]
-        if not candidates:
-            candidates = [v for v in scope if v.ty is ty]
+        # atom: apply a variable in scope whose final result is this atom
+        # through all its arguments; out of fuel, prefer one with none
+        candidates = [v for v in scope if S.split_arrows(v.ty)[1] is ty]
+        if fuel <= 0:
+            candidates = [v for v in candidates if v.ty is ty] or candidates
         head = rng.choice(candidates)
-        args, result = S.split_arrows(head.ty)
-        assert result is ty
+        args, _ = S.split_arrows(head.ty)
         out = head
         for aty in args:
             out = S.app(out, go(aty, scope, fuel - 1))

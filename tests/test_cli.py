@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -220,3 +223,18 @@ def test_stdout_is_data_only(capsys):
     code, out, err = run(capsys, "separate", "--two-valued", r"\x:p. x", r"\y:p. y")
     assert out == ""          # diagnostics go to stderr
     assert "equal" in err
+
+
+def test_deep_term_exits_with_budget_code(tmp_path):
+    # a deep recursion could take the test process down, so run a child
+    depth = 60_000
+    deep = "\\f:p->p. \\x:p. " + "f (" * depth + "x" + ")" * depth
+    pair_file = tmp_path / "deep.pair"
+    pair_file.write_text(deep + "\n---\n\\f:p->p. \\x:p. x\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "betaeta", "eq", "--pair-file", str(pair_file)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == cli.EXIT_BUDGET
+    assert proc.stdout == ""
+    assert proc.stderr.strip() == "budget: term too deep for the recursive evaluator"

@@ -154,3 +154,58 @@ def test_decide_eq_agrees_on_product_terms():
         pa, pb = S.pair(a1, S.pair(a2, S.UNIT)), S.pair(b1, S.pair(b2, S.UNIT))
         assert Nz.decide_eq(pa, pb) == (Nz.long_nf(pa).term is Nz.long_nf(pb).term)
         assert Nz.decide_eq(pa, pb) == (Nz.decide_eq(a1, b1) and Nz.decide_eq(a2, b2))
+
+
+def test_generator_respects_multi_atom_types():
+    q = S.atom("q")
+    rng = random.Random(23)
+    for ty in (S.arrows(S.arrow(p, q), p, q),
+               S.arrows(S.arrows(q, p, p), q, p, p)):
+        for _ in range(20):
+            t = gen_closed_term(ty, rng)
+            assert t.ty is ty and t.scope == 0 and not S.free_vars(t)
+
+
+def test_scope_counts_free_indices():
+    t = S.parse_term("\\x:p->p. \\y:p. x y")
+    assert t.scope == 0
+    assert t.body.scope == 1           # x is free below its binder
+    assert t.body.body.scope == 2
+    assert t.body.body.arg.scope == 1  # y alone
+
+
+def test_closed_subterm_is_evaluated_once_per_call(monkeypatch):
+    from betaeta.numerals import lower
+    c = S.app(lower(2), church(3, 3))  # closed, and not a value yet
+    d = church(3, 2)
+    firsts = []
+    real = Nz.values_equal
+
+    def spy(u, v, ty, depth):
+        if not firsts:
+            firsts.append((u, len(Nz._CLOSED)))
+        return real(u, v, ty, depth)
+
+    monkeypatch.setattr(Nz, "values_equal", spy)
+    assert Nz.decide_eq(S.pair(c, c), S.pair(d, d))
+    top, filled = firsts[0]
+    assert filled > 0
+    assert top.fst is top.snd  # the second occurrence reused the first value
+
+
+def test_closed_value_table_is_per_call():
+    from betaeta.numerals import lower
+    c = S.app(lower(2), church(3, 3))
+    assert Nz.decide_eq(c, church(3, 2))
+    assert not Nz._CLOSED
+    Nz.long_nf(c)
+    assert not Nz._CLOSED
+    Nz.beta_nf(c, "byname")
+    assert not Nz._CLOSED
+    Nz.set_work_budget(50)
+    try:
+        with pytest.raises(ResourceExhausted):
+            Nz.decide_eq(c, church(3, 2))
+    finally:
+        Nz.set_work_budget(500_000_000)
+    assert not Nz._CLOSED

@@ -125,3 +125,14 @@ def test_combinators_are_not_prenormalized():
     # the conditional is the defining term, not its normal form
     c = N.cond(0)
     assert c is not long_nf(c).term
+
+
+def test_repeated_separation_interns_few_nodes():
+    from betaeta import separator as Sep
+    a = S.parse_term("\\x:(p->p)->p. x \\y:p. x \\z:p. y")
+    b = S.parse_term("\\x:(p->p)->p. x \\y:p. x \\z:p. z")
+    Sep.separate_two(a, b)  # warm-up builds every combinator once
+    for _ in range(2):
+        before = S.interned_term_count()
+        Sep.separate_two(a, b)
+        assert S.interned_term_count() - before <= 64
