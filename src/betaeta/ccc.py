@@ -340,16 +340,18 @@ def collapse(f: ArrowTerm, g: ArrowTerm, max_base: int = 3,
     return CollapseCertificate(f=f, g=g, separation=sep)
 
 
-def replay_collapse(cert: CollapseCertificate, rng: random.Random | None = None) -> bool:
+def replay_collapse(cert: CollapseCertificate) -> bool:
     """Replay a collapse certificate independently of its construction.
 
     Checks, in order: the two instantiated sides are type-instances of
     the arrow translations; the separation stage verifies by
     normalization (these are the two certified equalities; the middle
-    step equating the sides is the hypothesis instance); the certified
-    targets are the translations of the derived projection arrows; and
-    the closing schema holds on sampled parallel pairs via the pairing
-    laws."""
+    step equating the sides is the hypothesis instance); and the
+    certified targets are the translations of the derived projection
+    arrows.  The closing step, from equal projections to equal parallel
+    arrows, is the pairing law p1 . <h1, h2> = h1, an axiom of the
+    calculus that ``check_axioms`` (``betaeta ccc check``) exercises; it
+    is not evidence carried by the certificate, so it is not replayed."""
     from .separator import is_type_instance
 
     sep = cert.separation
@@ -368,23 +370,7 @@ def replay_collapse(cert: CollapseCertificate, rng: random.Random | None = None)
         sides.append(S.bind(S.apps(lhs, S.proj1(x), S.proj2(x)), x))
     if not decide_eq(sides[0], to_lambda(cert.derived_lhs)):
         return False
-    if not decide_eq(sides[1], to_lambda(cert.derived_rhs)):
-        return False
-
-    rng = rng or random.Random(7)
-    for _ in range(3):
-        e = random_type(rng)
-        h1 = random_arrow_from(e, rng)
-        h2 = random_arrow_from(e, rng)
-        if h1.tgt is not h2.tgt:
-            continue
-        c = h1.tgt
-        paired = APairing(h1, h2)
-        if not decide_ccc_eq(ACompose(AProj(1, c, c), paired), h1):
-            return False
-        if not decide_ccc_eq(ACompose(AProj(2, c, c), paired), h2):
-            return False
-    return True
+    return decide_eq(sides[1], to_lambda(cert.derived_rhs))
 
 
 # ---------------------------------------------------------------------------

@@ -45,11 +45,6 @@ EXIT_SCHEMA = 6
 # ---------------------------------------------------------------------------
 # Certificate serialization
 
-def _alias_env(roots):
-    defs, names = S.type_alias_table(roots)
-    return defs, names
-
-
 def _sep_payload(cert: Sep.SeparationCertificate) -> dict:
     source_ctx = {**S.free_vars(cert.a_source), **S.free_vars(cert.b_source)}
     roots = ([cert.a_source, cert.b_source, cert.a_prime, cert.b_prime,
@@ -57,7 +52,7 @@ def _sep_payload(cert: Sep.SeparationCertificate) -> dict:
              + [ty for _, ty in cert.bound_vars]
              + [ty for _, ty in cert.target_ctx]
              + list(source_ctx.values()))
-    defs, names = _alias_env(roots)
+    defs, names = S.type_alias_table(roots)
     term = lambda t: S.show_term(t, names)
     ty = lambda t: S.show_type(t, names)
     return {
@@ -121,7 +116,7 @@ def _sep_from_payload(data: dict) -> Sep.SeparationCertificate:
 
 def _prod_payload(cert: P.ProductCertificate) -> dict:
     roots = [cert.a_source, cert.b_source, cert.a_prime, cert.b_prime, cert.iso_forward]
-    defs, names = _alias_env(roots)
+    defs, names = S.type_alias_table(roots)
     term = lambda t: S.show_term(t, names)
     return {
         "type_defs": [[n, d] for n, d in defs],
@@ -418,8 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="betaeta",
         description="workbench for equality, separation and collapse in the "
                     "simply typed lambda calculus with products")
-    top.add_argument("--jobs", type=int, default=1,
-                     help="reserved; all commands currently run sequentially")
     top.add_argument("--mem-budget", type=int,
                      default=_env_default("BETAETA_MEM_BUDGET", 10_000_000),
                      help="cap on interned term nodes")
@@ -433,9 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normalize", help="print a normal form")
     p.add_argument("term")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--long", action="store_true")
-    mode.add_argument("--contracted", action="store_true")
+    p.add_argument("--long", action="store_true")
     p.add_argument("--ctx", help="free-variable context, e.g. 'f:p->p, y:p'")
     p.set_defaults(fn=cmd_normalize)
 

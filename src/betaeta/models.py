@@ -254,7 +254,7 @@ def distinguish(a: Term, b: Term, max_base: int,
     (for b).  Returns None when every searched hierarchy agrees."""
     if a.ty is not b.ty:
         raise TypeMismatch("terms to distinguish must share a type")
-    if S.free_vars(a) or S.free_vars(b):
+    if not (S.is_closed(a) and S.is_closed(b)):
         raise IllTyped("terms to distinguish must be closed")
     arg_tys, result = split_arrows(a.ty)
     if not isinstance(result, TyAtom):

@@ -59,13 +59,12 @@ def _tick():
 # Semantic domain
 
 class VClosure:
-    __slots__ = ("env", "binder", "body", "lazy", "cache")
+    __slots__ = ("env", "binder", "body", "cache")
 
-    def __init__(self, env, binder, body, lazy):
+    def __init__(self, env, binder, body):
         self.env = env
         self.binder = binder
         self.body = body
-        self.lazy = lazy
         # application results keyed by argument identity; the stored
         # argument reference keeps the id stable for the cache's lifetime
         self.cache = {}
@@ -92,15 +91,6 @@ class VNe:
     def __init__(self, ne, ty):
         self.ne = ne
         self.ty = ty
-
-
-class VThunk:
-    __slots__ = ("env", "term", "value")
-
-    def __init__(self, env, term):
-        self.env = env
-        self.term = term
-        self.value = None
 
 
 class NVar:
@@ -136,16 +126,7 @@ class NProj:
         self.arg = arg
 
 
-def force(v):
-    if type(v) is VThunk:
-        if v.value is None:
-            v.value = eval_term(v.term, v.env, lazy=True)
-            v.env = v.term = None
-        return v.value
-    return v
-
-
-def eval_term(t: Term, env: tuple, lazy: bool = False):
+def eval_term(t: Term, env: tuple):
     _tick()
     closed = not t.scope
     if closed:
@@ -155,24 +136,19 @@ def eval_term(t: Term, env: tuple, lazy: bool = False):
         env = ()
     cls = type(t)
     if cls is Var:
-        return force(env[-1 - t.index])
+        return env[-1 - t.index]
     if cls is Free:
         out = VNe(NFree(t.name, t.ty), t.ty)
     elif cls is Lam:
-        out = VClosure(env, t.binder, t.body, lazy)
+        out = VClosure(env, t.binder, t.body)
     elif cls is App:
-        f = eval_term(t.fun, env, lazy)
-        a = VThunk(env, t.arg) if lazy else eval_term(t.arg, env, lazy)
-        out = apply_value(f, a)
+        out = apply_value(eval_term(t.fun, env), eval_term(t.arg, env))
     elif cls is Pair:
-        if lazy:
-            out = VPair(VThunk(env, t.fst), VThunk(env, t.snd))
-        else:
-            out = VPair(eval_term(t.fst, env, lazy), eval_term(t.snd, env, lazy))
+        out = VPair(eval_term(t.fst, env), eval_term(t.snd, env))
     elif cls is Proj1:
-        out = do_proj(1, eval_term(t.arg, env, lazy))
+        out = do_proj(1, eval_term(t.arg, env))
     elif cls is Proj2:
-        out = do_proj(2, eval_term(t.arg, env, lazy))
+        out = do_proj(2, eval_term(t.arg, env))
     else:
         out = VUNIT
     if closed:
@@ -182,13 +158,12 @@ def eval_term(t: Term, env: tuple, lazy: bool = False):
 
 def apply_value(f, a):
     _tick()
-    f = force(f)
     if type(f) is VClosure:
         key = id(a)
         hit = f.cache.get(key)
         if hit is not None:
             return hit[1]
-        out = eval_term(f.body, f.env + (a,), f.lazy)
+        out = eval_term(f.body, f.env + (a,))
         f.cache[key] = (a, out)
         return out
     # neutral application: track the argument's type for later readback
@@ -197,9 +172,8 @@ def apply_value(f, a):
 
 
 def do_proj(which, v):
-    v = force(v)
     if type(v) is VPair:
-        return force(v.fst if which == 1 else v.snd)
+        return v.fst if which == 1 else v.snd
     ty = v.ty
     return VNe(NProj(which, v.ne), ty.left if which == 1 else ty.right)
 
@@ -222,7 +196,7 @@ def readback(v, ty: Ty, depth: int) -> Term:
     if tcls is TyProd:
         return S.pair(readback(do_proj(1, v), ty.left, depth),
                       readback(do_proj(2, v), ty.right, depth))
-    return readback_ne(force(v).ne, depth)
+    return readback_ne(v.ne, depth)
 
 
 def readback_ne(ne, depth: int) -> Term:
@@ -241,13 +215,12 @@ def readback_beta(v, depth: int) -> Term:
     """Beta-normal readback: no eta-expansion and no terminal rule, so a
     lambda stays a lambda and nothing else grows one."""
     _tick()
-    v = force(v)
     cls = type(v)
     if cls is VClosure:
         fresh = _fresh(depth, v.binder)
         return S.lam(v.binder, readback_beta(apply_value(v, fresh), depth + 1))
     if cls is VPair:
-        return S.pair(readback_beta(force(v.fst), depth), readback_beta(force(v.snd), depth))
+        return S.pair(readback_beta(v.fst, depth), readback_beta(v.snd, depth))
     if cls is VUnit:
         return UNIT
     ne = v.ne
@@ -282,7 +255,7 @@ def values_equal(u, v, ty: Ty, depth: int) -> bool:
     if tcls is TyProd:
         return (values_equal(do_proj(1, u), do_proj(1, v), ty.left, depth)
                 and values_equal(do_proj(2, u), do_proj(2, v), ty.right, depth))
-    return _ne_equal(force(u).ne, force(v).ne, depth)
+    return _ne_equal(u.ne, v.ne, depth)
 
 
 def _ne_equal(m, n, depth) -> bool:
@@ -305,26 +278,17 @@ def _ne_equal(m, n, depth) -> bool:
 # ---------------------------------------------------------------------------
 # Eta contraction
 
-def _occurs(t: Term, idx: int, _memo) -> bool:
-    key = (t.uid, idx)
-    hit = _memo.get(key)
-    if hit is not None:
-        return hit
-    cls = type(t)
-    if cls is Var:
-        out = t.index == idx
-    elif cls is Lam:
-        out = _occurs(t.body, idx + 1, _memo)
-    elif cls is App:
-        out = _occurs(t.fun, idx, _memo) or _occurs(t.arg, idx, _memo)
-    elif cls is Pair:
-        out = _occurs(t.fst, idx, _memo) or _occurs(t.snd, idx, _memo)
-    elif cls is Proj1 or cls is Proj2:
-        out = _occurs(t.arg, idx, _memo)
-    else:
-        out = False
-    _memo[key] = out
-    return out
+def _occurs(t: Term, idx: int) -> bool:
+    """Whether the de Bruijn index ``idx`` occurs free in ``t``."""
+    found = []
+
+    def leaf(u, d):  # only a Var with index >= d gets here
+        if u.index == d:
+            found.append(u)
+        return u
+
+    S.map_term(t, leaf, depth=idx, keep=lambda u, d: found or u.scope <= d)
+    return bool(found)
 
 
 def eta_contract(t: Term) -> Term:
@@ -332,26 +296,8 @@ def eta_contract(t: Term) -> Term:
     applications and pairs of matching projections.  An abstraction at
     terminal type contracts whenever the bound slot is only fed a
     terminal-typed argument, since all such arguments are equal."""
-    occ: dict = {}
-    memo: dict = {}
 
-    def go(u):
-        hit = memo.get(u.uid)
-        if hit is not None:
-            return hit
-        cls = type(u)
-        if cls is Lam:
-            out = S.lam(u.binder, go(u.body))
-        elif cls is App:
-            out = S.app(go(u.fun), go(u.arg))
-        elif cls is Pair:
-            out = S.pair(go(u.fst), go(u.snd))
-        elif cls is Proj1:
-            out = S.proj1(go(u.arg))
-        elif cls is Proj2:
-            out = S.proj2(go(u.arg))
-        else:
-            out = u
+    def contract(out):
         while True:
             if type(out) is Lam and type(out.body) is App:
                 fn, arg = out.body.fun, out.body.arg
@@ -359,23 +305,19 @@ def eta_contract(t: Term) -> Term:
                     (type(arg) is Var and arg.index == 0)
                     or (type(out.binder) is TyTerminal and type(arg.ty) is TyTerminal)
                 )
-                if contractible and not _occurs(fn, 0, occ):
+                if contractible and not _occurs(fn, 0):
                     out = S.shift(fn, -1)
                     continue
             if (type(out) is Pair and type(out.fst) is Proj1
                     and type(out.snd) is Proj2 and out.fst.arg is out.snd.arg):
                 out = out.fst.arg
                 continue
-            break
-        memo[u.uid] = out
-        return out
+            return out
 
     prev = None
     while prev is not t:
         prev = t
-        t = go(t)
-        occ.clear()
-        memo.clear()
+        t = S.map_term(t, lambda u, d: u, post=contract)
     return t
 
 
@@ -388,33 +330,27 @@ class NormalForm:
     kind: str  # "expanded" | "contracted" | "beta"
 
 
-def long_nf(a: Term, strategy: str = "eager") -> NormalForm:
+def long_nf(a: Term) -> NormalForm:
     """Unique eta-long beta normal form, alpha-canonical by construction."""
-    if strategy not in ("eager", "byname"):
-        raise ValueError(f"unknown strategy '{strategy}'")
     _WORK[0] = 0  # the step budget applies per entry call
     _CLOSED.clear()  # and so does the closed-value table
     try:
-        v = eval_term(a, (), lazy=(strategy == "byname"))
-        return NormalForm(readback(v, a.ty, 0), "expanded")
+        return NormalForm(readback(eval_term(a, ()), a.ty, 0), "expanded")
     finally:
         _CLOSED.clear()
 
 
-def beta_eta_nf(a: Term, strategy: str = "eager") -> NormalForm:
+def beta_eta_nf(a: Term) -> NormalForm:
     """Contracted normal form: the long form after maximal eta-contraction."""
-    return NormalForm(eta_contract(long_nf(a, strategy).term), "contracted")
+    return NormalForm(eta_contract(long_nf(a).term), "contracted")
 
 
-def beta_nf(a: Term, strategy: str = "eager") -> NormalForm:
+def beta_nf(a: Term) -> NormalForm:
     """Beta normal form without any eta steps (diagnostic mode)."""
-    if strategy not in ("eager", "byname"):
-        raise ValueError(f"unknown strategy '{strategy}'")
     _WORK[0] = 0
     _CLOSED.clear()
     try:
-        v = eval_term(a, (), lazy=(strategy == "byname"))
-        return NormalForm(readback_beta(v, 0), "beta")
+        return NormalForm(readback_beta(eval_term(a, ()), 0), "beta")
     finally:
         _CLOSED.clear()
 

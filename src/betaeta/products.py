@@ -422,7 +422,7 @@ def separate_prod(a: Term, b: Term, max_base: int = 3,
     pair variable as targets."""
     if a.ty is not b.ty:
         raise TypeMismatch("the terms to separate must share a type")
-    if S.free_vars(a) or S.free_vars(b):
+    if not (S.is_closed(a) and S.is_closed(b)):
         raise IllTyped("product separation expects closed terms")
     if decide_eq(a, b):
         raise EqualTerms("the terms are provably equal")
@@ -457,7 +457,12 @@ def verify_product(cert: ProductCertificate) -> bool:
     """Replay: project the chosen component of the instantiated terms
     through the instantiated isomorphism, apply the inner head arguments
     and the two projections of a fresh pair variable, and check both
-    projection equalities by normalization."""
+    projection equalities by normalization.  The instantiated terms must
+    be type-instances of the sources under one atom substitution."""
+    sub: dict[str, Ty] = {}
+    if not (Sep.is_type_instance(cert.a_source, cert.a_prime, sub)
+            and Sep.is_type_instance(cert.b_source, cert.b_prime, sub)):
+        return False
     p = atom("p")
     x = S.free("x", prod(p, p))
     e, f = S.proj1(x), S.proj2(x)

@@ -66,10 +66,10 @@ def _even_at_least(n: int) -> int:
 
 
 def separate(a: Term, b: Term, c: Term, d: Term, max_base: int = 3,
-             level_override: int | None = None,
-             self_check: bool = True) -> SeparationCertificate:
+             level_override: int | None = None) -> SeparationCertificate:
     """Build a certificate witnessing contexts that send ``a`` to ``c``
-    and ``b`` to ``d``.
+    and ``b`` to ``d``.  Before it returns, it checks that the sides
+    reach the zero and one numerals at the chosen level.
 
     Raises EqualTerms when the pair is provably equal and NotSeparable
     when no hierarchy of base up to ``max_base`` tells the values apart.
@@ -110,14 +110,13 @@ def separate(a: Term, b: Term, c: Term, d: Term, max_base: int = 3,
     for j in range(level, 0, -2):
         lowerings.extend(N.lowering_pair(j))
 
-    if self_check:
-        ni = numeral_type(level)
-        a2i = S.substitute_types(a2, {"p": ni})
-        b2i = S.substitute_types(b2, {"p": ni})
-        if not decide_eq(S.apps(a2i, *definers), N.church(0, level)):
-            raise AssertionError("intermediate stage: a-side is not the zero numeral")
-        if not decide_eq(S.apps(b2i, *definers), N.church(1, level)):
-            raise AssertionError("intermediate stage: b-side is not the one numeral")
+    ni = numeral_type(level)
+    a2i = S.substitute_types(a2, {"p": ni})
+    b2i = S.substitute_types(b2, {"p": ni})
+    if not decide_eq(S.apps(a2i, *definers), N.church(0, level)):
+        raise AssertionError("intermediate stage: a-side is not the zero numeral")
+    if not decide_eq(S.apps(b2i, *definers), N.church(1, level)):
+        raise AssertionError("intermediate stage: b-side is not the one numeral")
 
     target_ty = c.ty
     instance = subst_type(numeral_type(level), {"p": target_ty})
@@ -154,8 +153,7 @@ def separate(a: Term, b: Term, c: Term, d: Term, max_base: int = 3,
 
 
 def separate_two(a: Term, b: Term, max_base: int = 3,
-                 level_override: int | None = None,
-                 self_check: bool = True) -> SeparationCertificate:
+                 level_override: int | None = None) -> SeparationCertificate:
     """Two-valued form: the context's head arguments are all closed and
     the applied sides are the two projections, so for any e and f of a
     common type the contexts send ``a`` to e and ``b`` to f."""
@@ -165,15 +163,25 @@ def separate_two(a: Term, b: Term, max_base: int = 3,
     first = S.bind(x, x, y)
     second = S.bind(y, x, y)
     cert = separate(a, b, first, second, max_base=max_base,
-                    level_override=level_override, self_check=self_check)
+                    level_override=level_override)
     cert.two_valued = True
     return cert
 
 
 def verify(cert: SeparationCertificate) -> bool:
-    """Replay a certificate using normalization only: both applied sides
+    """Replay a certificate using normalization only.  The instantiated
+    sides must be type-instances of the sources under one atom
+    substitution, and the bound variables the sources' free variables in
+    order of first occurrence under that substitution; both applied sides
     must equal their targets; a two-valued certificate must additionally
     project correctly on fresh slot variables."""
+    sub: dict[str, Ty] = {}
+    if not (is_type_instance(cert.a_source, cert.a_prime, sub)
+            and is_type_instance(cert.b_source, cert.b_prime, sub)):
+        return False
+    sources = _ordered_free_union(cert.a_source, cert.b_source)
+    if cert.bound_vars != [(name, subst_type(ty, sub)) for name, ty in sources]:
+        return False
     try:
         lhs_a = cert.applied("a")
         lhs_b = cert.applied("b")

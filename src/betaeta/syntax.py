@@ -9,12 +9,20 @@ free in a whole term are kept as named ``Free`` nodes, which makes
 substitution of a term for a free variable capture-proof without any
 shifting.  Every term node carries its type, computed at construction;
 building an ill-typed application or projection raises immediately.
+
+The interning tables are module-level and take no lock: the workbench
+runs in one thread, and callers that add threads must serialize their
+use of this module.
+
+The walks over terms and types go through three helpers that visit a
+shared node once: ``subterms`` (preorder), ``subtypes`` (post-order) and
+``map_term`` (a memoized bottom-up rebuild; once per binder depth when
+the image depends on the depth).
 """
 
 from __future__ import annotations
 
 import sys
-import threading
 from dataclasses import dataclass
 
 from .errors import (
@@ -26,9 +34,6 @@ from .errors import (
 )
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
-
-# Reentrant: building one node may intern its type under the same lock.
-_LOCK = threading.RLock()
 
 
 # ---------------------------------------------------------------------------
@@ -64,14 +69,10 @@ _TYPES: dict = {}
 
 def _intern_type(key, make):
     hit = _TYPES.get(key)
-    if hit is not None:
-        return hit
-    with _LOCK:
-        hit = _TYPES.get(key)
-        if hit is None:
-            hit = make()
-            hit.uid = len(_TYPES)
-            _TYPES[key] = hit
+    if hit is None:
+        hit = make()
+        hit.uid = len(_TYPES)
+        _TYPES[key] = hit
     return hit
 
 
@@ -131,42 +132,41 @@ def numeral_type(i: int, base: Ty | None = None) -> Ty:
     return tower_type(i + 2, base)
 
 
+def subtypes(*roots: Ty):
+    """Each distinct type node under ``roots`` once, children before their
+    parent and the domain (left factor) before the codomain (right
+    factor).  One ``seen`` set serves all roots, so a node shared with an
+    earlier root is not yielded again.  Iterative, so depth is no limit."""
+    seen = set()
+    for root in roots:
+        if root.uid in seen:
+            continue
+        stack = [(root, False)]
+        while stack:
+            ty, expanded = stack.pop()
+            if expanded:
+                yield ty
+                continue
+            if ty.uid in seen:
+                continue
+            seen.add(ty.uid)
+            stack.append((ty, True))
+            cls = type(ty)
+            if cls is TyArrow:
+                stack.append((ty.cod, False))
+                stack.append((ty.dom, False))
+            elif cls is TyProd:
+                stack.append((ty.right, False))
+                stack.append((ty.left, False))
+
+
 def type_node_count(ty: Ty) -> int:
     """Number of distinct nodes in the shared representation of ``ty``."""
-    seen = set()
-    stack = [ty]
-    while stack:
-        t = stack.pop()
-        if t.uid in seen:
-            continue
-        seen.add(t.uid)
-        if isinstance(t, TyArrow):
-            stack.append(t.dom)
-            stack.append(t.cod)
-        elif isinstance(t, TyProd):
-            stack.append(t.left)
-            stack.append(t.right)
-    return len(seen)
+    return sum(1 for _ in subtypes(ty))
 
 
 def type_atoms(ty: Ty) -> set[str]:
-    names = set()
-    seen = set()
-    stack = [ty]
-    while stack:
-        t = stack.pop()
-        if t.uid in seen:
-            continue
-        seen.add(t.uid)
-        if isinstance(t, TyAtom):
-            names.add(t.name)
-        elif isinstance(t, TyArrow):
-            stack.append(t.dom)
-            stack.append(t.cod)
-        elif isinstance(t, TyProd):
-            stack.append(t.left)
-            stack.append(t.right)
-    return names
+    return {t.name for t in subtypes(ty) if type(t) is TyAtom}
 
 
 def subst_type(ty: Ty, mapping: dict[str, Ty], _memo=None) -> Ty:
@@ -265,18 +265,14 @@ def interned_term_count() -> int:
 
 def _intern_term(key, make):
     hit = _TERMS.get(key)
-    if hit is not None:
-        return hit
-    with _LOCK:
-        hit = _TERMS.get(key)
-        if hit is None:
-            budget = _NODE_BUDGET[0]
-            if budget is not None and len(_TERMS) >= budget:
-                raise ResourceExhausted(
-                    f"term interner exceeded {budget} nodes; raise the budget to continue")
-            hit = make()
-            hit.uid = len(_TERMS)
-            _TERMS[key] = hit
+    if hit is None:
+        budget = _NODE_BUDGET[0]
+        if budget is not None and len(_TERMS) >= budget:
+            raise ResourceExhausted(
+                f"term interner exceeded {budget} nodes; raise the budget to continue")
+        hit = make()
+        hit.uid = len(_TERMS)
+        _TERMS[key] = hit
     return hit
 
 
@@ -418,118 +414,106 @@ EMPTY = Context()
 # ---------------------------------------------------------------------------
 # Traversals
 
-def _max_annotation_nodes(t: Term) -> int:
-    """Largest shared node count over the annotation types in ``t``;
-    used to keep reprs of tower-typed terms from rendering inline."""
+def subterms(t: Term):
+    """Each distinct node of ``t`` once, in left-to-right preorder: a node
+    comes before its children, a function before its argument and a
+    pair's first component before its second.  Iterative, so depth is no
+    limit."""
     seen = set()
-    worst = 0
     stack = [t]
     while stack:
         u = stack.pop()
         if u.uid in seen:
             continue
         seen.add(u.uid)
-        worst = max(worst, type_node_count(u.ty))
-        if isinstance(u, Lam):
+        yield u
+        cls = type(u)
+        if cls is Lam:
             stack.append(u.body)
-        elif isinstance(u, App):
-            stack.extend((u.fun, u.arg))
-        elif isinstance(u, Pair):
-            stack.extend((u.fst, u.snd))
-        elif isinstance(u, (Proj1, Proj2)):
+        elif cls is App:
             stack.append(u.arg)
-    return worst
+            stack.append(u.fun)
+        elif cls is Pair:
+            stack.append(u.snd)
+            stack.append(u.fst)
+        elif cls is Proj1 or cls is Proj2:
+            stack.append(u.arg)
+
+
+def map_term(t: Term, leaf, binder=None, depth: int | None = None,
+             keep=None, post=None) -> Term:
+    """Rebuild ``t`` bottom-up through the interning constructors, each
+    distinct node once.
+
+    ``leaf(u, d)`` gives the image of a ``Var``, ``Free`` or ``Unit`` node
+    ``u`` met under ``d`` binders, counted from ``depth``; ``binder`` maps
+    the annotation of every abstraction; a node for which ``keep(u, d)``
+    holds is its own image; ``post`` rewrites each image once it is built.
+    With ``depth`` None the image of a node must not depend on its depth,
+    and the memo is keyed on the uid alone; otherwise on (uid, depth).
+    """
+    memo: dict = {}
+    by_depth = depth is not None
+
+    def go(u, d):
+        if keep is not None and keep(u, d):
+            return u
+        key = (u.uid, d) if by_depth else u.uid
+        out = memo.get(key)
+        if out is not None:
+            return out
+        cls = type(u)
+        if cls is Lam:
+            out = lam(u.binder if binder is None else binder(u.binder), go(u.body, d + 1))
+        elif cls is App:
+            out = app(go(u.fun, d), go(u.arg, d))
+        elif cls is Pair:
+            out = pair(go(u.fst, d), go(u.snd, d))
+        elif cls is Proj1:
+            out = proj1(go(u.arg, d))
+        elif cls is Proj2:
+            out = proj2(go(u.arg, d))
+        else:
+            out = leaf(u, d)
+        if post is not None:
+            out = post(out)
+        memo[key] = out
+        return out
+
+    return go(t, depth or 0)
+
+
+def _max_annotation_nodes(t: Term) -> int:
+    """Largest shared node count over the annotation types in ``t``;
+    used to keep reprs of tower-typed terms from rendering inline."""
+    return max(type_node_count(u.ty) for u in subterms(t))
 
 
 def free_vars(t: Term) -> dict[str, Ty]:
     """Free named variables of ``t`` in order of first occurrence."""
     out: dict[str, Ty] = {}
-    seen_closed = set()
-
-    def go(u):
-        if u.uid in seen_closed:
-            return
-        if isinstance(u, Free):
-            if u.name not in out:
-                out[u.name] = u.ty
-            elif out[u.name] is not u.ty:
-                raise IllTyped(f"free variable '{u.name}' used at two types")
-        elif isinstance(u, Lam):
-            go(u.body)
-        elif isinstance(u, App):
-            go(u.fun)
-            go(u.arg)
-        elif isinstance(u, Pair):
-            go(u.fst)
-            go(u.snd)
-        elif isinstance(u, (Proj1, Proj2)):
-            go(u.arg)
-        seen_closed.add(u.uid)
-
-    # The "seen" cut is only sound for nodes already fully scanned; since a
-    # shared node contributes the same names on every path, skipping repeats
-    # preserves first-occurrence order of the names that remain new.
-    go(t)
+    for u in subterms(t):
+        if type(u) is Free and out.setdefault(u.name, u.ty) is not u.ty:
+            raise IllTyped(f"free variable '{u.name}' used at two types")
     return out
 
 
 def is_closed(t: Term) -> bool:
-    return not free_vars(t)
+    return all(type(u) is not Free for u in subterms(t))
 
 
-def shift(t: Term, by: int, cutoff: int = 0, _memo=None) -> Term:
+def shift(t: Term, by: int, cutoff: int = 0) -> Term:
     """Add ``by`` to every de Bruijn index >= cutoff."""
     if by == 0:
         return t
-    if _memo is None:
-        _memo = {}
-    key = (t.uid, cutoff)
-    hit = _memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(t, Var):
-        out = var(t.index + by, t.ty) if t.index >= cutoff else t
-    elif isinstance(t, Lam):
-        out = lam(t.binder, shift(t.body, by, cutoff + 1, _memo))
-    elif isinstance(t, App):
-        out = app(shift(t.fun, by, cutoff, _memo), shift(t.arg, by, cutoff, _memo))
-    elif isinstance(t, Pair):
-        out = pair(shift(t.fst, by, cutoff, _memo), shift(t.snd, by, cutoff, _memo))
-    elif isinstance(t, Proj1):
-        out = proj1(shift(t.arg, by, cutoff, _memo))
-    elif isinstance(t, Proj2):
-        out = proj2(shift(t.arg, by, cutoff, _memo))
-    else:
-        out = t
-    _memo[key] = out
-    return out
+    return map_term(t, lambda u, d: var(u.index + by, u.ty), depth=cutoff,
+                    keep=lambda u, d: u.scope <= d)  # no index at or above d
 
 
-def abstract(body: Term, fv: Free, _depth: int = 0, _memo=None) -> Term:
+def abstract(body: Term, fv: Free) -> Term:
     """Turn occurrences of the free variable ``fv`` into the index bound
     by a lambda wrapped immediately around ``body``."""
-    if _memo is None:
-        _memo = {}
-    key = (body.uid, _depth)
-    hit = _memo.get(key)
-    if hit is not None:
-        return hit
-    if body is fv:
-        out = var(_depth, fv.ty)
-    elif isinstance(body, (Var, Free, Unit)):
-        out = body
-    elif isinstance(body, Lam):
-        out = lam(body.binder, abstract(body.body, fv, _depth + 1, _memo))
-    elif isinstance(body, App):
-        out = app(abstract(body.fun, fv, _depth, _memo), abstract(body.arg, fv, _depth, _memo))
-    elif isinstance(body, Pair):
-        out = pair(abstract(body.fst, fv, _depth, _memo), abstract(body.snd, fv, _depth, _memo))
-    elif isinstance(body, Proj1):
-        out = proj1(abstract(body.arg, fv, _depth, _memo))
-    else:
-        out = proj2(abstract(body.arg, fv, _depth, _memo))
-    _memo[key] = out
-    return out
+    return map_term(body, lambda u, d: var(d, fv.ty) if u is fv else u, depth=0)
 
 
 def bind(body: Term, *fvs: Free) -> Term:
@@ -539,98 +523,43 @@ def bind(body: Term, *fvs: Free) -> Term:
     return body
 
 
-def substitute_term(a: Term, name: str, b: Term, _memo=None) -> Term:
+def substitute_term(a: Term, name: str, b: Term) -> Term:
     """Replace the free variable ``name`` by ``b`` throughout ``a``.
 
     ``b`` must have the variable's type.  Nameless binders make capture
     impossible: ``b`` has no loose indices, so it drops in unchanged at
     any depth.
     """
-    if _memo is None:
-        _memo = {}
-    hit = _memo.get(a.uid)
-    if hit is not None:
-        return hit
-    if isinstance(a, Free):
-        if a.name == name:
-            if a.ty is not b.ty:
-                raise TypeMismatch(
-                    f"substituting {show_type(b.ty)} for '{name}' : {show_type(a.ty)}")
-            out = b
-        else:
-            out = a
-    elif isinstance(a, (Var, Unit)):
-        out = a
-    elif isinstance(a, Lam):
-        out = lam(a.binder, substitute_term(a.body, name, b, _memo))
-    elif isinstance(a, App):
-        out = app(substitute_term(a.fun, name, b, _memo),
-                  substitute_term(a.arg, name, b, _memo))
-    elif isinstance(a, Pair):
-        out = pair(substitute_term(a.fst, name, b, _memo),
-                   substitute_term(a.snd, name, b, _memo))
-    elif isinstance(a, Proj1):
-        out = proj1(substitute_term(a.arg, name, b, _memo))
-    else:
-        out = proj2(substitute_term(a.arg, name, b, _memo))
-    _memo[a.uid] = out
-    return out
+    def leaf(u, d):
+        if type(u) is not Free or u.name != name:
+            return u
+        if u.ty is not b.ty:
+            raise TypeMismatch(
+                f"substituting {show_type(b.ty)} for '{name}' : {show_type(u.ty)}")
+        return b
+
+    return map_term(a, leaf)
 
 
-def substitute_types(a: Term, mapping: dict[str, Ty], _memo=None, _tymemo=None) -> Term:
+def substitute_types(a: Term, mapping: dict[str, Ty]) -> Term:
     """Apply an atom-to-type substitution to every annotation in ``a``."""
-    if _memo is None:
-        _memo = {}
-        _tymemo = {}
-    hit = _memo.get(a.uid)
-    if hit is not None:
-        return hit
-    if isinstance(a, Var):
-        out = var(a.index, subst_type(a.ty, mapping, _tymemo))
-    elif isinstance(a, Free):
-        out = free(a.name, subst_type(a.ty, mapping, _tymemo))
-    elif isinstance(a, Lam):
-        out = lam(subst_type(a.binder, mapping, _tymemo),
-                  substitute_types(a.body, mapping, _memo, _tymemo))
-    elif isinstance(a, App):
-        out = app(substitute_types(a.fun, mapping, _memo, _tymemo),
-                  substitute_types(a.arg, mapping, _memo, _tymemo))
-    elif isinstance(a, Pair):
-        out = pair(substitute_types(a.fst, mapping, _memo, _tymemo),
-                   substitute_types(a.snd, mapping, _memo, _tymemo))
-    elif isinstance(a, Proj1):
-        out = proj1(substitute_types(a.arg, mapping, _memo, _tymemo))
-    elif isinstance(a, Proj2):
-        out = proj2(substitute_types(a.arg, mapping, _memo, _tymemo))
-    else:
-        out = a
-    _memo[a.uid] = out
-    return out
+    tymemo: dict = {}
+
+    def ty(t):
+        return subst_type(t, mapping, tymemo)
+
+    def leaf(u, d):
+        cls = type(u)
+        if cls is Var:
+            return var(u.index, ty(u.ty))
+        return free(u.name, ty(u.ty)) if cls is Free else u
+
+    return map_term(a, leaf, binder=ty)
 
 
 def term_atoms(a: Term) -> set[str]:
     """Atom names occurring in any type annotation of ``a``."""
-    names: set[str] = set()
-    seen = set()
-
-    def go(u):
-        if u.uid in seen:
-            return
-        seen.add(u.uid)
-        names.update(type_atoms(u.ty))
-        if isinstance(u, Lam):
-            go(u.body)
-        elif isinstance(u, App):
-            go(u.fun)
-            go(u.arg)
-        elif isinstance(u, Pair):
-            go(u.fst)
-            go(u.snd)
-        elif isinstance(u, (Proj1, Proj2)):
-            go(u.arg)
-
-    go(a)
-    return names
+    return {t.name for t in subtypes(*(u.ty for u in subterms(a))) if type(t) is TyAtom}
 
 
 def type_of(a: Term, ctx: Context = EMPTY) -> Ty:
@@ -984,50 +913,16 @@ def type_alias_table(roots: list[Term | Ty], prefix: str = "ty") -> tuple[list[t
     Tower types make inline rendering exponential; the table keeps the
     text linear in the number of distinct type nodes.
     """
-    order: list[Ty] = []
-    seen: set[int] = set()
-
-    def visit_type(ty):
-        if ty.uid in seen:
-            return
-        seen.add(ty.uid)
-        if isinstance(ty, TyArrow):
-            visit_type(ty.dom)
-            visit_type(ty.cod)
-            order.append(ty)
-        elif isinstance(ty, TyProd):
-            visit_type(ty.left)
-            visit_type(ty.right)
-            order.append(ty)
-
-    term_seen: set[int] = set()
-
-    def visit_term(u):
-        if u.uid in term_seen:
-            return
-        term_seen.add(u.uid)
-        if isinstance(u, (Var, Free)):
-            visit_type(u.ty)
-        elif isinstance(u, Lam):
-            visit_type(u.binder)
-            visit_term(u.body)
-        elif isinstance(u, App):
-            visit_term(u.fun)
-            visit_term(u.arg)
-        elif isinstance(u, Pair):
-            visit_term(u.fst)
-            visit_term(u.snd)
-        elif isinstance(u, (Proj1, Proj2)):
-            visit_term(u.arg)
-
-    atom_names: set[str] = set()
+    annotations: list[Ty] = []
     for r in roots:
         if isinstance(r, Ty):
-            visit_type(r)
-            atom_names |= type_atoms(r)
+            annotations.append(r)
         else:
-            visit_term(r)
-            atom_names |= term_atoms(r)
+            annotations.extend(u.binder if type(u) is Lam else u.ty
+                               for u in subterms(r) if type(u) in (Var, Free, Lam))
+    nodes = list(subtypes(*annotations))
+    order = [ty for ty in nodes if type(ty) in (TyArrow, TyProd)]
+    atom_names = {ty.name for ty in nodes if type(ty) is TyAtom}
 
     while any(f"{prefix}{i}" in atom_names for i in range(len(order))):
         prefix += "_"

@@ -238,3 +238,28 @@ def test_deep_term_exits_with_budget_code(tmp_path):
     assert proc.returncode == cli.EXIT_BUDGET
     assert proc.stdout == ""
     assert proc.stderr.strip() == "budget: term too deep for the recursive evaluator"
+
+
+# sha256 of the canonical bytes; any change to alias-table order, binder
+# naming or free-variable order shows up here
+GOLDEN_CERTIFICATES = {
+    "worked pair": (15_909, "bd3236621ecf8c50145d6a476a1ea72643d5b76fcec6a8064b4a1c6a7e2503b4"),
+    "product swap": (2_339, "ba728d4870fe0ac0b63f0d338d6f7323fe456404a95913d02eb96f86d030db4f"),
+    "projection collapse": (2_288, "bafd10af7ca42196f44a097f9850da7e0608bcd712a62f73ba08a3f93040ac11"),
+}
+
+
+def test_certificate_bytes_are_pinned():
+    import hashlib
+    import betaeta.syntax as S
+    a = S.parse_term("\\x:(p->p)->p. x \\y:p. x \\z:p. y")
+    b = S.parse_term("\\x:(p->p)->p. x \\y:p. x \\z:p. z")
+    certs = {
+        "worked pair": Sep.separate_two(a, b),
+        "product swap": P.separate_prod(S.parse_term("\\x:p*p. x"),
+                                        S.parse_term("\\x:p*p. <p2 x, p1 x>")),
+        "projection collapse": C.collapse(C.parse_arrow("p1[p, p]"), C.parse_arrow("p2[p, p]")),
+    }
+    for label, cert in certs.items():
+        data = cli.serialize_certificate(cert).encode()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == GOLDEN_CERTIFICATES[label], label

@@ -83,19 +83,6 @@ def test_long_nf_idempotent():
             assert Nz.long_nf(once).term is once
 
 
-def test_strategies_agree():
-    rng = random.Random(11)
-    for ty in PRODUCT_FREE_ROSTER:
-        for _ in range(15):
-            t = gen_closed_term(ty, rng)
-            assert Nz.long_nf(t, "eager").term is Nz.long_nf(t, "byname").term
-
-
-def test_unknown_strategy_rejected():
-    with pytest.raises(ValueError):
-        Nz.long_nf(church(1, 0), "outside-in")
-
-
 def test_contracted_forms_are_fixed_points():
     rng = random.Random(13)
     for ty in PRODUCT_FREE_ROSTER:
@@ -200,7 +187,7 @@ def test_closed_value_table_is_per_call():
     assert not Nz._CLOSED
     Nz.long_nf(c)
     assert not Nz._CLOSED
-    Nz.beta_nf(c, "byname")
+    Nz.beta_nf(c)
     assert not Nz._CLOSED
     Nz.set_work_budget(50)
     try:

@@ -242,3 +242,12 @@ def test_verify_product_detects_component_tampering():
     except IllTyped:
         ok = False
     assert not ok
+
+
+def test_verify_product_rejects_equal_sources():
+    a = S.parse_term("\\x:p*p. x")
+    b = S.parse_term("\\x:p*p. <p2 x, p1 x>")
+    cert = P.separate_prod(a, b)
+    assert P.verify_product(cert)
+    cert.b_source = cert.a_source
+    assert not P.verify_product(cert)

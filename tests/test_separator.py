@@ -158,3 +158,32 @@ def test_level_override_must_cover_minimum():
     cert = Sep.separate_two(church(1, 0), church(2, 0), level_override=10)
     assert cert.level == 10
     assert Sep.verify(cert)
+
+
+def _one_two_certificate():
+    a = S.parse_term("\\x:p->p. \\y:p. x y")
+    b = S.parse_term("\\x:p->p. \\y:p. x (x y)")
+    cert = Sep.separate_two(a, b)
+    assert Sep.verify(cert)
+    return cert
+
+
+def test_verify_rejects_equal_sources():
+    cert = _one_two_certificate()
+    cert.b_source = cert.a_source
+    assert not Sep.verify(cert)
+
+
+def test_verify_rejects_foreign_sources():
+    cert = _one_two_certificate()
+    other = S.parse_term("\\x1:p->p. \\x2:p. x2")
+    cert.a_source = cert.b_source = other
+    assert not Sep.verify(cert)
+
+
+def test_verify_rejects_reordered_bound_vars():
+    ctx = S.Context([("f", S.arrows(p, p, p)), ("u", p), ("v", p)])
+    cert = Sep.separate_two(S.parse_term("f u v", ctx), S.parse_term("f v u", ctx))
+    f, u, v = cert.bound_vars
+    cert.bound_vars = [f, v, u]
+    assert not Sep.verify(cert)

@@ -149,6 +149,23 @@ def test_type_alias_table_round_trip():
     assert S.parse_term(text, aliases=aliases) is term
 
 
+def test_subterms_preorder_each_node_once():
+    f = S.free("f", S.arrows(p, p, p))
+    u, v = S.free("u", p), S.free("v", p)
+    shared = S.apps(f, u, v)
+    t = S.apps(f, shared, shared)
+    assert list(S.subterms(t)) == [t, t.fun, f, shared, shared.fun, u, v]
+
+
+def test_subtypes_post_order_with_one_seen_set():
+    pq, qp = S.arrow(p, q), S.arrow(q, p)
+    ty = S.arrow(pq, qp)
+    assert list(S.subtypes(ty)) == [p, q, pq, qp, ty]
+    assert list(S.subtypes(qp, ty)) == [q, p, qp, pq, ty]
+    defs, _ = S.type_alias_table([ty])
+    assert defs == [("ty0", "p -> q"), ("ty1", "q -> p"), ("ty2", "ty0 -> ty1")]
+
+
 def test_context_rejects_duplicates():
     with pytest.raises(IllTyped):
         S.Context([("x", p), ("x", q)])
