@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from .errors import EqualArrows, IllFormed, ParseError, TypeMismatch
 from . import products as P
 from . import syntax as S
-from .normalize import decide_eq
+from .normalize import closed_value_scope, decide_eq
 from .syntax import Term, Ty, arrow, atom, prod, TERMINAL
 
 
@@ -340,6 +340,7 @@ def collapse(f: ArrowTerm, g: ArrowTerm, max_base: int = 3,
     return CollapseCertificate(f=f, g=g, separation=sep)
 
 
+@closed_value_scope
 def replay_collapse(cert: CollapseCertificate) -> bool:
     """Replay a collapse certificate independently of its construction.
 

@@ -14,19 +14,20 @@ beta normal form (no eta in either direction) is available as a
 diagnostic to exhibit equalities whose proofs genuinely need eta.
 
 Terms are hash-consed, so a closed subterm (``scope`` 0: no free de
-Bruijn index) has one value whatever environment it meets.  The
-evaluator computes each closed node once, in the empty environment, and
-keeps the value in a table keyed by the node's uid; a closed lambda
-therefore holds no outer environment.  The table belongs to one entry
-call (``decide_eq``, ``long_nf`` or ``beta_nf``): it is emptied when the
-call starts and when it ends, also by an exception, so no value passes
-from one call to the next, nor from ``separate`` into ``verify``.  A
-table hit still counts one step against the work budget.
+Bruijn index) has one value whatever environment it meets; the evaluator
+computes it once, in the empty environment, into a table keyed by uid.
+The table belongs to the outermost normalization scope: one entry call
+(``decide_eq``, ``long_nf``, ``beta_nf``) or one certificate check
+(``closed_value_scope`` on ``verify``, ``verify_product`` and
+``replay_collapse``).  That scope empties it when it opens and when it
+closes, also by an exception, so nothing is carried from ``separate``
+into ``verify``.  The step budget is per entry call; a hit counts a step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 
 from .errors import ResourceExhausted, TypeMismatch
 from . import syntax as S
@@ -36,23 +37,47 @@ from .syntax import (
 )
 
 _WORK = [0]
-_WORK_LIMIT = [500_000_000]
-# values of closed terms by uid; filled and emptied by each entry point
+_WORK_LIMIT = [500_000_000]  # float("inf") when unlimited: one comparison per step
+# values of closed terms by uid, and the number of open scopes
 _CLOSED: dict = {}
+_SCOPES = [0]
 
 
 def set_work_budget(n: int | None):
     """Cap evaluation steps across normalization calls (None = unlimited)."""
-    _WORK_LIMIT[0] = n
+    _WORK_LIMIT[0] = float("inf") if n is None else n
     _WORK[0] = 0
+
+
+def _exhausted():
+    _WORK[0] = 0
+    raise ResourceExhausted(f"normalization exceeded {_WORK_LIMIT[0]} steps")
 
 
 def _tick():
     _WORK[0] += 1
-    limit = _WORK_LIMIT[0]
-    if limit is not None and _WORK[0] > limit:
-        _WORK[0] = 0
-        raise ResourceExhausted(f"normalization exceeded {limit} steps")
+    if _WORK[0] > _WORK_LIMIT[0]:
+        _exhausted()
+
+
+def _scope(step: int):
+    # open (+1) or close (-1) a scope; the outermost scope empties the
+    # closed-value table as it opens (count 1) and as it closes (count 0)
+    _SCOPES[0] += step
+    if _SCOPES[0] == max(step, 0):
+        _CLOSED.clear()
+
+
+def closed_value_scope(fn):
+    """Run ``fn`` in one scope, where its normalization calls share closed values."""
+    @wraps(fn)
+    def scoped(*args, **kwargs):
+        _scope(1)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _scope(-1)
+    return scoped
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +152,9 @@ class NProj:
 
 
 def eval_term(t: Term, env: tuple):
-    _tick()
+    _WORK[0] += 1  # _tick(), inlined on the hot path
+    if _WORK[0] > _WORK_LIMIT[0]:
+        _exhausted()
     closed = not t.scope
     if closed:
         out = _CLOSED.get(t.uid)
@@ -157,7 +184,9 @@ def eval_term(t: Term, env: tuple):
 
 
 def apply_value(f, a):
-    _tick()
+    _WORK[0] += 1
+    if _WORK[0] > _WORK_LIMIT[0]:
+        _exhausted()
     if type(f) is VClosure:
         key = id(a)
         hit = f.cache.get(key)
@@ -330,14 +359,18 @@ class NormalForm:
     kind: str  # "expanded" | "contracted" | "beta"
 
 
+def _normal_form(a: Term, read, kind: str) -> NormalForm:
+    _WORK[0] = 0  # the step budget applies per entry call
+    _scope(1)  # plain try/finally: a context manager costs ~1 us a call
+    try:
+        return NormalForm(read(eval_term(a, ())), kind)
+    finally:
+        _scope(-1)
+
+
 def long_nf(a: Term) -> NormalForm:
     """Unique eta-long beta normal form, alpha-canonical by construction."""
-    _WORK[0] = 0  # the step budget applies per entry call
-    _CLOSED.clear()  # and so does the closed-value table
-    try:
-        return NormalForm(readback(eval_term(a, ()), a.ty, 0), "expanded")
-    finally:
-        _CLOSED.clear()
+    return _normal_form(a, lambda v: readback(v, a.ty, 0), "expanded")
 
 
 def beta_eta_nf(a: Term) -> NormalForm:
@@ -347,12 +380,7 @@ def beta_eta_nf(a: Term) -> NormalForm:
 
 def beta_nf(a: Term) -> NormalForm:
     """Beta normal form without any eta steps (diagnostic mode)."""
-    _WORK[0] = 0
-    _CLOSED.clear()
-    try:
-        return NormalForm(readback_beta(eval_term(a, ()), 0), "beta")
-    finally:
-        _CLOSED.clear()
+    return _normal_form(a, lambda v: readback_beta(v, 0), "beta")
 
 
 def _check_common_context(a: Term, b: Term):
@@ -374,10 +402,10 @@ def decide_eq(a: Term, b: Term) -> bool:
         return True
     _check_common_context(a, b)
     _WORK[0] = 0
-    _CLOSED.clear()
+    _scope(1)
     try:
         u = eval_term(a, ())
         v = eval_term(b, ())
         return values_equal(u, v, a.ty, 0)
     finally:
-        _CLOSED.clear()
+        _scope(-1)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .errors import EqualTerms, IllTyped, IndexOutOfRange, Overflow, TypeMismatch
 from . import separator as Sep
 from . import syntax as S
-from .normalize import decide_eq, long_nf
+from .normalize import closed_value_scope, decide_eq, long_nf
 from .syntax import (
     Term, Ty, TyArrow, TyAtom, TyProd, TyTerminal, TERMINAL,
     arrow, atom, prod, subst_type,
@@ -367,6 +367,11 @@ def split(a: Term):
 def differing_component(a: Term, b: Term, iso: IsoWitness) -> int:
     """The least 1-based index at which the split components of the two
     terms (moved through the isomorphism) are provably unequal."""
+    return _differing_parts(a, b, iso)[0]
+
+
+def _differing_parts(a: Term, b: Term, iso: IsoWitness):
+    """``differing_component`` together with both lists of components."""
     if a.ty is not b.ty:
         raise TypeMismatch("the terms must share a type")
     parts_a = split(S.app(iso.forward, a))
@@ -377,7 +382,7 @@ def differing_component(a: Term, b: Term, iso: IsoWitness) -> int:
         raise IllTyped("components of equal-typed terms must align")
     for idx, (x, y) in enumerate(zip(parts_a, parts_b), start=1):
         if not decide_eq(x, y):
-            return idx
+            return idx, parts_a, parts_b
     raise EqualTerms("all components are provably equal")
 
 
@@ -428,9 +433,7 @@ def separate_prod(a: Term, b: Term, max_base: int = 3,
         raise EqualTerms("the terms are provably equal")
 
     iso = build_iso(a.ty)
-    idx = differing_component(a, b, iso)
-    parts_a = split(S.app(iso.forward, a))
-    parts_b = split(S.app(iso.forward, b))
+    idx, parts_a, parts_b = _differing_parts(a, b, iso)
     inner = Sep.separate_two(parts_a[idx - 1], parts_b[idx - 1],
                              max_base=max_base, level_override=level_override)
     sub = _instance_sub(inner)
@@ -453,6 +456,7 @@ def _instance_sub(inner: Sep.SeparationCertificate) -> Ty:
     return subst_type(S.numeral_type(inner.level), {"p": inner.target_c.ty})
 
 
+@closed_value_scope
 def verify_product(cert: ProductCertificate) -> bool:
     """Replay: project the chosen component of the instantiated terms
     through the instantiated isomorphism, apply the inner head arguments

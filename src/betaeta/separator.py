@@ -23,7 +23,7 @@ from .errors import EqualTerms, IllTyped, NotSeparable, TypeMismatch
 from . import models as M
 from . import numerals as N
 from . import syntax as S
-from .normalize import decide_eq
+from .normalize import closed_value_scope, decide_eq
 from .syntax import Context, Term, Ty, atom, numeral_type, subst_type
 
 
@@ -168,6 +168,7 @@ def separate_two(a: Term, b: Term, max_base: int = 3,
     return cert
 
 
+@closed_value_scope
 def verify(cert: SeparationCertificate) -> bool:
     """Replay a certificate using normalization only.  The instantiated
     sides must be type-instances of the sources under one atom
@@ -191,13 +192,8 @@ def verify(cert: SeparationCertificate) -> bool:
         if not ok:
             return False
         if cert.two_valued:
-            p = atom("p")
-            e = S.free("e'", p)
-            f = S.free("f'", p)
-            if not decide_eq(S.apps(lhs_a, e, f), e):
-                return False
-            if not decide_eq(S.apps(lhs_b, e, f), f):
-                return False
+            e, f = S.free("e'", atom("p")), S.free("f'", atom("p"))
+            return decide_eq(S.apps(lhs_a, e, f), e) and decide_eq(S.apps(lhs_b, e, f), f)
         return True
     except (TypeMismatch, S.UnboundVariable):
         raise IllTyped("malformed certificate")

@@ -667,13 +667,19 @@ class _Tokens:
     def __init__(self, text):
         self.text = text
         self.pos = 0
+        self._at, self._tok = -1, None  # the token scanned at position _at
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
     def peek(self):
-        self.skip_ws()
+        if self._at != self.pos:  # scan once per position; take moves on
+            self.skip_ws()
+            self._at, self._tok = self.pos, self._scan()
+        return self._tok
+
+    def _scan(self):
         if self.pos >= len(self.text):
             return None
         ch = self.text[self.pos]

@@ -150,3 +150,24 @@ def test_random_arrows_are_well_formed():
         t = C.to_lambda(f)
         assert t.ty is S.arrow(src, tgt)
         assert not S.free_vars(t)
+
+
+def test_replay_collapse_shares_one_table(monkeypatch):
+    # the nested verify_product joins the replay's scope instead of
+    # emptying the table that the last two checks reuse
+    from betaeta import normalize as Nz
+    from betaeta import products as P
+    cert = C.collapse(C.AProj(1, p, p), C.AProj(2, p, p))
+    after_nested = []
+    real = P.verify_product
+
+    def spy(sep):
+        try:
+            return real(sep)
+        finally:
+            after_nested.append(len(Nz._CLOSED))
+
+    monkeypatch.setattr(P, "verify_product", spy)
+    assert C.replay_collapse(cert)
+    assert after_nested and after_nested[0] > 0
+    assert not Nz._CLOSED

@@ -196,3 +196,13 @@ def test_closed_value_table_is_per_call():
     finally:
         Nz.set_work_budget(500_000_000)
     assert not Nz._CLOSED
+
+
+def test_unlimited_work_budget():
+    from betaeta.numerals import lower
+    Nz.set_work_budget(None)
+    try:
+        assert Nz.decide_eq(S.app(lower(2), church(3, 3)), church(3, 2))
+        assert Nz._WORK[0] > 50  # more than the budget that trips it above
+    finally:
+        Nz.set_work_budget(500_000_000)

@@ -251,3 +251,10 @@ def test_verify_product_rejects_equal_sources():
     assert P.verify_product(cert)
     cert.b_source = cert.a_source
     assert not P.verify_product(cert)
+
+
+def test_verify_product_empties_the_table():
+    from betaeta import normalize as Nz
+    cert = P.separate_prod(S.parse_term("\\x:p*p. x"), S.parse_term("\\x:p*p. <p2 x, p1 x>"))
+    assert P.verify_product(cert)
+    assert not Nz._CLOSED

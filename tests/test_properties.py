@@ -1,18 +1,28 @@
 """Property tests for the shared traversals in ``syntax``: printing,
 shifting, type substitution, binding and free-variable order, on random
-closed terms of the roster types and on open terms built from them."""
+closed terms of the roster types and on open terms built from them; and
+for certificates and the decision procedure: certificate text round
+trips, tampered certificates fail, and ``decide_eq`` agrees with the
+finite-model search."""
 
 import random
 import re
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from betaeta import cli
+from betaeta import models as M
+from betaeta import separator as Sep
 from betaeta import syntax as S
+from betaeta.errors import BadCertificate, IllTyped
 from betaeta.normalize import decide_eq, long_nf
 
 from conftest import PRODUCT_FREE_ROSTER, gen_closed_term
 
 SETTINGS = settings(max_examples=60, deadline=None)
+# each certificate builds and verifies in well under 0.1 s
+CERT_SETTINGS = settings(max_examples=25, deadline=None)
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 @st.composite
@@ -20,6 +30,26 @@ def closed_terms(draw):
     ty = draw(st.sampled_from(PRODUCT_FREE_ROSTER))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     return gen_closed_term(ty, random.Random(seed))
+
+
+@st.composite
+def term_pairs(draw):
+    """Two closed terms of one roster type."""
+    ty = draw(st.sampled_from(PRODUCT_FREE_ROSTER))
+    return tuple(gen_closed_term(ty, random.Random(draw(SEEDS))) for _ in range(2))
+
+
+@st.composite
+def open_unequal_pairs(draw):
+    """Two provably unequal terms applied to one fresh variable ``u``, so
+    their certificate binds a variable; plus a third closed term of their
+    type, other than the first, applied to ``u`` as well."""
+    a, b = draw(term_pairs())
+    assume(not decide_eq(a, b))
+    c = gen_closed_term(a.ty, random.Random(draw(SEEDS)))
+    assume(c is not a)
+    u = S.free("u", a.ty.dom)
+    return S.app(a, u), S.app(b, u), S.app(c, u)
 
 
 @st.composite
@@ -73,3 +103,45 @@ def test_free_vars_follow_the_printed_order(case):
     printed = [tok for tok in re.findall(r"[A-Za-z_][A-Za-z0-9_']*", S.show_term(body))
                if tok in names]
     assert list(S.free_vars(body)) == list(dict.fromkeys(printed))
+
+
+@CERT_SETTINGS
+@given(open_unequal_pairs())
+def test_certificate_text_round_trips(case):
+    a, b, _ = case
+    text = cli.serialize_certificate(Sep.separate_two(a, b))
+    assert cli.serialize_certificate(cli.parse_certificate(text)) == text
+
+
+@CERT_SETTINGS
+@given(open_unequal_pairs(), st.sampled_from(["source", "head argument", "bound variable"]),
+       st.booleans())
+def test_tampered_certificate_fails(case, field, which):
+    a, b, c = case
+    cert = cli.parse_certificate(cli.serialize_certificate(Sep.separate_two(a, b)))
+    assert Sep.verify(cert)
+    if field == "source":  # a third term in place of one source, or the two swapped
+        if which:
+            cert.a_source = c
+        else:
+            cert.a_source, cert.b_source = cert.b_source, cert.a_source
+    elif field == "head argument":  # a context that picks the other target
+        if which:
+            cert.head_args[-1] = cert.target_d
+        else:
+            cert.head_args[-2] = S.lam(cert.target_c.ty, cert.target_c)
+    else:  # the bound variable renamed, or at its uninstantiated type
+        (name, ty), = cert.bound_vars
+        cert.bound_vars = [(name + "'", ty) if which else (name, S.free_vars(a)[name])]
+    try:
+        ok = Sep.verify(cert)
+    except (BadCertificate, IllTyped):
+        ok = False
+    assert not ok
+
+
+@SETTINGS
+@given(term_pairs())
+def test_decide_eq_agrees_with_distinguish(pair):
+    a, b = pair
+    assert decide_eq(a, b) == (M.distinguish(a, b, 3) is None)

@@ -187,3 +187,56 @@ def test_verify_rejects_reordered_bound_vars():
     f, u, v = cert.bound_vars
     cert.bound_vars = [f, v, u]
     assert not Sep.verify(cert)
+
+
+def _decide_spy(monkeypatch):
+    """Replace ``separator.decide_eq`` by a spy that records, per call, the
+    size of the closed-value table on entry and the steps taken."""
+    from betaeta import normalize as Nz
+    calls = []
+    real = Sep.decide_eq
+
+    def spy(a, b):
+        filled = len(Nz._CLOSED)
+        try:
+            return real(a, b)
+        finally:
+            calls.append((filled, Nz._WORK[0]))
+
+    monkeypatch.setattr(Sep, "decide_eq", spy)
+    return calls
+
+
+def test_verify_evaluates_applied_sides_once(monkeypatch):
+    # the projection checks find the closed applied sides in the table
+    # that the target checks filled
+    a, b = worked_pair()
+    cert = Sep.separate_two(a, b)
+    calls = _decide_spy(monkeypatch)
+    assert Sep.verify(cert)
+    assert len(calls) == 4
+    assert calls[1][1] > 1000
+    assert calls[2][1] < 100 and calls[3][1] < 100
+
+
+def test_verify_starts_with_an_empty_table(monkeypatch):
+    from betaeta import normalize as Nz
+    cert = Sep.separate_two(church(1, 0), church(2, 0))
+    calls = _decide_spy(monkeypatch)
+    assert Sep.verify(cert)
+    assert calls[0][0] == 0  # nothing carried over from separate_two
+    assert calls[1][0] > 0
+    assert not Nz._CLOSED
+
+
+def test_verify_empties_the_table_on_budget_exhaustion():
+    from betaeta import normalize as Nz
+    from betaeta.errors import ResourceExhausted
+    cert = Sep.separate_two(church(1, 0), church(2, 0))
+    Nz.set_work_budget(100)
+    try:
+        with pytest.raises(ResourceExhausted):
+            Sep.verify(cert)
+    finally:
+        Nz.set_work_budget(500_000_000)
+    assert not Nz._CLOSED

@@ -169,3 +169,14 @@ def test_subtypes_post_order_with_one_seen_set():
 def test_context_rejects_duplicates():
     with pytest.raises(IllTyped):
         S.Context([("x", p), ("x", q)])
+
+
+def test_parse_error_position_in_the_middle():
+    # each position counts the whitespace skipped before the bad token
+    for text, message, pos in (("\\f:p->p.   f ) x", "trailing input ')'", 13),
+                               ("\\x:p   x. x", "expected '.', found 'x'", 7),
+                               ("\\x:(p->  ]). x", "unexpected ']' in type", 9)):
+        with pytest.raises(ParseError) as info:
+            S.parse_term(text)
+        assert info.value.position == pos
+        assert str(info.value) == f"{message} (at position {pos})"
