@@ -13,21 +13,39 @@ obtained from the long form by a maximal eta-contraction pass.  A plain
 beta normal form (no eta in either direction) is available as a
 diagnostic to exhibit equalities whose proofs genuinely need eta.
 
+Each interned term node is compiled once, on first evaluation, into a
+Python closure that evaluates it in an environment tuple: a variable is
+an ``itemgetter``, and an application applies its function in place.
+Lambda bodies and closed nodes are the entry points.
+
 Terms are hash-consed, so a closed subterm (``scope`` 0: no free de
-Bruijn index) has one value whatever environment it meets; the evaluator
-computes it once, in the empty environment, into a table keyed by uid.
-The table belongs to the outermost normalization scope: one entry call
-(``decide_eq``, ``long_nf``, ``beta_nf``) or one certificate check
-(``closed_value_scope`` on ``verify``, ``verify_product`` and
-``replay_collapse``).  That scope empties it when it opens and when it
-closes, also by an exception, so nothing is carried from ``separate``
-into ``verify``.  The step budget is per entry call; a hit counts a step.
+Bruijn index) has one value whatever environment it meets; it is
+computed once, in the empty environment, into a table keyed by uid.
+The result of applying a closure to an argument is kept in a second
+table keyed by the pair of values, which keeps both alive and so their
+identities stable.  Both tables belong to the outermost normalization
+scope: one entry call (``decide_eq``, ``long_nf``, ``beta_nf``) or one
+certificate check (``closed_value_scope`` on ``verify``,
+``verify_product`` and ``replay_collapse``).  That scope empties them
+when it opens and when it closes, also by an exception, so nothing is
+carried from ``separate`` into ``verify``.  Values point only at values
+built before them, so when a scope closes reference counting frees them
+all and the cyclic collector finds nothing to free.
+
+The step budget is per entry call.  A step is one term node evaluated,
+one application, one readback node or one comparison node.  Running a
+term or a lambda body counts the steps of its spine (the nodes it
+evaluates short of lambda bodies and closed children) in one go, and a
+closed node counts one step when its value is in the table and its own
+spine when it is not.  So the count is exact, the same as counting node
+by node, and a budget trips exactly when the total of a call exceeds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import wraps
+from operator import itemgetter
 
 from .errors import ResourceExhausted, TypeMismatch
 from . import syntax as S
@@ -37,10 +55,15 @@ from .syntax import (
 )
 
 _WORK = [0]
-_WORK_LIMIT = [500_000_000]  # float("inf") when unlimited: one comparison per step
-# values of closed terms by uid, and the number of open scopes
+_WORK_LIMIT = [500_000_000]  # float("inf") when unlimited, so a tick needs no None test
+# per outermost scope: values of closed terms by uid, closure applications
+# by (closure, argument); and the number of open scopes
 _CLOSED: dict = {}
+_APPLIED: dict = {}
 _SCOPES = [0]
+# compiled code by term uid, (run, steps); kept for the process, like the
+# interned nodes themselves
+_CODE: dict = {}
 
 
 def set_work_budget(n: int | None):
@@ -54,22 +77,23 @@ def _exhausted():
     raise ResourceExhausted(f"normalization exceeded {_WORK_LIMIT[0]} steps")
 
 
-def _tick():
-    _WORK[0] += 1
+def _tick(n: int = 1):
+    _WORK[0] += n
     if _WORK[0] > _WORK_LIMIT[0]:
         _exhausted()
 
 
 def _scope(step: int):
     # open (+1) or close (-1) a scope; the outermost scope empties the
-    # closed-value table as it opens (count 1) and as it closes (count 0)
+    # value tables as it opens (count 1) and as it closes (count 0)
     _SCOPES[0] += step
     if _SCOPES[0] == max(step, 0):
         _CLOSED.clear()
+        _APPLIED.clear()
 
 
 def closed_value_scope(fn):
-    """Run ``fn`` in one scope, where its normalization calls share closed values."""
+    """Run ``fn`` in one scope, where its normalization calls share values."""
     @wraps(fn)
     def scoped(*args, **kwargs):
         _scope(1)
@@ -84,15 +108,13 @@ def closed_value_scope(fn):
 # Semantic domain
 
 class VClosure:
-    __slots__ = ("env", "binder", "body", "cache")
+    # code: the compiled body, (run, steps); the body runs on env + (argument,)
+    __slots__ = ("env", "binder", "code")
 
-    def __init__(self, env, binder, body):
+    def __init__(self, env, binder, code):
         self.env = env
         self.binder = binder
-        self.body = body
-        # application results keyed by argument identity; the stored
-        # argument reference keeps the id stable for the cache's lifetime
-        self.cache = {}
+        self.code = code
 
 
 class VPair:
@@ -151,53 +173,98 @@ class NProj:
         self.arg = arg
 
 
-def eval_term(t: Term, env: tuple):
-    _WORK[0] += 1  # _tick(), inlined on the hot path
-    if _WORK[0] > _WORK_LIMIT[0]:
-        _exhausted()
-    closed = not t.scope
-    if closed:
-        out = _CLOSED.get(t.uid)
-        if out is not None:
-            return out
-        env = ()
+# ---------------------------------------------------------------------------
+# Compilation
+
+def _compile(t: Term):
+    """``(run, steps)`` for ``t``: ``run(env)`` evaluates it, and ``steps``
+    is what its spine costs, which whoever runs it counts first.  A closed
+    node compiles to an entry that counts for itself, with ``steps`` 0."""
+    out = _CODE.get(t.uid)
+    if out is not None:
+        return out
     cls = type(t)
     if cls is Var:
-        return env[-1 - t.index]
-    if cls is Free:
-        out = VNe(NFree(t.name, t.ty), t.ty)
+        out = itemgetter(-1 - t.index), 1
     elif cls is Lam:
-        out = VClosure(env, t.binder, t.body)
+        out = _lam(t.binder, _compile(t.body)), 1
     elif cls is App:
-        out = apply_value(eval_term(t.fun, env), eval_term(t.arg, env))
+        (fun, m), (arg, n) = _compile(t.fun), _compile(t.arg)
+        out = _app(fun, arg), m + n + 2  # the node and its application
     elif cls is Pair:
-        out = VPair(eval_term(t.fst, env), eval_term(t.snd, env))
-    elif cls is Proj1:
-        out = do_proj(1, eval_term(t.arg, env))
-    elif cls is Proj2:
-        out = do_proj(2, eval_term(t.arg, env))
+        (fst, m), (snd, n) = _compile(t.fst), _compile(t.snd)
+        out = _pair(fst, snd), m + n + 1
+    elif cls is Proj1 or cls is Proj2:
+        arg, n = _compile(t.arg)
+        out = _proj(1 if cls is Proj1 else 2, arg), n + 1
+    elif cls is Free:
+        value = VNe(NFree(t.name, t.ty), t.ty)
+        out = (lambda env: value), 1
     else:
-        out = VUNIT
-    if closed:
-        _CLOSED[t.uid] = out
+        out = (lambda env: VUNIT), 1
+    if not t.scope:
+        out = _closed(t.uid, *out), 0
+    _CODE[t.uid] = out
     return out
 
 
-def apply_value(f, a):
-    _WORK[0] += 1
-    if _WORK[0] > _WORK_LIMIT[0]:
-        _exhausted()
-    if type(f) is VClosure:
-        key = id(a)
-        hit = f.cache.get(key)
-        if hit is not None:
-            return hit[1]
-        out = eval_term(f.body, f.env + (a,))
-        f.cache[key] = (a, out)
+def _closed(uid, run, steps):
+    def closed(env):
+        out = _CLOSED.get(uid)
+        _WORK[0] += 1 if out is not None else steps
+        if _WORK[0] > _WORK_LIMIT[0]:
+            _exhausted()
+        if out is None:
+            out = _CLOSED[uid] = run(())
         return out
-    # neutral application: track the argument's type for later readback
-    fty = f.ty
-    return VNe(NApp(f.ne, a, fty.dom), fty.cod)
+    return closed
+
+
+def _lam(binder, body):
+    return lambda env: VClosure(env, binder, body)
+
+
+def _app(fun, arg):
+    def app(env):
+        f = fun(env)
+        a = arg(env)
+        if type(f) is VClosure:  # the caller counted the application step
+            key = (f, a)
+            out = _APPLIED.get(key)
+            if out is None:
+                run, steps = f.code
+                _WORK[0] += steps
+                if _WORK[0] > _WORK_LIMIT[0]:
+                    _exhausted()
+                out = _APPLIED[key] = run(f.env + (a,))
+            return out
+        # neutral application: track the argument's type for later readback
+        fty = f.ty
+        return VNe(NApp(f.ne, a, fty.dom), fty.cod)
+    return app
+
+
+def _pair(fst, snd):
+    return lambda env: VPair(fst(env), snd(env))
+
+
+def _proj(which, arg):
+    return lambda env: do_proj(which, arg(env))
+
+
+def eval_term(t: Term, env: tuple):
+    run, steps = _compile(t)
+    _tick(steps)
+    return run(env)
+
+
+def apply_value(f, a):
+    _tick()
+    return _APPLY((f, a))
+
+
+# an App node's code, run on the environment (f, a): one application path
+_APPLY = _app(itemgetter(0), itemgetter(1))
 
 
 def do_proj(which, v):

@@ -175,10 +175,18 @@ def verify(cert: SeparationCertificate) -> bool:
     substitution, and the bound variables the sources' free variables in
     order of first occurrence under that substitution; both applied sides
     must equal their targets; a two-valued certificate must additionally
-    project correctly on fresh slot variables."""
+    project correctly on fresh slot variables.  Every atom of the sources
+    must be instantiated at the numeral type of the stated level over the
+    target type.  ``base``, ``model_args``, ``relabeling`` and
+    ``kappa_values`` record where the certificate came from and are not
+    checked."""
     sub: dict[str, Ty] = {}
     if not (is_type_instance(cert.a_source, cert.a_prime, sub)
             and is_type_instance(cert.b_source, cert.b_prime, sub)):
+        return False
+    atoms = S.term_atoms(cert.a_source) | S.term_atoms(cert.b_source)
+    if not all(_is_numeral_type(sub.get(name), cert.level, cert.target_c.ty)
+               for name in atoms):
         return False
     sources = _ordered_free_union(cert.a_source, cert.b_source)
     if cert.bound_vars != [(name, subst_type(ty, sub)) for name, ty in sources]:
@@ -197,6 +205,19 @@ def verify(cert: SeparationCertificate) -> bool:
         return True
     except (TypeMismatch, S.UnboundVariable):
         raise IllTyped("malformed certificate")
+
+
+def _is_numeral_type(ty, level, base: Ty) -> bool:
+    """Whether ``ty`` is ``subst_type(numeral_type(level), {"p": base})``,
+    decided by peeling it, so that a stated level far above the real one
+    costs no more than the real one."""
+    if type(level) is not int or level < 0:
+        return False
+    for _ in range(level + 2):
+        if type(ty) is not S.TyArrow or ty.dom is not ty.cod:
+            return False
+        ty = ty.cod
+    return ty is base
 
 
 def match_type_instance(general: Ty, instance: Ty, sub: dict[str, Ty]) -> bool:

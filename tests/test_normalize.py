@@ -184,18 +184,44 @@ def test_closed_value_table_is_per_call():
     from betaeta.numerals import lower
     c = S.app(lower(2), church(3, 3))
     assert Nz.decide_eq(c, church(3, 2))
-    assert not Nz._CLOSED
+    assert not Nz._CLOSED and not Nz._APPLIED
     Nz.long_nf(c)
-    assert not Nz._CLOSED
+    assert not Nz._CLOSED and not Nz._APPLIED
     Nz.beta_nf(c)
-    assert not Nz._CLOSED
+    assert not Nz._CLOSED and not Nz._APPLIED
     Nz.set_work_budget(50)
     try:
         with pytest.raises(ResourceExhausted):
             Nz.decide_eq(c, church(3, 2))
     finally:
         Nz.set_work_budget(500_000_000)
-    assert not Nz._CLOSED
+    assert not Nz._CLOSED and not Nz._APPLIED
+
+
+def test_step_count_is_exact():
+    # one step per node evaluated and per application, as counted node by
+    # node; a budget of exactly the total passes and one less trips
+    from betaeta.numerals import lower
+    c, d = S.app(lower(2), church(3, 3)), church(3, 2)
+    assert Nz.decide_eq(c, d)
+    assert Nz._WORK[0] == 94
+    try:
+        Nz.set_work_budget(94)
+        assert Nz.decide_eq(c, d)
+        Nz.set_work_budget(93)
+        with pytest.raises(ResourceExhausted):
+            Nz.decide_eq(c, d)
+    finally:
+        Nz.set_work_budget(500_000_000)
+
+
+def test_repeated_decide_eq_compiles_nothing_new():
+    from betaeta.numerals import lower
+    c, d = S.app(lower(2), church(3, 3)), church(3, 2)
+    assert Nz.decide_eq(c, d)
+    compiled = len(Nz._CODE)
+    assert Nz.decide_eq(c, d)
+    assert len(Nz._CODE) == compiled
 
 
 def test_unlimited_work_budget():

@@ -239,4 +239,52 @@ def test_verify_empties_the_table_on_budget_exhaustion():
             Sep.verify(cert)
     finally:
         Nz.set_work_budget(500_000_000)
-    assert not Nz._CLOSED
+    assert not Nz._CLOSED and not Nz._APPLIED
+
+
+def test_verify_step_counts_are_exact(monkeypatch):
+    from betaeta import normalize as Nz
+    from betaeta.errors import ResourceExhausted
+    a, b = worked_pair()
+    cert = Sep.separate_two(a, b)
+    calls = _decide_spy(monkeypatch)
+    assert Sep.verify(cert)
+    assert [steps for _, steps in calls] == [53419, 27133, 11, 11]
+    try:
+        Nz.set_work_budget(53419)  # the budget is per decide_eq call
+        assert Sep.verify(cert)
+        Nz.set_work_budget(53418)
+        with pytest.raises(ResourceExhausted):
+            Sep.verify(cert)
+    finally:
+        Nz.set_work_budget(500_000_000)
+
+
+def test_verify_leaves_no_cyclic_garbage():
+    # values only point at older values, so closing the scope frees them
+    # by reference counting alone
+    import gc
+    from betaeta import normalize as Nz
+
+    def closures():
+        return sum(1 for o in gc.get_objects() if type(o) is Nz.VClosure)
+
+    a, b = worked_pair()
+    cert = Sep.separate_two(a, b)
+    gc.collect()
+    gc.disable()
+    try:
+        before = closures()
+        assert Sep.verify(cert)
+        assert closures() == before
+    finally:
+        gc.enable()
+
+
+def test_verify_rejects_a_tampered_level():
+    from betaeta import cli
+    text = cli.serialize_certificate(_one_two_certificate())
+    assert '"level": 8,' in text
+    for level in ('9', '6', '"8"', '-1'):
+        tampered = cli.parse_certificate(text.replace('"level": 8,', f'"level": {level},'))
+        assert not Sep.verify(tampered)
