@@ -7,9 +7,17 @@ numeral level.
 Elements are canonically encoded: an element of P is its own code, and
 an element of A -> B is the base-|B| numeral whose digit at position
 ``code(x)`` is ``code(f(x))``, least significant digit first.  With that
-encoding application is digit extraction, and whole tables only ever
-get materialized on demand, so evaluation of a lambda stays lazy until
-one of its values is used as an argument to a table.
+encoding application is digit extraction.  A model builds each element
+object of a small type once and hands the same object out after.
+
+Evaluation first compiles a term, each shared node once, into Python
+closures over an environment tuple.  The value of a lambda is its
+compiled body with its environment, applied without a table; a table
+is materialized only when such a value is passed to a coded element.
+The model search compiles both terms once per model and walks the
+argument tuples as a prefix tree, first argument slowest, so a partial
+application is computed once per prefix.  That order fixes which
+witness comes first, and so a certificate's ``model_args``.
 
 The defining-term construction tells the branches of a function apart
 by a product of primes raised to the function's outputs; the branch
@@ -21,7 +29,9 @@ then the remaining elements ordered by big-endian table code.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import IllTyped, LevelTooSmall, Overflow, TypeMismatch, UnboundVariable
 from . import numerals as N
@@ -50,13 +60,24 @@ def nth_prime(n: int) -> int:
 
 
 class PModel:
-    """The full type hierarchy over a base of ``base`` elements."""
+    """The full type hierarchy over a base of ``base`` elements.
+
+    Each element of a type of at most ``ROW_CAP`` elements is one object
+    per model, built when first used; a larger type gets a new object per
+    use, so that no large domain is held.  The elements refer back to
+    their model, so the collector frees a model and its elements
+    together."""
+
+    ROW_CAP = 1 << 16
 
     def __init__(self, base: int):
         if base < 2:
             raise ValueError("model base must be at least 2")
         self.base = base
         self._card: dict[int, int] = {}
+        # per type uid: its elements by code, each None until first used;
+        # an empty list for a type beyond ROW_CAP
+        self._rows: dict[int, list] = {}
 
     def card(self, ty: Ty) -> int:
         hit = self._card.get(ty.uid)
@@ -80,14 +101,27 @@ class PModel:
     def functional(self, ty: Ty, code: int) -> "Functional":
         if not 0 <= code < self.card(ty):
             raise ValueError(f"code {code} out of range for {S.show_type(ty)}")
-        return Functional(self, ty, code)
+        return self.element(ty, code)
+
+    def element(self, ty: Ty, code: int) -> "Functional":
+        """The element of ``ty`` with the given code, which must be in range."""
+        row = self._rows.get(ty.uid)
+        if row is None:
+            n = self.card(ty)
+            row = self._rows[ty.uid] = [None] * n if n <= self.ROW_CAP else []
+        if not row:
+            return Functional(self, ty, code)
+        out = row[code]
+        if out is None:
+            out = row[code] = Functional(self, ty, code)
+        return out
 
     def enum(self, ty: Ty):
         """All elements of the given hierarchy type in code order."""
         n = self.card(ty)
         if n > ENUM_CAP:
             raise Overflow(f"refusing to enumerate {n} elements of {S.show_type(ty)}")
-        return (Functional(self, ty, c) for c in range(n))
+        return (self.element(ty, c) for c in range(n))
 
     def __repr__(self):
         return f"PModel(base={self.base})"
@@ -116,14 +150,16 @@ class Functional:
         return out
 
     def __call__(self, arg: "Functional | MClosure") -> "Functional":
-        if not isinstance(self.ty, TyArrow):
+        ty = self.ty
+        if not isinstance(ty, TyArrow):
             raise IllTyped("cannot apply a base element")
         arg = materialize(arg)
-        if arg.ty is not self.ty.dom:
+        if arg.ty is not ty.dom:
             raise TypeMismatch("argument type does not match the function's domain")
-        cod_n = self.model.card(self.ty.cod)
-        digit = (self.code // (cod_n ** arg.code)) % cod_n
-        return Functional(self.model, self.ty.cod, digit)
+        model = self.model
+        cod = ty.cod
+        cod_n = model.card(cod)
+        return model.element(cod, (self.code // (cod_n ** arg.code)) % cod_n)
 
     def __eq__(self, other):
         return (isinstance(other, Functional) and self.model.base == other.model.base
@@ -141,29 +177,30 @@ def from_table(model: PModel, ty: TyArrow, digits: list[int]) -> Functional:
     code = 0
     for d in reversed(digits):
         code = code * cod_n + d
-    return Functional(model, ty, code)
+    return model.element(ty, code)
 
 
 class MClosure:
-    """A lazy semantic function: applies without materializing a table."""
+    """A lazy semantic function, a lambda's compiled body with its
+    environment: applies without materializing a table."""
 
-    __slots__ = ("model", "ty", "fn")
+    __slots__ = ("model", "ty", "env", "body")
 
-    def __init__(self, model, ty, fn):
+    def __init__(self, model, ty, env, body):
         self.model = model
         self.ty = ty
-        self.fn = fn
+        self.env = env
+        self.body = body
 
     def __call__(self, arg):
-        return self.fn(arg)
+        return self.body(self.env + (arg,))
 
 
 def materialize(v) -> Functional:
     """Force a lazy value into its coded form (may enumerate the domain)."""
     if isinstance(v, Functional):
         return v
-    dom = v.ty.dom
-    digits = [materialize(v.fn(x)).code for x in v.model.enum(dom)]
+    digits = [materialize(v(x)).code for x in v.model.enum(v.ty.dom)]
     return from_table(v.model, v.ty, digits)
 
 
@@ -182,26 +219,55 @@ def eval_term(a: Term, model: PModel, assignment: Assignment | None = None):
     from the assignment, application pointwise, abstraction as the
     function sending each element to the value of the body under the
     extended assignment."""
-    assignment = assignment or {}
+    return _compile(a, model, assignment or {}, {})(())
 
-    def go(t, env):
-        cls = type(t)
-        if cls is Var:
-            return env[-1 - t.index]
-        if cls is Free:
-            val = assignment.get(t.name)
-            if val is None:
-                raise UnboundVariable(f"no assignment for '{t.name}'")
-            if materialize(val).ty is not t.ty:
-                raise TypeMismatch(f"assignment for '{t.name}' has the wrong type")
-            return val
-        if cls is Lam:
-            return MClosure(model, t.ty, lambda arg, _t=t, _env=env: go(_t.body, (*_env, arg)))
-        if cls is App:
-            return m_apply(go(t.fun, env), go(t.arg, env))
-        raise IllTyped("hierarchy evaluation is defined for product-free terms only")
 
-    return go(a, ())
+def _compile(t: Term, model: PModel, assignment: Assignment, code: dict):
+    """``run(env)`` for ``t``: it evaluates ``t`` in an environment tuple,
+    one value per enclosing binder, innermost last.  ``code`` holds the
+    nodes compiled so far by uid, so a shared node compiles once.  A node
+    is checked when it runs: a missing or ill-typed assignment, or a
+    product node, raises only where evaluation reaches it."""
+    out = code.get(t.uid)
+    if out is not None:
+        return out
+    cls = type(t)
+    if cls is Var:
+        out = itemgetter(-1 - t.index)
+    elif cls is Free:
+        out = _free(t, assignment)
+    elif cls is Lam:
+        out = _lam(model, t.ty, _compile(t.body, model, assignment, code))
+    elif cls is App:
+        out = _app(_compile(t.fun, model, assignment, code),
+                   _compile(t.arg, model, assignment, code))
+    else:
+        out = _product
+    code[t.uid] = out
+    return out
+
+
+def _free(t, assignment):
+    def free(env):
+        val = assignment.get(t.name)
+        if val is None:
+            raise UnboundVariable(f"no assignment for '{t.name}'")
+        if materialize(val).ty is not t.ty:
+            raise TypeMismatch(f"assignment for '{t.name}' has the wrong type")
+        return val
+    return free
+
+
+def _lam(model, ty, body):
+    return lambda env: MClosure(model, ty, env, body)
+
+
+def _app(fun, arg):
+    return lambda env: fun(env)(arg(env))
+
+
+def _product(env):
+    raise IllTyped("hierarchy evaluation is defined for product-free terms only")
 
 
 def eval_closed(a: Term, model: PModel) -> Functional:
@@ -237,7 +303,7 @@ def transport(phi: Functional, perm: list[int], inv: list[int]) -> Functional:
     """Rename the base elements of a hierarchy element along ``perm``."""
     model = phi.model
     if isinstance(phi.ty, TyAtom):
-        return Functional(model, phi.ty, perm[phi.code])
+        return model.element(phi.ty, perm[phi.code])
     digits = []
     for x_new in model.enum(phi.ty.dom):
         x_old = transport(x_new, inv, perm)
@@ -251,7 +317,14 @@ def distinguish(a: Term, b: Term, max_base: int,
     """Search the hierarchies of base 2..max_base for argument elements
     on which the values of ``a`` and ``b`` differ.  The witness comes
     back relabeled so the two observed base values are 0 (for a) and 1
-    (for b).  Returns None when every searched hierarchy agrees."""
+    (for b).  Returns None when every searched hierarchy agrees.
+
+    Each base compiles ``a`` and ``b`` once.  Its argument tuples are
+    tried in lexicographic order of their codes, the first argument
+    slowest, and the first that tells the terms apart is the witness; a
+    certificate states it as ``model_args``, so the order is part of the
+    certificate format.  A base whose tuples exceed ``tuple_cap`` raises
+    Overflow before either term is evaluated there."""
     if a.ty is not b.ty:
         raise TypeMismatch("terms to distinguish must share a type")
     if not (S.is_closed(a) and S.is_closed(b)):
@@ -262,37 +335,67 @@ def distinguish(a: Term, b: Term, max_base: int,
 
     for base in range(2, max_base + 1):
         model = PModel(base)
-        total = 1
-        for ty in arg_tys:
-            total *= model.card(ty)
+        sizes = [model.card(ty) for ty in arg_tys]
+        total = math.prod(sizes)
         if total > tuple_cap:
             raise Overflow(f"argument search space of {total} tuples exceeds the cap")
         va = eval_term(a, model)
         vb = eval_term(b, model)
-        ranges = [range(model.card(ty)) for ty in arg_tys]
-        for combo in itertools.product(*ranges):
-            args = [model.functional(ty, c) for ty, c in zip(arg_tys, combo)]
-            ra = va
-            rb = vb
-            for arg in args:
-                ra = m_apply(ra, arg)
-                rb = m_apply(rb, arg)
-            ra = materialize(ra).code
-            rb = materialize(rb).code
-            if ra != rb:
-                perm = _relabel_perm(base, ra, rb)
-                inv = [0] * base
-                for src, dst in enumerate(perm):
-                    inv[dst] = src
-                new_args = [transport(arg, perm, inv) for arg in args]
-                _check_relabeled(a, b, model, new_args)
-                return Distinguished(base, model, new_args, perm)
+        found = _first_difference(va, vb, model, arg_tys, sizes)
+        if found is not None:
+            args, ra, rb = found
+            perm = _relabel_perm(base, ra, rb)
+            inv = [0] * base
+            for src, dst in enumerate(perm):
+                inv[dst] = src
+            new_args = [transport(arg, perm, inv) for arg in args]
+            _check_relabeled(va, vb, new_args)
+            return Distinguished(base, model, new_args, perm)
     return None
 
 
-def _check_relabeled(a, b, model, args):
-    for term, want in ((a, 0), (b, 1)):
-        v = eval_term(term, model)
+def _first_difference(va, vb, model, arg_tys, sizes):
+    """The first argument tuple on which the values ``va`` and ``vb``
+    differ, with both base codes, or None.  Tuples run in lexicographic
+    order of their codes, the first argument slowest.  They form a prefix
+    tree: when an argument changes, only the applications from it on are
+    redone, those of ``va`` before those of ``vb``, as if each tuple were
+    applied in full.  A value of atom type is a Functional."""
+    k = len(arg_tys)
+    codes = [0] * k
+    args = [model.element(ty, 0) for ty in arg_tys]
+    ra = [va] + [None] * k  # ra[j]: va applied to the first j arguments
+    rb = [vb] + [None] * k
+    changed = 0  # the first argument that changed since the last tuple
+    while True:
+        for j in range(changed, k):
+            ra[j + 1] = ra[j](args[j])
+        for j in range(changed, k):
+            rb[j + 1] = rb[j](args[j])
+        if ra[k].code != rb[k].code:
+            return args, ra[k].code, rb[k].code
+        if k:  # the rest of the last argument's elements on this prefix
+            fa, fb, last = ra[k - 1], rb[k - 1], arg_tys[-1]
+            for c in range(1, sizes[-1]):
+                x = model.element(last, c)
+                ca = fa(x).code
+                cb = fb(x).code
+                if ca != cb:
+                    args[-1] = x
+                    return args, ca, cb
+        changed = k - 2
+        while changed >= 0 and codes[changed] + 1 == sizes[changed]:
+            codes[changed] = 0
+            args[changed] = model.element(arg_tys[changed], 0)
+            changed -= 1
+        if changed < 0:
+            return None
+        codes[changed] += 1
+        args[changed] = model.element(arg_tys[changed], codes[changed])
+
+
+def _check_relabeled(va, vb, args):
+    for v, want in ((va, 0), (vb, 1)):
         for arg in args:
             v = m_apply(v, arg)
         if materialize(v).code != want:

@@ -462,10 +462,15 @@ def verify_product(cert: ProductCertificate) -> bool:
     through the instantiated isomorphism, apply the inner head arguments
     and the two projections of a fresh pair variable, and check both
     projection equalities by normalization.  The instantiated terms must
-    be type-instances of the sources under one atom substitution."""
+    be type-instances of the sources under one atom substitution, which
+    sends every atom to the numeral type of the stated level over the
+    inner target type."""
     sub: dict[str, Ty] = {}
     if not (Sep.is_type_instance(cert.a_source, cert.a_prime, sub)
             and Sep.is_type_instance(cert.b_source, cert.b_prime, sub)):
+        return False
+    if not all(Sep._is_numeral_type(ty, cert.level, cert.inner.target_c.ty)
+               for ty in sub.values()):
         return False
     p = atom("p")
     x = S.free("x", prod(p, p))

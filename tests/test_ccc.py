@@ -171,3 +171,13 @@ def test_replay_collapse_shares_one_table(monkeypatch):
     assert C.replay_collapse(cert)
     assert after_nested and after_nested[0] > 0
     assert not Nz._CLOSED
+
+
+def test_replay_collapse_rejects_a_tampered_level():
+    from betaeta import cli
+    text = cli.serialize_certificate(C.collapse(C.AProj(1, p, p), C.AProj(2, p, p)))
+    assert '"level": 0,' in text
+    assert C.replay_collapse(cli.parse_certificate(text))
+    for level in ('2', '1'):
+        tampered = cli.parse_certificate(text.replace('"level": 0,', f'"level": {level},'))
+        assert not C.replay_collapse(tampered)

@@ -1,10 +1,17 @@
+import hashlib
+import json
+import random
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from betaeta import models as M
 from betaeta import numerals as N
 from betaeta import syntax as S
 from betaeta.errors import IllTyped, LevelTooSmall, Overflow, TypeMismatch
-from betaeta.normalize import decide_eq
+from betaeta.normalize import beta_eta_nf, decide_eq
+
+from conftest import PRODUCT_FREE_ROSTER, gen_closed_term
 
 p = S.atom("p")
 pp = S.arrow(p, p)
@@ -246,8 +253,6 @@ def test_second_order_codec_round_trip():
 def test_closed_terms_define_their_values():
     # the numeral-type instance of a closed term provably defines the
     # term's own value, checked on small closed terms of varied shapes
-    import random
-    from conftest import PRODUCT_FREE_ROSTER, gen_closed_term
     rng = random.Random(99)
     m = M.PModel(2)
     for ty in PRODUCT_FREE_ROSTER:
@@ -258,3 +263,133 @@ def test_closed_terms_define_their_values():
             i += i % 2
             inst = S.substitute_types(a, {"p": S.numeral_type(i)})
             assert M.i_defines_check(inst, value, i, depth=M.type_order(ty))
+
+
+# ---------------------------------------------------------------------------
+# The model search, pinned: the witness it returns is what a certificate's
+# ``model_args`` and ``relabeling`` state, so a faster search must find
+# the same one
+
+TOWER = {k: S.parse_term(text) for k, text in {
+    "a": "\\x1:(p->p)->p. x1 \\x2:p. x2",
+    "b2": "\\x1:(p->p)->p. x1 \\x2:p. x1 \\x3:p. x2",
+    "b3": "\\x1:(p->p)->p. x1 \\x2:p. x1 \\x3:p. x3",
+    "c2": "\\x1:(p->p)->p. x1 \\x2:p. x1 \\x3:p. x1 \\x4:p. x2",
+    "c3": "\\x1:(p->p)->p. x1 \\x2:p. x1 \\x3:p. x1 \\x4:p. x3",
+    "c4": "\\x1:(p->p)->p. x1 \\x2:p. x1 \\x3:p. x1 \\x4:p. x4",
+}.items()}
+
+
+def _payload(found):
+    if found is None:
+        return None
+    return [found.base, [[S.show_type(f.ty), f.code] for f in found.args], found.relabeling]
+
+
+def _pinned(results):
+    """(number separated, sha256 of the results in order)."""
+    payload = json.dumps([_payload(found) for found in results]).encode()
+    return sum(found is not None for found in results), hashlib.sha256(payload).hexdigest()
+
+
+def _roster_pairs(ty, seed, n=40):
+    # a quarter identical, as in the benchmark's search pairs
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        a = gen_closed_term(ty, rng)
+        out.append((a, a if rng.random() < 0.25 else gen_closed_term(ty, rng)))
+    return out
+
+
+def _fixed_pairs():
+    K = S.parse_term("\\x:p. \\y:p. x"), S.parse_term("\\x:p. \\y:p. y")
+    eta = S.parse_term("\\x:p->p. \\y:p. x y"), S.parse_term("\\x:p->p. x")
+    return [
+        (*worked_pair(), 3),
+        (N.church(0, 0), N.church(1, 0), 3),
+        (N.church(1, 0), N.church(2, 0), 3),
+        (N.church(2, 0), N.church(3, 0), 3),
+        (*K, 3),
+        (*eta, 3),
+        (TOWER["a"], TOWER["c3"], 3),
+        (TOWER["b2"], TOWER["b3"], 3),
+        (TOWER["c2"], TOWER["c4"], 2),
+    ]
+
+
+# per group: the number of pairs separated, and the sha256 of the results
+# in order, each (base, [(type, code)], relabeling) or None; measured on
+# the search before it was compiled and walked by prefix
+DISTINGUISH_PINS = {
+    "p -> p -> p":
+        (11, "82762f41e2576b3980b72227c0363c1e0335df3f7d8eba57044c153e65591bd7"),
+    "(p -> p) -> p -> p":
+        (19, "37bd32c4a9c3a784183389d27ce8d9c3ebcb497967f62b0a74f44e0e09de9c24"),
+    "(p -> p) -> (p -> p) -> p -> p":
+        (28, "cfafbf3294123442a8342c517260fe702ac2e0b07210a759a52689e7a67416a1"),
+    "p -> (p -> p) -> p":
+        (19, "ca6741ecb98d1df4681d31f55f50b13fb37d14261652bbf68da35e0f00dd9833"),
+    "fixed":
+        (7, "abe4cd22f875e62479da6a1b349cb7e24e579b94e566ed529712a6713ffaa73e"),
+}
+
+
+def test_distinguish_results_are_pinned():
+    got = {}
+    for k, ty in enumerate(PRODUCT_FREE_ROSTER):
+        got[S.show_type(ty)] = _pinned([M.distinguish(a, b, 3)
+                                        for a, b in _roster_pairs(ty, 600 + k)])
+    got["fixed"] = _pinned([M.distinguish(a, b, n) for a, b, n in _fixed_pairs()])
+    assert got == DISTINGUISH_PINS
+
+
+@st.composite
+def unnormal_terms(draw):
+    """A roster term whose contracted normal form is another node: the
+    first from the drawn seed on.  At ``p -> p -> p`` and
+    ``p -> (p -> p) -> p`` every closed long normal form is contracted."""
+    ty = draw(st.sampled_from(PRODUCT_FREE_ROSTER[1:3]))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    for k in range(32):
+        a = gen_closed_term(ty, random.Random(seed + k))
+        nf = beta_eta_nf(a).term
+        if nf is not a:
+            break
+    assume(nf is not a)
+    return a, nf
+
+
+@settings(max_examples=40, deadline=None)
+@given(unnormal_terms())
+def test_distinguish_searches_every_tuple_of_an_equal_pair(pair):
+    a, nf = pair
+    assert M.distinguish(a, nf, 3) is None
+
+
+def test_distinguish_refuses_base_3_of_the_tower_pair(monkeypatch):
+    # base 2 agrees on (c2, c4); base 3 has 3**27 arguments, refused
+    # before either term is evaluated there
+    evaluated = []
+    real = M.eval_term
+
+    def spy(t, model, assignment=None):
+        evaluated.append(model.base)
+        return real(t, model, assignment)
+
+    monkeypatch.setattr(M, "eval_term", spy)
+    with pytest.raises(Overflow, match=r"^argument search space of 7625597484987 "
+                                       r"tuples exceeds the cap$"):
+        M.distinguish(TOWER["c2"], TOWER["c4"], 3)
+    assert evaluated == [2, 2]
+    evaluated.clear()
+    assert M.distinguish(TOWER["c2"], TOWER["c4"], 2) is None
+    assert evaluated == [2, 2]
+
+
+def test_distinguish_tuple_cap():
+    # the worked pair separates at base 2, on one of 16 arguments
+    a, b = worked_pair()
+    assert M.distinguish(a, b, 2, tuple_cap=16).base == 2
+    with pytest.raises(Overflow, match="16 tuples"):
+        M.distinguish(a, b, 2, tuple_cap=15)

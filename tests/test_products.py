@@ -258,3 +258,15 @@ def test_verify_product_empties_the_table():
     cert = P.separate_prod(S.parse_term("\\x:p*p. x"), S.parse_term("\\x:p*p. <p2 x, p1 x>"))
     assert P.verify_product(cert)
     assert not Nz._CLOSED
+
+
+def test_verify_product_rejects_a_tampered_level():
+    from betaeta import cli
+    a = S.parse_term("\\x:p*p. <p1 x, p2 x>")
+    b = S.parse_term("\\x:p*p. <p2 x, p1 x>")
+    text = cli.serialize_certificate(P.separate_prod(a, b))
+    assert '"level": 0,' in text
+    assert P.verify_product(cli.parse_certificate(text))
+    for level in ('1', '2', '"0"', '-1'):
+        tampered = cli.parse_certificate(text.replace('"level": 0,', f'"level": {level},'))
+        assert not P.verify_product(tampered)
