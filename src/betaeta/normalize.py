@@ -22,15 +22,19 @@ Terms are hash-consed, so a closed subterm (``scope`` 0: no free de
 Bruijn index) has one value whatever environment it meets; it is
 computed once, in the empty environment, into a table keyed by uid.
 The result of applying a closure to an argument is kept in a second
-table keyed by the pair of values, which keeps both alive and so their
-identities stable.  Both tables belong to the outermost normalization
-scope: one entry call (``decide_eq``, ``long_nf``, ``beta_nf``) or one
-certificate check (``closed_value_scope`` on ``verify``,
-``verify_product`` and ``replay_collapse``).  That scope empties them
-when it opens and when it closes, also by an exception, so nothing is
-carried from ``separate`` into ``verify``.  Values point only at values
-built before them, so when a scope closes reference counting frees them
-all and the cyclic collector finds nothing to free.
+table keyed by one int made of the two values' serial numbers, which
+come from a process-wide counter that is never reset (the ``Free``
+neutrals compiled into the code outlive every scope).  The table holds
+only results, so a closure or argument that nothing else needs is freed
+as soon as it is dropped; a hit needs the same two values again.  Both
+tables belong to the outermost normalization scope: one entry call
+(``decide_eq``, ``long_nf``, ``beta_nf``) or one certificate check
+(``closed_value_scope`` on ``verify``, ``verify_product`` and
+``replay_collapse``).  That scope empties them when it opens and when it
+closes, also by an exception, so nothing is carried from ``separate``
+into ``verify``.  Values point only at values built before them, so when
+a scope closes reference counting frees them all and the cyclic
+collector finds nothing to free.
 
 The step budget is per entry call.  A step is one term node evaluated,
 one application, one readback node or one comparison node.  Running a
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import wraps
+from itertools import count
 from operator import itemgetter
 
 from .errors import ResourceExhausted, TypeMismatch
@@ -57,10 +62,12 @@ from .syntax import (
 _WORK = [0]
 _WORK_LIMIT = [500_000_000]  # float("inf") when unlimited, so a tick needs no None test
 # per outermost scope: values of closed terms by uid, closure applications
-# by (closure, argument); and the number of open scopes
+# by the serials of (closure, argument); and the number of open scopes
 _CLOSED: dict = {}
 _APPLIED: dict = {}
 _SCOPES = [0]
+# serial numbers of values, never reset or reused
+_SERIAL = count()
 # compiled code by term uid, (run, steps); kept for the process, like the
 # interned nodes themselves
 _CODE: dict = {}
@@ -107,37 +114,45 @@ def closed_value_scope(fn):
 # ---------------------------------------------------------------------------
 # Semantic domain
 
+# every value has a serial number, ``sid``, the key of the application table
+
 class VClosure:
     # code: the compiled body, (run, steps); the body runs on env + (argument,)
-    __slots__ = ("env", "binder", "code")
+    __slots__ = ("env", "binder", "code", "sid")
 
     def __init__(self, env, binder, code):
         self.env = env
         self.binder = binder
         self.code = code
+        self.sid = next(_SERIAL)
 
 
 class VPair:
-    __slots__ = ("fst", "snd")
+    __slots__ = ("fst", "snd", "sid")
 
     def __init__(self, fst, snd):
         self.fst = fst
         self.snd = snd
+        self.sid = next(_SERIAL)
 
 
 class VUnit:
-    __slots__ = ()
+    __slots__ = ("sid",)
+
+    def __init__(self):
+        self.sid = next(_SERIAL)
 
 
 VUNIT = VUnit()
 
 
 class VNe:
-    __slots__ = ("ne", "ty")
+    __slots__ = ("ne", "ty", "sid")
 
     def __init__(self, ne, ty):
         self.ne = ne
         self.ty = ty
+        self.sid = next(_SERIAL)
 
 
 class NVar:
@@ -229,7 +244,7 @@ def _app(fun, arg):
         f = fun(env)
         a = arg(env)
         if type(f) is VClosure:  # the caller counted the application step
-            key = (f, a)
+            key = f.sid << 64 | a.sid  # one int for the pair, and no value kept
             out = _APPLIED.get(key)
             if out is None:
                 run, steps = f.code

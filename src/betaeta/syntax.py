@@ -22,8 +22,8 @@ the image depends on the depth).
 
 from __future__ import annotations
 
+import re
 import sys
-from dataclasses import dataclass
 
 from .errors import (
     IllTyped,
@@ -67,48 +67,48 @@ class TyProd(Ty):
 _TYPES: dict = {}
 
 
-def _intern_type(key, make):
-    hit = _TYPES.get(key)
-    if hit is None:
-        hit = make()
-        hit.uid = len(_TYPES)
-        _TYPES[key] = hit
-    return hit
+def _new_type(cls, key):
+    """A new node of class ``cls`` for ``key``, numbered and interned; the
+    caller fills in its fields.  Each constructor looks its key up first
+    and builds a node only on a miss."""
+    t = cls()
+    t.uid = len(_TYPES)
+    _TYPES[key] = t
+    return t
 
 
 def atom(name: str) -> TyAtom:
     if name == "T":
         raise IllTyped("'T' is reserved for the terminal type")
-    def make():
-        t = TyAtom()
+    key = ("atom", name)
+    t = _TYPES.get(key)
+    if t is None:
+        t = _new_type(TyAtom, key)
         t.name = name
-        return t
-    return _intern_type(("atom", name), make)
+    return t
 
 
-def _make_terminal():
-    return TyTerminal()
-
-
-TERMINAL: TyTerminal = _intern_type(("T",), _make_terminal)
+TERMINAL: TyTerminal = _new_type(TyTerminal, ("T",))
 
 
 def arrow(dom: Ty, cod: Ty) -> TyArrow:
-    def make():
-        t = TyArrow()
+    key = ("->", dom.uid, cod.uid)
+    t = _TYPES.get(key)
+    if t is None:
+        t = _new_type(TyArrow, key)
         t.dom = dom
         t.cod = cod
-        return t
-    return _intern_type(("->", dom.uid, cod.uid), make)
+    return t
 
 
 def prod(left: Ty, right: Ty) -> TyProd:
-    def make():
-        t = TyProd()
+    key = ("*", left.uid, right.uid)
+    t = _TYPES.get(key)
+    if t is None:
+        t = _new_type(TyProd, key)
         t.left = left
         t.right = right
-        return t
-    return _intern_type(("*", left.uid, right.uid), make)
+    return t
 
 
 def arrows(*tys: Ty) -> Ty:
@@ -263,65 +263,73 @@ def interned_term_count() -> int:
     return len(_TERMS)
 
 
-def _intern_term(key, make):
-    hit = _TERMS.get(key)
-    if hit is None:
-        budget = _NODE_BUDGET[0]
-        if budget is not None and len(_TERMS) >= budget:
-            raise ResourceExhausted(
-                f"term interner exceeded {budget} nodes; raise the budget to continue")
-        hit = make()
-        hit.uid = len(_TERMS)
-        _TERMS[key] = hit
-    return hit
+def _new_term(cls, key):
+    """A new node of class ``cls`` for ``key``, numbered and interned; the
+    caller fills in its fields."""
+    budget = _NODE_BUDGET[0]
+    if budget is not None and len(_TERMS) >= budget:
+        raise ResourceExhausted(
+            f"term interner exceeded {budget} nodes; raise the budget to continue")
+    t = cls()
+    t.uid = len(_TERMS)
+    _TERMS[key] = t
+    return t
 
+
+# A node that is already interned was type-checked when it was built, so
+# each constructor returns a hit before it checks anything.
 
 def var(index: int, ty: Ty) -> Var:
-    def make():
-        t = Var()
+    key = ("v", index, ty.uid)
+    t = _TERMS.get(key)
+    if t is None:
+        t = _new_term(Var, key)
         t.index = index
         t.ty = ty
         t.scope = index + 1
-        return t
-    return _intern_term(("v", index, ty.uid), make)
+    return t
 
 
 def free(name: str, ty: Ty) -> Free:
-    def make():
-        t = Free()
+    key = ("f", name, ty.uid)
+    t = _TERMS.get(key)
+    if t is None:
+        t = _new_term(Free, key)
         t.name = name
         t.ty = ty
         t.scope = 0
-        return t
-    return _intern_term(("f", name, ty.uid), make)
+    return t
 
 
 def lam(binder: Ty, body: Term) -> Lam:
-    def make():
-        t = Lam()
+    key = ("l", binder.uid, body.uid)
+    t = _TERMS.get(key)
+    if t is None:
+        t = _new_term(Lam, key)
         t.binder = binder
         t.body = body
         t.ty = arrow(binder, body.ty)
         t.scope = max(body.scope - 1, 0)
-        return t
-    return _intern_term(("l", binder.uid, body.uid), make)
+    return t
 
 
 def app(fun: Term, arg: Term) -> App:
+    key = ("a", fun.uid, arg.uid)
+    t = _TERMS.get(key)
+    if t is not None:
+        return t
     fty = fun.ty
     if not isinstance(fty, TyArrow):
         raise IllTyped(f"cannot apply a term of non-arrow type {show_type(fty)}")
     if fty.dom is not arg.ty:
         raise IllTyped(
             f"argument type {show_type(arg.ty)} does not match domain {show_type(fty.dom)}")
-    def make():
-        t = App()
-        t.fun = fun
-        t.arg = arg
-        t.ty = fty.cod
-        t.scope = max(fun.scope, arg.scope)
-        return t
-    return _intern_term(("a", fun.uid, arg.uid), make)
+    t = _new_term(App, key)
+    t.fun = fun
+    t.arg = arg
+    t.ty = fty.cod
+    t.scope = max(fun.scope, arg.scope)
+    return t
 
 
 def apps(fun: Term, *args: Term) -> Term:
@@ -331,48 +339,43 @@ def apps(fun: Term, *args: Term) -> Term:
 
 
 def pair(fst: Term, snd: Term) -> Pair:
-    def make():
-        t = Pair()
+    key = ("p", fst.uid, snd.uid)
+    t = _TERMS.get(key)
+    if t is None:
+        t = _new_term(Pair, key)
         t.fst = fst
         t.snd = snd
         t.ty = prod(fst.ty, snd.ty)
         t.scope = max(fst.scope, snd.scope)
-        return t
-    return _intern_term(("p", fst.uid, snd.uid), make)
-
-
-def proj1(arg: Term) -> Proj1:
-    if not isinstance(arg.ty, TyProd):
-        raise IllTyped(f"cannot project from non-product type {show_type(arg.ty)}")
-    def make():
-        t = Proj1()
-        t.arg = arg
-        t.ty = arg.ty.left
-        t.scope = arg.scope
-        return t
-    return _intern_term(("1", arg.uid), make)
-
-
-def proj2(arg: Term) -> Proj2:
-    if not isinstance(arg.ty, TyProd):
-        raise IllTyped(f"cannot project from non-product type {show_type(arg.ty)}")
-    def make():
-        t = Proj2()
-        t.arg = arg
-        t.ty = arg.ty.right
-        t.scope = arg.scope
-        return t
-    return _intern_term(("2", arg.uid), make)
-
-
-def _make_unit():
-    t = Unit()
-    t.ty = TERMINAL
-    t.scope = 0
     return t
 
 
-UNIT: Unit = _intern_term(("k",), _make_unit)
+def _proj(cls, tag, arg):
+    key = (tag, arg.uid)
+    t = _TERMS.get(key)
+    if t is not None:
+        return t
+    ty = arg.ty
+    if not isinstance(ty, TyProd):
+        raise IllTyped(f"cannot project from non-product type {show_type(ty)}")
+    t = _new_term(cls, key)
+    t.arg = arg
+    t.ty = ty.left if cls is Proj1 else ty.right
+    t.scope = arg.scope
+    return t
+
+
+def proj1(arg: Term) -> Proj1:
+    return _proj(Proj1, "1", arg)
+
+
+def proj2(arg: Term) -> Proj2:
+    return _proj(Proj2, "2", arg)
+
+
+UNIT: Unit = _new_term(Unit, ("k",))
+UNIT.ty = TERMINAL
+UNIT.scope = 0
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +502,8 @@ def free_vars(t: Term) -> dict[str, Ty]:
 
 
 def is_closed(t: Term) -> bool:
-    return all(type(u) is not Free for u in subterms(t))
+    """No free variable: neither a named one nor a loose de Bruijn index."""
+    return t.scope == 0 and all(type(u) is not Free for u in subterms(t))
 
 
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:
@@ -623,89 +627,79 @@ def fresh_free(base: str, ty: Ty) -> Free:
 # ---------------------------------------------------------------------------
 # Surface syntax
 
-@dataclass(frozen=True)
-class SVar:
-    name: str
-
-
-@dataclass(frozen=True)
-class SLam:
-    name: str
-    ty: Ty
-    body: "SNode"
-
-
-@dataclass(frozen=True)
-class SApp:
-    fun: "SNode"
-    arg: "SNode"
-
-
-@dataclass(frozen=True)
-class SPair:
-    fst: "SNode"
-    snd: "SNode"
-
-
-@dataclass(frozen=True)
-class SProj:
-    which: int
-    arg: "SNode"
-
-
-@dataclass(frozen=True)
-class SUnit:
-    pass
-
-
-SNode = SVar | SLam | SApp | SPair | SProj | SUnit
+# A surface tree is made of tuples: ("var", name), ("lam", name, ty, body),
+# ("app", fun, arg), ("pair", fst, snd), ("proj", which, arg) and ("unit",).
+SNode = tuple
 
 _RESERVED = {"p1", "p2", "k"}
 
+# a token is "->", a name, or any other character that is not a space; a
+# name starts with a letter or "_" and goes on with letters, digits, "_"
+# and "'"
+_TOKEN = re.compile(r"->|[^\W\d][\w']*|\S")
+_SPACE = re.compile(r"\s*")
+
+
+def _is_name(tok: str) -> bool:
+    return tok[0].isalpha() or tok[0] == "_"
+
+
+def _tokenize(text: str) -> list[str]:
+    toks = _TOKEN.findall(text)
+    if text.isascii():
+        return toks
+    # [^\W\d] also matches a numeric character that is no digit, such as
+    # "²", and that starts no name: it is a token on its own
+    out = []
+    for tok in toks:
+        if len(tok) > 1 and not _is_name(tok) and tok != "->":
+            out.append(tok[0])
+            out.extend(_tokenize(tok[1:]))
+        else:
+            out.append(tok)
+    return out
+
 
 class _Tokens:
+    """The tokens of a text, scanned once: ``peek`` at the next one,
+    ``take`` it.  ``pos``, where the next token starts, is worked out only
+    when asked for, which is when an error is raised."""
+
     def __init__(self, text):
         self.text = text
-        self.pos = 0
-        self._at, self._tok = -1, None  # the token scanned at position _at
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        self.toks = _tokenize(text)
+        self.toks.append(None)  # the end; never taken
+        self.i = 0
 
     def peek(self):
-        if self._at != self.pos:  # scan once per position; take moves on
-            self.skip_ws()
-            self._at, self._tok = self.pos, self._scan()
-        return self._tok
-
-    def _scan(self):
-        if self.pos >= len(self.text):
-            return None
-        ch = self.text[self.pos]
-        if ch.isalpha() or ch == "_":
-            j = self.pos
-            while j < len(self.text) and (self.text[j].isalnum() or self.text[j] in "_'"):
-                j += 1
-            return self.text[self.pos:j]
-        if ch == "-" and self.text[self.pos:self.pos + 2] == "->":
-            return "->"
-        return ch
+        return self.toks[self.i]
 
     def take(self, expected=None):
-        tok = self.peek()
+        tok = self.toks[self.i]
         if tok is None:
             raise ParseError("unexpected end of input", self.pos)
         if expected is not None and tok != expected:
             raise ParseError(f"expected '{expected}', found '{tok}'", self.pos)
-        self.pos += len(tok)
+        self.i += 1
         return tok
+
+    def start(self, i: int) -> int:
+        """Where token ``i`` starts, past the spaces before it; the end of
+        the text for the end token."""
+        pos = 0
+        for tok in self.toks[:i]:
+            pos = _SPACE.match(self.text, pos).end() + len(tok)
+        return _SPACE.match(self.text, pos).end()
+
+    @property
+    def pos(self) -> int:
+        return self.start(self.i)
 
 
 def _parse_type(toks: _Tokens, aliases) -> Ty:
     left = _parse_type_prod(toks, aliases)
     if toks.peek() == "->":
-        toks.take("->")
+        toks.i += 1
         return arrow(left, _parse_type(toks, aliases))
     return left
 
@@ -713,7 +707,7 @@ def _parse_type(toks: _Tokens, aliases) -> Ty:
 def _parse_type_prod(toks: _Tokens, aliases) -> Ty:
     left = _parse_type_atom(toks, aliases)
     while toks.peek() == "*":
-        toks.take("*")
+        toks.i += 1
         left = prod(left, _parse_type_atom(toks, aliases))
     return left
 
@@ -723,15 +717,15 @@ def _parse_type_atom(toks: _Tokens, aliases) -> Ty:
     if tok is None:
         raise ParseError("expected a type", toks.pos)
     if tok == "(":
-        toks.take("(")
+        toks.i += 1
         ty = _parse_type(toks, aliases)
         toks.take(")")
         return ty
     if tok == "T":
-        toks.take()
+        toks.i += 1
         return TERMINAL
-    if tok[0].isalpha() or tok[0] == "_":
-        toks.take()
+    if _is_name(tok):
+        toks.i += 1
         if aliases and tok in aliases:
             return aliases[tok]
         return atom(tok)
@@ -747,26 +741,17 @@ def parse_type(text: str, aliases: dict[str, Ty] | None = None) -> Ty:
 
 
 def _parse_term(toks: _Tokens, aliases) -> SNode:
-    tok = toks.peek()
-    if tok == "\\":
-        toks.take("\\")
+    if toks.peek() == "\\":
+        toks.i += 1
         name = toks.take()
-        if not (name[0].isalpha() or name[0] == "_") or name in _RESERVED or name == "T":
-            raise ParseError(f"bad binder name '{name}'", toks.pos)
+        if not _is_name(name) or name in _RESERVED or name == "T":
+            raise ParseError(f"bad binder name '{name}'",
+                             toks.start(toks.i - 1) + len(name))
         toks.take(":")
         ty = _parse_type(toks, aliases)
         toks.take(".")
-        return SLam(name, ty, _parse_term(toks, aliases))
+        return ("lam", name, ty, _parse_term(toks, aliases))
     return _parse_appseq(toks, aliases)
-
-
-_ATOM_STARTERS = ("(", "<")
-
-
-def _starts_atom(tok) -> bool:
-    if tok is None:
-        return False
-    return tok in _ATOM_STARTERS or tok[0].isalpha() or tok[0] == "_" or tok == "\\"
 
 
 def _parse_appseq(toks: _Tokens, aliases) -> SNode:
@@ -776,11 +761,10 @@ def _parse_appseq(toks: _Tokens, aliases) -> SNode:
         if tok == "\\":
             # A lambda in argument position extends to the end of the input,
             # mirroring the usual convention for trailing abstractions.
-            node = SApp(node, _parse_term(toks, aliases))
+            return ("app", node, _parse_term(toks, aliases))
+        if tok is None or not (tok == "(" or tok == "<" or _is_name(tok)):
             return node
-        if not _starts_atom(tok):
-            return node
-        node = SApp(node, _parse_atom(toks, aliases))
+        node = ("app", node, _parse_atom(toks, aliases))
 
 
 def _parse_atom(toks: _Tokens, aliases) -> SNode:
@@ -788,26 +772,26 @@ def _parse_atom(toks: _Tokens, aliases) -> SNode:
     if tok is None:
         raise ParseError("expected a term", toks.pos)
     if tok == "(":
-        toks.take("(")
+        toks.i += 1
         node = _parse_term(toks, aliases)
         toks.take(")")
         return node
     if tok == "<":
-        toks.take("<")
+        toks.i += 1
         fst = _parse_term(toks, aliases)
         toks.take(",")
         snd = _parse_term(toks, aliases)
         toks.take(">")
-        return SPair(fst, snd)
+        return ("pair", fst, snd)
     if tok == "p1" or tok == "p2":
-        toks.take()
-        return SProj(1 if tok == "p1" else 2, _parse_atom(toks, aliases))
+        toks.i += 1
+        return ("proj", 1 if tok == "p1" else 2, _parse_atom(toks, aliases))
     if tok == "k":
-        toks.take()
-        return SUnit()
-    if tok[0].isalpha() or tok[0] == "_":
-        toks.take()
-        return SVar(tok)
+        toks.i += 1
+        return ("unit",)
+    if _is_name(tok):
+        toks.i += 1
+        return ("var", tok)
     raise ParseError(f"unexpected '{tok}'", toks.pos)
 
 
@@ -823,29 +807,39 @@ def parse(text: str, aliases: dict[str, Ty] | None = None) -> SNode:
 
 def elaborate(node: SNode, ctx: Context = EMPTY) -> Term:
     """Type and convert a surface tree into a nameless interned term."""
+    bound: dict = {}  # name -> (binder level, type) of its innermost binder
 
-    def go(n, binders):
-        if isinstance(n, SVar):
-            for depth, (name, ty) in enumerate(binders):
-                if name == n.name:
-                    return var(depth, ty)
-            ty = ctx.lookup(n.name)
+    def go(n, depth):
+        tag = n[0]
+        if tag == "app":
+            return app(go(n[1], depth), go(n[2], depth))
+        if tag == "var":
+            name = n[1]
+            hit = bound.get(name)
+            if hit is not None:
+                return var(depth - 1 - hit[0], hit[1])
+            ty = ctx.lookup(name)
             if ty is None:
-                raise UnboundVariable(f"variable '{n.name}' is not bound in the context")
-            return free(n.name, ty)
-        if isinstance(n, SLam):
-            body = go(n.body, ((n.name, n.ty),) + binders)
-            return lam(n.ty, body)
-        if isinstance(n, SApp):
-            return app(go(n.fun, binders), go(n.arg, binders))
-        if isinstance(n, SPair):
-            return pair(go(n.fst, binders), go(n.snd, binders))
-        if isinstance(n, SProj):
-            inner = go(n.arg, binders)
-            return proj1(inner) if n.which == 1 else proj2(inner)
+                raise UnboundVariable(f"variable '{name}' is not bound in the context")
+            return free(name, ty)
+        if tag == "lam":
+            _, name, ty, body = n
+            outer = bound.get(name)
+            bound[name] = (depth, ty)
+            body = go(body, depth + 1)
+            if outer is None:
+                del bound[name]
+            else:
+                bound[name] = outer
+            return lam(ty, body)
+        if tag == "pair":
+            return pair(go(n[1], depth), go(n[2], depth))
+        if tag == "proj":
+            inner = go(n[2], depth)
+            return proj1(inner) if n[1] == 1 else proj2(inner)
         return UNIT
 
-    return go(node, ())
+    return go(node, 0)
 
 
 def parse_term(text: str, ctx: Context = EMPTY,

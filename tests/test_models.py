@@ -133,6 +133,14 @@ def test_distinguish_requires_closed_terms():
         M.distinguish(S.free("x", pp), S.free("x", pp), 2)
 
 
+def test_distinguish_rejects_a_loose_index():
+    # a loose de Bruijn index is a free variable too, not an IndexError
+    loose = S.lam(p, S.var(1, p))
+    for a, b in ((loose, loose), (loose, S.lam(p, S.var(0, p)))):
+        with pytest.raises(IllTyped):
+            M.distinguish(a, b, 2)
+
+
 def test_transport_round_trip():
     m = M.PModel(3)
     perm = [2, 0, 1]

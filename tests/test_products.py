@@ -129,6 +129,12 @@ def test_split_requires_normal_type():
         P.split(t)
 
 
+def test_separate_prod_rejects_a_loose_index():
+    # without the closed check, decide_eq would evaluate the loose index
+    with pytest.raises(IllTyped):
+        P.separate_prod(S.lam(p, S.var(1, p)), S.lam(p, S.var(0, p)))
+
+
 def test_split_components_are_product_free():
     t = S.pair(S.pair(church(1, 0), church(2, 0)), church(0, 0))
     for part in P.split(t):

@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
 from betaeta import syntax as S
-from betaeta.errors import IllTyped, ParseError, TypeMismatch, UnboundVariable
+from betaeta.errors import (
+    BetaEtaError, IllTyped, ParseError, TypeMismatch, UnboundVariable,
+)
 
 p = S.atom("p")
 q = S.atom("q")
@@ -180,3 +184,116 @@ def test_parse_error_position_in_the_middle():
             S.parse_term(text)
         assert info.value.position == pos
         assert str(info.value) == f"{message} (at position {pos})"
+
+
+# ---------------------------------------------------------------------------
+# Parser differential pin
+
+_PIECES = ("\\", "x", "y", "f", "g", "z", "u", "x'", "é", "λ", "y²", "²", "_a",
+           "p", "q", "T", "A", "ty0", "k", "p1", "p2", "id", "bang", "eval", "curry",
+           ":", ".", ",", "(", ")", "<", ">", "[", "]", "->", "-", "*", "'", "1", "9x")
+_SPACES = ("", " ", "  ", "\t", "\n", "\u00a0", "\x1c", " \u00a0 ")
+
+
+def _gen_type(rng, fuel):
+    roll = rng.random()
+    if fuel <= 0 or roll < 0.35:
+        return rng.choice(("p", "q", "T", "A", "ty0"))
+    sp = lambda: rng.choice(_SPACES)
+    if roll < 0.7:
+        return f"{_gen_type(rng, fuel - 1)}{sp()}->{sp()}{_gen_type(rng, fuel - 1)}"
+    if roll < 0.85:
+        return f"{_gen_type(rng, fuel - 1)}{sp()}*{sp()}{_gen_type(rng, fuel - 1)}"
+    return f"({sp()}{_gen_type(rng, fuel - 1)}{sp()})"
+
+
+def _gen_term(rng, fuel):
+    roll = rng.random()
+    sp = lambda: rng.choice(_SPACES)
+    if fuel <= 0 or roll < 0.25:
+        return rng.choice(("x", "y", "f", "g", "z", "u", "x'", "é", "y²", "k", "w"))
+    if roll < 0.5:
+        name = rng.choice(("x", "y", "x'", "é", "λ", "_a", "k", "T"))
+        return (f"\\{sp()}{name}{sp()}:{sp()}{_gen_type(rng, 2)}{sp()}.{sp()}"
+                f"{_gen_term(rng, fuel - 1)}")
+    if roll < 0.75:
+        return f"{_gen_term(rng, fuel - 1)} {sp()}{_gen_term(rng, fuel - 1)}"
+    if roll < 0.85:
+        return f"({sp()}{_gen_term(rng, fuel - 1)}{sp()})"
+    if roll < 0.93:
+        return f"<{_gen_term(rng, fuel - 1)},{sp()}{_gen_term(rng, fuel - 1)}>"
+    return f"{rng.choice(('p1', 'p2'))} {sp()}{_gen_term(rng, fuel - 1)}"
+
+
+def _gen_arrow(rng, fuel):
+    roll = rng.random()
+    sp = lambda: rng.choice(_SPACES)
+    ty = lambda: _gen_type(rng, 1)
+    if fuel <= 0 or roll < 0.4:
+        return rng.choice((f"id[{ty()}]", f"bang[{sp()}{ty()}]", f"p1[{ty()},{sp()}{ty()}]",
+                           f"p2[{ty()}, {ty()}]", f"eval[{ty()},{ty()}]"))
+    if roll < 0.65:
+        return f"{_gen_arrow(rng, fuel - 1)}{sp()}.{sp()}{_gen_arrow(rng, fuel - 1)}"
+    if roll < 0.8:
+        return f"<{sp()}{_gen_arrow(rng, fuel - 1)},{_gen_arrow(rng, fuel - 1)}>"
+    if roll < 0.9:
+        return f"curry[{ty()}, {ty()}]{sp()}({_gen_arrow(rng, fuel - 1)})"
+    return f"({_gen_arrow(rng, fuel - 1)})"
+
+
+def _mutate(rng, text):
+    for _ in range(rng.randrange(4)):
+        at = rng.randrange(len(text) + 1)
+        roll = rng.random()
+        if roll < 0.4:
+            text = text[:at] + rng.choice(_PIECES + _SPACES) + text[at:]
+        elif roll < 0.7:
+            text = text[:at] + text[at + rng.randrange(1, 4):]
+        else:
+            text = text[:at] + rng.choice(_SPACES[1:]) + text[at:]
+    return text
+
+
+def _parser_outcomes(kind, seed, n):
+    import hashlib
+    from betaeta import ccc as C
+    pp = S.arrow(p, p)
+    ctx = S.Context([("x", p), ("y", pp), ("f", S.arrow(pp, p)), ("g", S.arrow(p, pp)),
+                     ("z", S.prod(p, q)), ("u", S.TERMINAL), ("x'", p), ("é", pp),
+                     ("y²", S.prod(pp, p))])
+    aliases = {"A": pp, "ty0": S.prod(p, S.TERMINAL)}
+    gen = {"term": _gen_term, "type": _gen_type, "arrow": _gen_arrow}[kind]
+    rng = random.Random(seed)
+    digest, ok = hashlib.sha256(), 0
+    for i in range(n):
+        if i % 4 == 3:  # token soup
+            text = "".join(rng.choice(_PIECES + _SPACES) for _ in range(rng.randrange(1, 9)))
+        else:
+            text = gen(rng, rng.randrange(1, 5))
+            if i % 2:
+                text = _mutate(rng, text)
+        try:
+            if kind == "term":
+                t = S.parse_term(text, ctx, aliases if i % 3 else None)
+                out = f"ok {S.show_term(t)} : {S.show_type(t.ty)}"
+            elif kind == "type":
+                out = f"ok {S.show_type(S.parse_type(text, aliases if i % 3 else None))}"
+            else:
+                out = f"ok {C.show_arrow(C.parse_arrow(text))}"
+            ok += 1
+        except BetaEtaError as exc:
+            out = f"{type(exc).__name__} {exc} {getattr(exc, 'position', None)}"
+        digest.update(f"{text!r} -> {out}\n".encode())
+    return ok, digest.hexdigest()
+
+
+@pytest.mark.parametrize("kind, seed, ok, digest", [
+    ("term", 701, 412, "239b2f8f1da77a3cd7e85e88de7fcae21bab87b3a17f67d33caab8a55093bd9a"),
+    ("type", 702, 1059, "8b434e85d73733d558dbeba6c53518d939a25e14a0cabcb8507daa7c8d56c0ac"),
+    ("arrow", 703, 433, "0b28257e2251847324ed166675443924fe99a30e8b72cf664293c1f73dbad0ca"),
+])
+def test_parser_results_are_pinned(kind, seed, ok, digest):
+    # fuzzed texts (whitespace runs including U+00A0 and U+001C, split
+    # arrows, primes, non-ASCII names, stray characters) and the result of
+    # each, or the class, message and position of its error, in one digest
+    assert _parser_outcomes(kind, seed, 1500) == (ok, digest)
