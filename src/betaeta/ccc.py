@@ -160,28 +160,20 @@ def arrow_type_of(f: ArrowTerm) -> tuple[Ty, Ty]:
 def to_lambda(f: ArrowTerm) -> Term:
     """The closed term of type src -> tgt representing the arrow."""
     if isinstance(f, AId):
-        x = S.fresh_free("x", f.a)
-        return S.bind(x, x)
+        return S.lams(f.a, lambda x: x())
     if isinstance(f, AProj):
-        x = S.fresh_free("x", f.src)
-        body = S.proj1(x) if f.which == 1 else S.proj2(x)
-        return S.bind(body, x)
+        return S.lams(f.src, lambda x: S.proj1(x()) if f.which == 1 else S.proj2(x()))
     if isinstance(f, AEval):
-        x = S.fresh_free("x", f.src)
-        return S.bind(S.app(S.proj1(x), S.proj2(x)), x)
+        return S.lams(f.src, lambda x: S.app(S.proj1(x()), S.proj2(x())))
     if isinstance(f, ABang):
-        x = S.fresh_free("x", f.a)
-        return S.bind(S.UNIT, x)
+        return S.lams(f.a, lambda x: S.UNIT)
     if isinstance(f, ACompose):
-        x = S.fresh_free("x", f.src)
-        return S.bind(S.app(to_lambda(f.g), S.app(to_lambda(f.f), x)), x)
+        return S.lams(f.src, lambda x: S.app(to_lambda(f.g), S.app(to_lambda(f.f), x())))
     if isinstance(f, APairing):
-        x = S.fresh_free("x", f.src)
-        return S.bind(S.pair(S.app(to_lambda(f.f), x), S.app(to_lambda(f.g), x)), x)
+        return S.lams(f.src, lambda x: S.pair(S.app(to_lambda(f.f), x()),
+                                              S.app(to_lambda(f.g), x())))
     if isinstance(f, ACurry):
-        x = S.fresh_free("x", f.c)
-        y = S.fresh_free("y", f.a)
-        return S.bind(S.app(to_lambda(f.f), S.pair(x, y)), x, y)
+        return S.lams(f.c, f.a, lambda x, y: S.app(to_lambda(f.f), S.pair(x(), y())))
     raise IllFormed(f"not an arrow term: {f!r}")
 
 
@@ -363,12 +355,11 @@ def replay_collapse(cert: CollapseCertificate) -> bool:
         return False
 
     p = atom("p")
-    x = S.free("x", prod(p, p))
     proj = P.projector(sep.n_components, sep.component, sep.iso_forward.ty.cod)
     sides = []
     for source in (sep.a_prime, sep.b_prime):
         lhs = S.apps(S.app(proj, S.app(sep.iso_forward, source)), *sep.inner.head_args)
-        sides.append(S.bind(S.apps(lhs, S.proj1(x), S.proj2(x)), x))
+        sides.append(S.lams(prod(p, p), lambda x: S.apps(lhs, S.proj1(x()), S.proj2(x()))))
     if not decide_eq(sides[0], to_lambda(cert.derived_lhs)):
         return False
     return decide_eq(sides[1], to_lambda(cert.derived_rhs))

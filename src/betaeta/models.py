@@ -219,6 +219,8 @@ def eval_term(a: Term, model: PModel, assignment: Assignment | None = None):
     from the assignment, application pointwise, abstraction as the
     function sending each element to the value of the body under the
     extended assignment."""
+    if a.scope:
+        raise IllTyped("a term to evaluate has a loose de Bruijn index")
     return _compile(a, model, assignment or {}, {})(())
 
 
@@ -539,38 +541,39 @@ def define_functional(phi: Functional, i: int) -> Term:
     xis = [phi(psi) for psi in psis]
     q = len(psis)
 
-    xs = [S.fresh_free(f"x{t + 1}", instance_type(ty, i)) for t, ty in enumerate(arg_tys)]
-    rest = xs[1:]
+    def body(*handles):
+        x1, *rest = [h() for h in handles]
 
-    def applied_definer(xi):
-        return S.apps(define_functional(xi, i), *rest)
+        def applied_definer(xi):
+            return S.apps(define_functional(xi, i), *rest)
 
-    if q == 1:
-        return S.bind(applied_definer(xis[0]), *xs)
+        if q == 1:
+            return applied_definer(xis[0])
 
-    codes = branch_codes(phi)
+        codes = branch_codes(phi)
 
-    # probe term: exponent product over all argument tuples of the first
-    # argument's own argument types, one prime per tuple
-    x1 = xs[0]
-    if isinstance(b1, TyAtom):
-        probe = S.apps(N.expo(i - 1), x1, N.church(2, i))
-    else:
-        gamma_tys, _ = split_arrows(b1)
-        tuple_space = list(itertools.product(*(list(model.enum(t)) for t in gamma_tys)))
-        factors = []
-        for t_idx, gammas in enumerate(tuple_space, start=1):
-            applied = S.apps(x1, *(define_functional(g, i) for g in gammas))
-            factors.append(S.apps(N.expo(i - 1), applied, N.church(nth_prime(t_idx), i)))
-        probe = factors[0]
-        for f in factors[1:]:
-            probe = S.apps(N.mul(i - 1), probe, f)
+        # probe term: exponent product over all argument tuples of the first
+        # argument's own argument types, one prime per tuple
+        if isinstance(b1, TyAtom):
+            probe = S.apps(N.expo(i - 1), x1, N.church(2, i))
+        else:
+            gamma_tys, _ = split_arrows(b1)
+            tuple_space = list(itertools.product(*(list(model.enum(t)) for t in gamma_tys)))
+            factors = []
+            for t_idx, gammas in enumerate(tuple_space, start=1):
+                applied = S.apps(x1, *(define_functional(g, i) for g in gammas))
+                factors.append(S.apps(N.expo(i - 1), applied, N.church(nth_prime(t_idx), i)))
+            probe = factors[0]
+            for f in factors[1:]:
+                probe = S.apps(N.mul(i - 1), probe, f)
 
-    body = applied_definer(xis[q - 1])
-    for j in range(q - 2, -1, -1):
-        test = S.app(N.raise_one(i), S.app(N.check(codes[j], i - 1), probe))
-        body = S.apps(N.cond(i), test, applied_definer(xis[j]), body)
-    return S.bind(body, *xs)
+        out = applied_definer(xis[q - 1])
+        for j in range(q - 2, -1, -1):
+            test = S.app(N.raise_one(i), S.app(N.check(codes[j], i - 1), probe))
+            out = S.apps(N.cond(i), test, applied_definer(xis[j]), out)
+        return out
+
+    return S.lams(*(instance_type(ty, i) for ty in arg_tys), body)
 
 
 def i_defines_check(a: Term, phi: Functional, i: int, depth: int) -> bool:

@@ -52,7 +52,7 @@ from functools import wraps
 from itertools import count
 from operator import itemgetter
 
-from .errors import ResourceExhausted, TypeMismatch
+from .errors import IllTyped, ResourceExhausted, TypeMismatch
 from . import syntax as S
 from .syntax import (
     App, Free, Lam, Pair, Proj1, Proj2, Term, Ty, TyArrow, TyProd,
@@ -441,7 +441,14 @@ class NormalForm:
     kind: str  # "expanded" | "contracted" | "beta"
 
 
+def _no_loose_index(*terms: Term):
+    """Named free variables are allowed, loose de Bruijn indices not."""
+    if any(t.scope for t in terms):
+        raise IllTyped("the term has a loose de Bruijn index")
+
+
 def _normal_form(a: Term, read, kind: str) -> NormalForm:
+    _no_loose_index(a)
     _WORK[0] = 0  # the step budget applies per entry call
     _scope(1)  # plain try/finally: a context manager costs ~1 us a call
     try:
@@ -480,6 +487,7 @@ def decide_eq(a: Term, b: Term) -> bool:
     if a.ty is not b.ty:
         raise TypeMismatch(
             f"cannot compare {S.show_type(a.ty)} with {S.show_type(b.ty)}")
+    _no_loose_index(a, b)
     if a is b:
         return True
     _check_common_context(a, b)

@@ -24,8 +24,8 @@ from . import separator as Sep
 from . import syntax as S
 from .normalize import closed_value_scope, decide_eq, long_nf
 from .syntax import (
-    Term, Ty, TyArrow, TyAtom, TyProd, TyTerminal, TERMINAL,
-    arrow, atom, prod, subst_type,
+    Term, Ty, TyArrow, TyAtom, TyProd, TyTerminal, TERMINAL, UNIT,
+    app, apps, arrow, atom, lams, pair, prod, proj1, proj2, subst_type,
 )
 
 MEASURE_BIT_BUDGET = 1 << 20
@@ -212,63 +212,35 @@ class IsoWitness:
 
 
 def _identity(ty: Ty) -> Term:
-    x = S.fresh_free("x", ty)
-    return S.bind(x, x)
+    return lams(ty, lambda x: x())
 
 
 def _primitive_iso(ty: Ty, rule: str) -> tuple[Term, Term]:
     """Forward/backward closed terms between a redex type and its contractum."""
     out = _contract(ty, rule)
     if rule == "curryCod":
-        f = S.fresh_free("f", ty)
-        a = S.fresh_free("a", ty.dom)
-        fwd = S.bind(S.pair(S.bind(S.proj1(S.app(f, a)), a),
-                            S.bind(S.proj2(S.app(f, a)), a)), f)
-        g = S.fresh_free("g", out)
-        a2 = S.fresh_free("a", ty.dom)
-        bwd = S.bind(S.bind(S.pair(S.app(S.proj1(g), a2), S.app(S.proj2(g), a2)), a2), g)
+        fwd = lams(ty, lambda f: pair(lams(ty.dom, lambda a: proj1(app(f(), a()))),
+                                      lams(ty.dom, lambda a: proj2(app(f(), a())))))
+        bwd = lams(out, lambda g: lams(ty.dom, lambda a: pair(app(proj1(g()), a()),
+                                                              app(proj2(g()), a()))))
         return fwd, bwd
     if rule == "curryDom":
-        f = S.fresh_free("f", ty)
-        a1 = S.fresh_free("a1", ty.dom.left)
-        a2 = S.fresh_free("a2", ty.dom.right)
-        fwd = S.bind(S.app(f, S.pair(a1, a2)), f, a1, a2)
-        g = S.fresh_free("g", out)
-        pr = S.fresh_free("pr", ty.dom)
-        bwd = S.bind(S.apps(g, S.proj1(pr), S.proj2(pr)), g, pr)
+        fwd = lams(ty, ty.dom.left, ty.dom.right,
+                   lambda f, a1, a2: app(f(), pair(a1(), a2())))
+        bwd = lams(out, ty.dom, lambda g, pr: apps(g(), proj1(pr()), proj2(pr())))
         return fwd, bwd
     if rule == "assoc":
-        x = S.fresh_free("x", ty)
-        fwd = S.bind(S.pair(S.pair(S.proj1(x), S.proj1(S.proj2(x))), S.proj2(S.proj2(x))), x)
-        y = S.fresh_free("y", out)
-        bwd = S.bind(S.pair(S.proj1(S.proj1(y)), S.pair(S.proj2(S.proj1(y)), S.proj2(y))), y)
+        fwd = lams(ty, lambda x: pair(pair(proj1(x()), proj1(proj2(x()))), proj2(proj2(x()))))
+        bwd = lams(out, lambda y: pair(proj1(proj1(y())), pair(proj2(proj1(y())), proj2(y()))))
         return fwd, bwd
     if rule == "arrT":
-        f = S.fresh_free("f", ty)
-        fwd = S.bind(S.UNIT, f)
-        u = S.fresh_free("u", TERMINAL)
-        a = S.fresh_free("a", ty.dom)
-        bwd = S.bind(S.UNIT, u, a)
-        return fwd, bwd
+        return lams(ty, lambda f: UNIT), lams(TERMINAL, ty.dom, lambda u, a: UNIT)
     if rule == "Tarr":
-        f = S.fresh_free("f", ty)
-        fwd = S.bind(S.app(f, S.UNIT), f)
-        b = S.fresh_free("b", out)
-        u = S.fresh_free("u", TERMINAL)
-        bwd = S.bind(b, b, u)
-        return fwd, bwd
+        return lams(ty, lambda f: app(f(), UNIT)), lams(out, TERMINAL, lambda b, u: b())
     if rule == "prodT":
-        x = S.fresh_free("x", ty)
-        fwd = S.bind(S.proj1(x), x)
-        a = S.fresh_free("a", out)
-        bwd = S.bind(S.pair(a, S.UNIT), a)
-        return fwd, bwd
+        return lams(ty, lambda x: proj1(x())), lams(out, lambda a: pair(a(), UNIT))
     # Tprod
-    x = S.fresh_free("x", ty)
-    fwd = S.bind(S.proj2(x), x)
-    a = S.fresh_free("a", out)
-    bwd = S.bind(S.pair(S.UNIT, a), a)
-    return fwd, bwd
+    return lams(ty, lambda x: proj2(x())), lams(out, lambda a: pair(UNIT, a()))
 
 
 def _lift_iso(ty: Ty, path: tuple, fwd: Term, bwd: Term) -> tuple[Term, Term]:
@@ -281,43 +253,31 @@ def _lift_iso(ty: Ty, path: tuple, fwd: Term, bwd: Term) -> tuple[Term, Term]:
     if label == "dom":
         inner_f, inner_b = _lift_iso(ty.dom, rest, fwd, bwd)
         new_dom = inner_f.ty.cod
-        f = S.fresh_free("f", ty)
-        a = S.fresh_free("a", new_dom)
-        lifted_f = S.bind(S.app(f, S.app(inner_b, a)), f, a)
-        g = S.fresh_free("g", arrow(new_dom, ty.cod))
-        a2 = S.fresh_free("a", ty.dom)
-        lifted_b = S.bind(S.app(g, S.app(inner_f, a2)), g, a2)
+        lifted_f = lams(ty, new_dom, lambda f, a: app(f(), app(inner_b, a())))
+        lifted_b = lams(arrow(new_dom, ty.cod), ty.dom, lambda g, a: app(g(), app(inner_f, a())))
         return lifted_f, lifted_b
     if label == "cod":
         inner_f, inner_b = _lift_iso(ty.cod, rest, fwd, bwd)
         new_cod = inner_f.ty.cod
-        f = S.fresh_free("f", ty)
-        a = S.fresh_free("a", ty.dom)
-        lifted_f = S.bind(S.app(inner_f, S.app(f, a)), f, a)
-        g = S.fresh_free("g", arrow(ty.dom, new_cod))
-        a2 = S.fresh_free("a", ty.dom)
-        lifted_b = S.bind(S.app(inner_b, S.app(g, a2)), g, a2)
+        lifted_f = lams(ty, ty.dom, lambda f, a: app(inner_f, app(f(), a())))
+        lifted_b = lams(arrow(ty.dom, new_cod), ty.dom, lambda g, a: app(inner_b, app(g(), a())))
         return lifted_f, lifted_b
     if label == "left":
         inner_f, inner_b = _lift_iso(ty.left, rest, fwd, bwd)
         new_left = inner_f.ty.cod
-        x = S.fresh_free("x", ty)
-        lifted_f = S.bind(S.pair(S.app(inner_f, S.proj1(x)), S.proj2(x)), x)
-        y = S.fresh_free("y", prod(new_left, ty.right))
-        lifted_b = S.bind(S.pair(S.app(inner_b, S.proj1(y)), S.proj2(y)), y)
+        lifted_f = lams(ty, lambda x: pair(app(inner_f, proj1(x())), proj2(x())))
+        lifted_b = lams(prod(new_left, ty.right),
+                        lambda y: pair(app(inner_b, proj1(y())), proj2(y())))
         return lifted_f, lifted_b
     inner_f, inner_b = _lift_iso(ty.right, rest, fwd, bwd)
     new_right = inner_f.ty.cod
-    x = S.fresh_free("x", ty)
-    lifted_f = S.bind(S.pair(S.proj1(x), S.app(inner_f, S.proj2(x))), x)
-    y = S.fresh_free("y", prod(ty.left, new_right))
-    lifted_b = S.bind(S.pair(S.proj1(y), S.app(inner_b, S.proj2(y))), y)
+    lifted_f = lams(ty, lambda x: pair(proj1(x()), app(inner_f, proj2(x()))))
+    lifted_b = lams(prod(ty.left, new_right), lambda y: pair(proj1(y()), app(inner_b, proj2(y()))))
     return lifted_f, lifted_b
 
 
 def _compose_terms(second: Term, first: Term) -> Term:
-    x = S.fresh_free("x", first.ty.dom)
-    return S.bind(S.app(second, S.app(first, x)), x)
+    return lams(first.ty.dom, lambda x: app(second, app(first, x())))
 
 
 def build_iso(ty: Ty, strategy: str = "innermost") -> IsoWitness:
@@ -390,14 +350,15 @@ def projector(n: int, i: int, ty: Ty) -> Term:
     """Closed term projecting the i-th of n left-nested factors."""
     if not 1 <= i <= n:
         raise IndexOutOfRange(f"component {i} of {n}")
-    x = S.fresh_free("x", ty)
-    body = x
-    if n > 1:
-        for _ in range(n - i):
-            body = S.proj1(body)
-        if i > 1:
-            body = S.proj2(body)
-    return S.bind(body, x)
+    def body(x):
+        out = x()
+        if n > 1:
+            for _ in range(n - i):
+                out = proj1(out)
+            if i > 1:
+                out = proj2(out)
+        return out
+    return lams(ty, body)
 
 
 # ---------------------------------------------------------------------------

@@ -158,10 +158,8 @@ def separate_two(a: Term, b: Term, max_base: int = 3,
     the applied sides are the two projections, so for any e and f of a
     common type the contexts send ``a`` to e and ``b`` to f."""
     p = atom("p")
-    x = S.fresh_free("x", p)
-    y = S.fresh_free("y", p)
-    first = S.bind(x, x, y)
-    second = S.bind(y, x, y)
+    first = S.lams(p, p, lambda x, y: x())
+    second = S.lams(p, p, lambda x, y: y())
     cert = separate(a, b, first, second, max_base=max_base,
                     level_override=level_override)
     cert.two_valued = True

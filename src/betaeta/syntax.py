@@ -7,8 +7,11 @@ identity and towers such as ``A -> A`` iterated sixty times stay linear
 in memory.  Binders are nameless (de Bruijn indices); variables that are
 free in a whole term are kept as named ``Free`` nodes, which makes
 substitution of a term for a free variable capture-proof without any
-shifting.  Every term node carries its type, computed at construction;
-building an ill-typed application or projection raises immediately.
+shifting.  A term built in code takes its binders from ``lams``, which
+gives the body each binder's index directly, so building interns no
+throwaway name.  Every term node carries its type, computed at
+construction; building an ill-typed application or projection raises
+immediately.
 
 The interning tables are module-level and take no lock: the workbench
 runs in one thread, and callers that add threads must serialize their
@@ -514,17 +517,50 @@ def shift(t: Term, by: int, cutoff: int = 0) -> Term:
                     keep=lambda u, d: u.scope <= d)  # no index at or above d
 
 
-def abstract(body: Term, fv: Free) -> Term:
-    """Turn occurrences of the free variable ``fv`` into the index bound
-    by a lambda wrapped immediately around ``body``."""
-    return map_term(body, lambda u, d: var(d, fv.ty) if u is fv else u, depth=0)
-
-
 def bind(body: Term, *fvs: Free) -> Term:
-    """Close ``body`` over the given free variables, first one outermost."""
+    """Close ``body`` over the named free variables ``fvs``, first one
+    outermost, in one pass.  This is for variables a user named, such as
+    the free variables of a source; a term built from scratch gets its
+    binders from ``lams``."""
+    n = len(fvs)
+    index = {fv: n - 1 - j for j, fv in enumerate(fvs)}  # the innermost wins
+
+    def leaf(u, d):
+        k = index.get(u)
+        return u if k is None else var(d + k, u.ty)
+
+    body = map_term(body, leaf, depth=0)
     for fv in reversed(fvs):
-        body = lam(fv.ty, abstract(body, fv))
+        body = lam(fv.ty, body)
     return body
+
+
+_DEPTH = [0]  # binders open around the body ``lams`` is building
+
+
+def lams(*tys_then_body) -> Term:
+    """``lams(ty1, ..., tyn, body_fn)`` is the term ``\\x1:ty1. ... \\xn:tyn.
+    body``, where ``body_fn`` is called with one handle per binder and
+    returns the body.  A handle is a zero-argument callable that gives the
+    ``Var`` of its binder at the depth where it is called, so a body built
+    inside nested ``lams`` calls needs no names and no renaming pass.  A
+    closed term built inside ``body_fn`` is the same node as one built
+    anywhere else.  A handle is valid only while ``body_fn`` runs."""
+    *tys, body_fn = tys_then_body
+    d = _DEPTH[0]
+    handles = [_handle(d + j, ty) for j, ty in enumerate(tys)]
+    _DEPTH[0] = d + len(tys)
+    try:
+        body = body_fn(*handles)
+    finally:
+        _DEPTH[0] = d
+    for ty in reversed(tys):
+        body = lam(ty, body)
+    return body
+
+
+def _handle(level: int, ty: Ty):
+    return lambda: var(_DEPTH[0] - 1 - level, ty)
 
 
 def substitute_term(a: Term, name: str, b: Term) -> Term:
@@ -613,15 +649,6 @@ def type_of(a: Term, ctx: Context = EMPTY) -> Ty:
     if ty is not a.ty:
         raise IllTyped("term annotation disagrees with the computed type")
     return ty
-
-
-_FRESH = [0]
-
-
-def fresh_free(base: str, ty: Ty) -> Free:
-    """A free variable with a unique machine-generated name."""
-    _FRESH[0] += 1
-    return free(f"{base}%{_FRESH[0]}", ty)
 
 
 # ---------------------------------------------------------------------------

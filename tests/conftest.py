@@ -18,18 +18,17 @@ def gen_closed_term(ty: Ty, rng: random.Random, fuel: int = 3) -> Term:
     """A random closed term of the given product-free type."""
 
     def go(ty, scope, fuel):
+        # scope: (handle, type) of each binder around the term being grown
         if isinstance(ty, TyArrow):
-            v = S.fresh_free("v", ty.dom)
-            body = go(ty.cod, scope + [v], fuel)
-            return S.lam(ty.dom, S.abstract(body, v))
+            return S.lams(ty.dom, lambda v: go(ty.cod, scope + [(v, ty.dom)], fuel))
         # atom: apply a variable in scope whose final result is this atom
         # through all its arguments; out of fuel, prefer one with none
-        candidates = [v for v in scope if S.split_arrows(v.ty)[1] is ty]
+        candidates = [v for v in scope if S.split_arrows(v[1])[1] is ty]
         if fuel <= 0:
-            candidates = [v for v in candidates if v.ty is ty] or candidates
-        head = rng.choice(candidates)
-        args, _ = S.split_arrows(head.ty)
-        out = head
+            candidates = [v for v in candidates if v[1] is ty] or candidates
+        head, head_ty = rng.choice(candidates)
+        args, _ = S.split_arrows(head_ty)
+        out = head()
         for aty in args:
             out = S.app(out, go(aty, scope, fuel - 1))
         return out

@@ -182,12 +182,10 @@ def test_criterion_6_isomorphism_round_trips():
     for _ in range(50):
         ty = random_mixed_type(rng, 14)
         iso = P.build_iso(ty)
-        x = S.fresh_free("x", ty)
-        y = S.fresh_free("y", iso.target)
-        assert decide_eq(S.bind(S.app(iso.backward, S.app(iso.forward, x)), x),
-                         S.bind(x, x))
-        assert decide_eq(S.bind(S.app(iso.forward, S.app(iso.backward, y)), y),
-                         S.bind(y, y))
+        assert decide_eq(S.lams(ty, lambda x: S.app(iso.backward, S.app(iso.forward, x()))),
+                         S.lams(ty, lambda x: x()))
+        assert decide_eq(S.lams(iso.target, lambda y: S.app(iso.forward, S.app(iso.backward, y()))),
+                         S.lams(iso.target, lambda y: y()))
     _report(6, "50 isomorphism round trips", t0)
 
 
@@ -225,8 +223,7 @@ def test_criterion_8_ccc_axioms_collapse_functoriality():
         f = C.random_arrow(rng)
         g = C.random_arrow_from(f.tgt, rng)
         composed = C.to_lambda(C.ACompose(g, f))
-        x = S.fresh_free("x", f.src)
-        pointwise = S.bind(S.app(C.to_lambda(g), S.app(C.to_lambda(f), x)), x)
+        pointwise = S.lams(f.src, lambda x: S.app(C.to_lambda(g), S.app(C.to_lambda(f), x())))
         assert decide_eq(composed, pointwise)
         checked += 1
     _report(8, "axioms at 20 instances, projection collapse, 200 composites", t0)

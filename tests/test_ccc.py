@@ -81,8 +81,7 @@ def test_translation_respects_composition():
         f = C.random_arrow(rng)
         g = C.random_arrow_from(f.tgt, rng)
         composed = C.to_lambda(C.ACompose(g, f))
-        x = S.fresh_free("x", f.src)
-        pointwise = S.bind(S.app(C.to_lambda(g), S.app(C.to_lambda(f), x)), x)
+        pointwise = S.lams(f.src, lambda x: S.app(C.to_lambda(g), S.app(C.to_lambda(f), x())))
         assert decide_eq(composed, pointwise)
 
 

@@ -141,6 +141,11 @@ def test_distinguish_rejects_a_loose_index():
             M.distinguish(a, b, 2)
 
 
+def test_eval_closed_rejects_a_loose_index():
+    with pytest.raises(IllTyped):
+        M.eval_closed(S.lam(p, S.var(1, p)), M.PModel(2))
+
+
 def test_transport_round_trip():
     m = M.PModel(3)
     perm = [2, 0, 1]
@@ -200,16 +205,19 @@ def test_worked_example_definer_is_the_displayed_chain():
     # reconstruct the chain by hand: probe [2]^(x [0]) * [3]^(x [1]),
     # conditionals on codes 1, 6, 3 returning [1], [0], [0], else [0]
     i = 20
-    x1 = S.fresh_free("x1", S.arrow(S.numeral_type(i), S.numeral_type(i)))
-    probe = S.apps(
-        N.mul(i - 1),
-        S.apps(N.expo(i - 1), S.app(x1, N.church(0, i)), N.church(2, i)),
-        S.apps(N.expo(i - 1), S.app(x1, N.church(1, i)), N.church(3, i)))
-    body = N.church(0, i)
-    for code, branch in ((3, 0), (6, 0), (1, 1)):
-        test = S.app(N.raise_one(i), S.app(N.check(code, i - 1), probe))
-        body = S.apps(N.cond(i), test, N.church(branch, i), body)
-    assert term is S.bind(body, x1)
+
+    def chain(x1):
+        probe = S.apps(
+            N.mul(i - 1),
+            S.apps(N.expo(i - 1), S.app(x1(), N.church(0, i)), N.church(2, i)),
+            S.apps(N.expo(i - 1), S.app(x1(), N.church(1, i)), N.church(3, i)))
+        body = N.church(0, i)
+        for code, branch in ((3, 0), (6, 0), (1, 1)):
+            test = S.app(N.raise_one(i), S.app(N.check(code, i - 1), probe))
+            body = S.apps(N.cond(i), test, N.church(branch, i), body)
+        return body
+
+    assert term is S.lams(S.arrow(S.numeral_type(i), S.numeral_type(i)), chain)
 
 
 def test_i_defines_check_basics():
@@ -225,8 +233,8 @@ def test_i_defines_check_level_guard():
     m = M.PModel(2)
     phi = m.functional(ppp, 0)
     level = 6  # below kappa of every non-constant first-order element
-    x = S.fresh_free("x", S.arrow(S.numeral_type(level), S.numeral_type(level)))
-    dummy = S.bind(N.church(0, level), x)
+    dummy = S.lams(S.arrow(S.numeral_type(level), S.numeral_type(level)),
+                   lambda x: N.church(0, level))
     with pytest.raises(LevelTooSmall):
         M.i_defines_check(dummy, phi, level, depth=2)
 

@@ -4,12 +4,33 @@ import pytest
 
 from betaeta import normalize as Nz
 from betaeta import syntax as S
-from betaeta.errors import ResourceExhausted, TypeMismatch
+from betaeta.errors import IllTyped, ResourceExhausted, TypeMismatch
 from betaeta.numerals import church
 
 from conftest import PRODUCT_FREE_ROSTER, gen_closed_term
 
 p = S.atom("p")
+
+
+# a loose de Bruijn index is refused at each entry point, not met as an
+# IndexError in the evaluator; a named free variable is still allowed
+LOOSE = S.lam(p, S.var(1, p))
+
+
+def test_decide_eq_rejects_a_loose_index():
+    with pytest.raises(IllTyped):
+        Nz.decide_eq(LOOSE, S.lam(p, S.var(0, p)))
+    assert not Nz.decide_eq(S.lam(p, S.free("y", p)), S.lam(p, S.var(0, p)))
+
+
+def test_long_nf_rejects_a_loose_index():
+    with pytest.raises(IllTyped):
+        Nz.long_nf(LOOSE)
+
+
+def test_beta_nf_rejects_a_loose_index():
+    with pytest.raises(IllTyped):
+        Nz.beta_nf(LOOSE)
 
 
 def test_beta_contraction():

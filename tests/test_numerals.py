@@ -128,11 +128,22 @@ def test_combinators_are_not_prenormalized():
 
 
 def test_repeated_separation_interns_few_nodes():
-    from betaeta import separator as Sep
+    # after a warm-up a repeated round, certificate text and replay
+    # included, interns no node: no builder makes throwaway names
+    from betaeta import ccc as C, cli, products as P, separator as Sep
     a = S.parse_term("\\x:(p->p)->p. x \\y:p. x \\z:p. y")
     b = S.parse_term("\\x:(p->p)->p. x \\y:p. x \\z:p. z")
-    Sep.separate_two(a, b)  # warm-up builds every combinator once
-    for _ in range(2):
-        before = S.interned_term_count()
-        Sep.separate_two(a, b)
-        assert S.interned_term_count() - before <= 64
+    swap_a = S.parse_term("\\x:p*p. <p1 x, p2 x>")
+    swap_b = S.parse_term("\\x:p*p. <p2 x, p1 x>")
+    rounds = (
+        lambda: Sep.separate_two(a, b),
+        lambda: Sep.separate_two(N.church(1, 0), N.church(2, 0)),
+        lambda: P.separate_prod(swap_a, swap_b),
+        lambda: C.collapse(C.AProj(1, p, p), C.AProj(2, p, p)),
+    )
+    for make in rounds:
+        for repeat in range(3):  # the first is the warm-up
+            before = S.interned_term_count()
+            text = cli.serialize_certificate(make())
+            assert cli.verify_certificate(cli.parse_certificate(text))
+            assert repeat == 0 or S.interned_term_count() == before

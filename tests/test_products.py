@@ -80,18 +80,15 @@ def test_build_iso_identity_when_normal():
     ty = S.arrows(p, p, q)
     iso = P.build_iso(ty)
     assert iso.target is ty
-    x = S.fresh_free("x", ty)
-    assert decide_eq(iso.forward, S.bind(x, x))
+    assert decide_eq(iso.forward, S.lams(ty, lambda x: x()))
 
 
 def test_build_iso_terminal_product():
     ty = S.prod(p, T)
     iso = P.build_iso(ty)
     assert iso.target is p
-    x = S.fresh_free("x", ty)
-    assert decide_eq(iso.forward, S.bind(S.proj1(x), x))
-    a = S.fresh_free("a", p)
-    assert decide_eq(iso.backward, S.bind(S.pair(a, S.UNIT), a))
+    assert decide_eq(iso.forward, S.lams(ty, lambda x: S.proj1(x())))
+    assert decide_eq(iso.backward, S.lams(p, lambda a: S.pair(a(), S.UNIT)))
 
 
 def test_build_iso_round_trips():
@@ -99,12 +96,10 @@ def test_build_iso_round_trips():
     for _ in range(15):
         ty = random_mixed_type(rng, 12)
         iso = P.build_iso(ty)
-        x = S.fresh_free("x", ty)
-        y = S.fresh_free("y", iso.target)
-        assert decide_eq(S.bind(S.app(iso.backward, S.app(iso.forward, x)), x),
-                         S.bind(x, x))
-        assert decide_eq(S.bind(S.app(iso.forward, S.app(iso.backward, y)), y),
-                         S.bind(y, y))
+        assert decide_eq(S.lams(ty, lambda x: S.app(iso.backward, S.app(iso.forward, x()))),
+                         S.lams(ty, lambda x: x()))
+        assert decide_eq(S.lams(iso.target, lambda y: S.app(iso.forward, S.app(iso.backward, y()))),
+                         S.lams(iso.target, lambda y: y()))
 
 
 def test_split_marker_and_singleton():
@@ -201,10 +196,9 @@ def test_projector_shapes():
     assert decide_eq(P.projector(1, 1, ty1), S.parse_term("\\x:p->p. x"))
     ty3 = S.prod(S.prod(S.arrow(p, p), S.arrow(p, p)), S.arrow(p, p))
     pr3 = P.projector(3, 3, ty3)
-    x = S.fresh_free("x", ty3)
-    assert pr3 is S.bind(S.proj2(x), x)
+    assert pr3 is S.lams(ty3, lambda x: S.proj2(x()))
     pr1 = P.projector(3, 1, ty3)
-    assert pr1 is S.bind(S.proj1(S.proj1(x)), x)
+    assert pr1 is S.lams(ty3, lambda x: S.proj1(S.proj1(x())))
     with pytest.raises(IndexOutOfRange):
         P.projector(3, 4, ty3)
 

@@ -175,6 +175,42 @@ def test_context_rejects_duplicates():
         S.Context([("x", p), ("x", q)])
 
 
+def test_lams_nested_binders_resolve_outer_handles():
+    pp = S.arrow(p, p)
+    want = S.parse_term("\\x:p->p. \\y:p. x y")
+    assert S.lams(pp, lambda x: S.lams(p, lambda y: S.app(x(), y()))) is want
+    assert S.lams(pp, p, lambda x, y: S.app(x(), y())) is want
+
+
+def test_lams_closed_term_built_inside_a_body_is_the_same_node():
+    from betaeta import products as P
+    ty = S.arrow(p, S.prod(p, q))  # its witness has binders nested two deep
+    inner = []
+
+    def body(x, y):
+        inner.append(P.build_iso(ty).forward)
+        return y()
+
+    S.lams(q, S.arrow(q, q), body)
+    assert inner[0] is P.build_iso(ty).forward
+
+
+def test_lams_recovers_from_a_raising_body():
+    from betaeta import models as M
+    from betaeta.errors import LevelTooSmall
+    phi = next(f for f in M.PModel(2).enum(S.arrow(p, p)) if M.kappa(f) > 0)
+
+    def body(x):
+        with pytest.raises(LevelTooSmall):
+            S.lams(q, lambda y: M.define_functional(phi, 0))
+        return x()
+
+    assert S.lams(p, body) is S.parse_term("\\x:p. x")
+    with pytest.raises(LevelTooSmall):
+        S.lams(q, q, lambda x, y: M.define_functional(phi, 0))
+    assert S.lams(p, p, lambda x, y: x()) is S.parse_term("\\x:p. \\y:p. x")
+
+
 def test_parse_error_position_in_the_middle():
     # each position counts the whitespace skipped before the bad token
     for text, message, pos in (("\\f:p->p.   f ) x", "trailing input ')'", 13),
