@@ -26,6 +26,7 @@ from .errors import EqualArrows, IllFormed, ParseError, TypeMismatch
 from . import products as P
 from . import syntax as S
 from .normalize import closed_value_scope, decide_eq
+from .separator import is_type_instance
 from .syntax import Term, Ty, arrow, atom, prod, TERMINAL
 
 
@@ -345,8 +346,6 @@ def replay_collapse(cert: CollapseCertificate) -> bool:
     arrows, is the pairing law p1 . <h1, h2> = h1, an axiom of the
     calculus that ``check_axioms`` (``betaeta ccc check``) exercises; it
     is not evidence carried by the certificate, so it is not replayed."""
-    from .separator import is_type_instance
-
     sep = cert.separation
     if not (is_type_instance(to_lambda(cert.f), sep.a_prime)
             and is_type_instance(to_lambda(cert.g), sep.b_prime)):
@@ -355,10 +354,9 @@ def replay_collapse(cert: CollapseCertificate) -> bool:
         return False
 
     p = atom("p")
-    proj = P.projector(sep.n_components, sep.component, sep.iso_forward.ty.cod)
     sides = []
-    for source in (sep.a_prime, sep.b_prime):
-        lhs = S.apps(S.app(proj, S.app(sep.iso_forward, source)), *sep.inner.head_args)
+    for side in ("a", "b"):
+        lhs = sep.applied(side)
         sides.append(S.lams(prod(p, p), lambda x: S.apps(lhs, S.proj1(x()), S.proj2(x()))))
     if not decide_eq(sides[0], to_lambda(cert.derived_lhs)):
         return False

@@ -174,15 +174,16 @@ def _collapse_from_payload(data: dict) -> C.CollapseCertificate:
         raise BadCertificate(f"malformed collapse payload: {exc}") from exc
 
 
+# certificate class -> (envelope kind, encoder, decoder)
 _KINDS = {
-    Sep.SeparationCertificate: ("lambda-separation", _sep_payload),
-    P.ProductCertificate: ("product-separation", _prod_payload),
-    C.CollapseCertificate: ("ccc-collapse", _collapse_payload),
+    Sep.SeparationCertificate: ("lambda-separation", _sep_payload, _sep_from_payload),
+    P.ProductCertificate: ("product-separation", _prod_payload, _prod_from_payload),
+    C.CollapseCertificate: ("ccc-collapse", _collapse_payload, _collapse_from_payload),
 }
 
 
 def serialize_certificate(cert) -> str:
-    kind, encode = _KINDS[type(cert)]
+    kind, encode, _ = _KINDS[type(cert)]
     envelope = {
         "schema": SCHEMA_VERSION,
         "kind": kind,
@@ -202,13 +203,10 @@ def parse_certificate(text: str):
     if envelope["schema"] != SCHEMA_VERSION:
         raise BadCertificate(f"unsupported schema version {envelope['schema']}",)
     kind = envelope.get("kind")
-    payload = envelope.get("payload", {})
-    if kind == "lambda-separation":
-        return _sep_from_payload(payload)
-    if kind == "product-separation":
-        return _prod_from_payload(payload)
-    if kind == "ccc-collapse":
-        return _collapse_from_payload(payload)
+    # compared, not hashed, since a decoded kind may be any JSON value
+    for name, _, decode in _KINDS.values():
+        if name == kind:
+            return decode(envelope.get("payload", {}))
     raise BadCertificate(f"unknown certificate kind '{kind}'")
 
 

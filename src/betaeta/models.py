@@ -20,7 +20,9 @@ application is computed once per prefix.  That order fixes which
 witness comes first, and so a certificate's ``model_args``.
 
 The defining-term construction tells the branches of a function apart
-by a product of primes raised to the function's outputs; the branch
+by a product with one prime per tuple over the branch type's argument
+types, raised to the branch's output on that tuple; an atom has just the
+empty tuple, so an atom branch's code is 2 raised to itself.  The branch
 enumeration order is part of the certificate format and is fixed here
 as: constant functions first, ordered by their constant value's code,
 then the remaining elements ordered by big-endian table code.
@@ -442,23 +444,25 @@ def branch_codes(phi: Functional) -> list[int]:
         raise IllTyped("base elements have no branches")
     model = phi.model
     b1 = phi.ty.dom
-    if isinstance(b1, TyAtom):
-        codes = [_pow_capped(2, psi.code) for psi in branch_order(model, b1)]
-    else:
-        gamma_tys, _ = split_arrows(b1)
-        tuple_space = list(itertools.product(*(list(model.enum(t)) for t in gamma_tys)))
-        codes = []
-        for psi in branch_order(model, b1):
-            n = 1
-            for t_idx, gammas in enumerate(tuple_space, start=1):
-                d = psi
-                for g in gammas:
-                    d = d(g)
-                n = _mul_capped(n, _pow_capped(nth_prime(t_idx), d.code))
-            codes.append(n)
+    tuples = _probe_tuples(model, b1)
+    codes = []
+    for psi in branch_order(model, b1):
+        n = 1
+        for t_idx, gammas in enumerate(tuples, start=1):
+            d = psi
+            for g in gammas:
+                d = d(g)
+            n = _mul_capped(n, _pow_capped(nth_prime(t_idx), d.code))
+        codes.append(n)
     if len(set(codes)) != len(codes):
         raise AssertionError("branch codes must be pairwise distinct")
     return codes
+
+
+def _probe_tuples(model: PModel, b1: Ty) -> list[tuple]:
+    """The element tuples over the argument types of ``b1``, the first
+    argument slowest; the one empty tuple when ``b1`` is an atom."""
+    return list(itertools.product(*(list(model.enum(t)) for t in split_arrows(b1)[0])))
 
 
 def _pow_capped(base, e):
@@ -491,11 +495,9 @@ def kappa(phi: Functional) -> int:
     model = phi.model
     b1 = phi.ty.dom
     level = 3 * max(branch_codes(phi)) + 1
-    if not isinstance(b1, TyAtom):
-        gamma_tys, _ = split_arrows(b1)
-        for t in gamma_tys:
-            for g in model.enum(t):
-                level = max(level, kappa(g))
+    for t in split_arrows(b1)[0]:
+        for g in model.enum(t):
+            level = max(level, kappa(g))
     for psi in branch_order(model, b1):
         level = max(level, kappa(phi(psi)))
     _KAPPA_MEMO[key] = level
@@ -554,18 +556,13 @@ def define_functional(phi: Functional, i: int) -> Term:
 
         # probe term: exponent product over all argument tuples of the first
         # argument's own argument types, one prime per tuple
-        if isinstance(b1, TyAtom):
-            probe = S.apps(N.expo(i - 1), x1, N.church(2, i))
-        else:
-            gamma_tys, _ = split_arrows(b1)
-            tuple_space = list(itertools.product(*(list(model.enum(t)) for t in gamma_tys)))
-            factors = []
-            for t_idx, gammas in enumerate(tuple_space, start=1):
-                applied = S.apps(x1, *(define_functional(g, i) for g in gammas))
-                factors.append(S.apps(N.expo(i - 1), applied, N.church(nth_prime(t_idx), i)))
-            probe = factors[0]
-            for f in factors[1:]:
-                probe = S.apps(N.mul(i - 1), probe, f)
+        factors = []
+        for t_idx, gammas in enumerate(_probe_tuples(model, b1), start=1):
+            applied = S.apps(x1, *(define_functional(g, i) for g in gammas))
+            factors.append(S.apps(N.expo(i - 1), applied, N.church(nth_prime(t_idx), i)))
+        probe = factors[0]
+        for f in factors[1:]:
+            probe = S.apps(N.mul(i - 1), probe, f)
 
         out = applied_definer(xis[q - 1])
         for j in range(q - 2, -1, -1):

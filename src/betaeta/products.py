@@ -6,7 +6,9 @@ domains, reassociating products to the left, and absorbing the terminal
 type; the result is a left-nested product of pure arrow types (or the
 terminal type alone).  Each rewrite strictly decreases an exponential
 complexity measure, which witnesses termination.  An isomorphism pair of
-closed terms is constructed per step and composed along the trace.
+closed terms is constructed per step, lifted from the redex to the whole
+type along the step's path, and composed along the trace; the type after
+a step is the codomain of its lifted forward witness.
 
 Separation of unequal product-bearing terms moves them through the
 isomorphism, splits the long normal form into components, finds one
@@ -25,12 +27,10 @@ from . import syntax as S
 from .normalize import closed_value_scope, decide_eq, long_nf
 from .syntax import (
     Term, Ty, TyArrow, TyAtom, TyProd, TyTerminal, TERMINAL, UNIT,
-    app, apps, arrow, atom, lams, pair, prod, proj1, proj2, subst_type,
+    app, apps, arrow, atom, lams, pair, prod, proj1, proj2,
 )
 
 MEASURE_BIT_BUDGET = 1 << 20
-
-RULES = ("curryCod", "curryDom", "assoc", "arrT", "Tarr", "prodT", "Tprod")
 
 
 def measure(ty: Ty, atom_weight: int = 2, bit_budget: int = MEASURE_BIT_BUDGET) -> int:
@@ -211,10 +211,6 @@ class IsoWitness:
     backward: Term
 
 
-def _identity(ty: Ty) -> Term:
-    return lams(ty, lambda x: x())
-
-
 def _primitive_iso(ty: Ty, rule: str) -> tuple[Term, Term]:
     """Forward/backward closed terms between a redex type and its contractum."""
     out = _contract(ty, rule)
@@ -243,33 +239,33 @@ def _primitive_iso(ty: Ty, rule: str) -> tuple[Term, Term]:
     return lams(ty, lambda x: proj2(x())), lams(out, lambda a: pair(UNIT, a()))
 
 
-def _lift_iso(ty: Ty, path: tuple, fwd: Term, bwd: Term) -> tuple[Term, Term]:
-    """Lift an isomorphism of the subtype at ``path`` to the whole type.
-    Lifting through an arrow domain is contravariant, so the two
-    directions trade places."""
+def _lift_iso(ty: Ty, path: tuple, rule: str) -> tuple[Term, Term]:
+    """The primitive isomorphism of ``rule`` at the subtype at ``path``,
+    lifted to the whole type.  Lifting through an arrow domain is
+    contravariant, so the two directions trade places."""
     if not path:
-        return fwd, bwd
+        return _primitive_iso(ty, rule)
     label, rest = path[0], path[1:]
     if label == "dom":
-        inner_f, inner_b = _lift_iso(ty.dom, rest, fwd, bwd)
+        inner_f, inner_b = _lift_iso(ty.dom, rest, rule)
         new_dom = inner_f.ty.cod
         lifted_f = lams(ty, new_dom, lambda f, a: app(f(), app(inner_b, a())))
         lifted_b = lams(arrow(new_dom, ty.cod), ty.dom, lambda g, a: app(g(), app(inner_f, a())))
         return lifted_f, lifted_b
     if label == "cod":
-        inner_f, inner_b = _lift_iso(ty.cod, rest, fwd, bwd)
+        inner_f, inner_b = _lift_iso(ty.cod, rest, rule)
         new_cod = inner_f.ty.cod
         lifted_f = lams(ty, ty.dom, lambda f, a: app(inner_f, app(f(), a())))
         lifted_b = lams(arrow(ty.dom, new_cod), ty.dom, lambda g, a: app(inner_b, app(g(), a())))
         return lifted_f, lifted_b
     if label == "left":
-        inner_f, inner_b = _lift_iso(ty.left, rest, fwd, bwd)
+        inner_f, inner_b = _lift_iso(ty.left, rest, rule)
         new_left = inner_f.ty.cod
         lifted_f = lams(ty, lambda x: pair(app(inner_f, proj1(x())), proj2(x())))
         lifted_b = lams(prod(new_left, ty.right),
                         lambda y: pair(app(inner_b, proj1(y())), proj2(y())))
         return lifted_f, lifted_b
-    inner_f, inner_b = _lift_iso(ty.right, rest, fwd, bwd)
+    inner_f, inner_b = _lift_iso(ty.right, rest, rule)
     new_right = inner_f.ty.cod
     lifted_f = lams(ty, lambda x: pair(proj1(x()), app(inner_f, proj2(x()))))
     lifted_b = lams(prod(ty.left, new_right), lambda y: pair(proj1(y()), app(inner_b, proj2(y()))))
@@ -280,22 +276,17 @@ def _compose_terms(second: Term, first: Term) -> Term:
     return lams(first.ty.dom, lambda x: app(second, app(first, x())))
 
 
-def build_iso(ty: Ty, strategy: str = "innermost") -> IsoWitness:
+def build_iso(ty: Ty) -> IsoWitness:
     """An isomorphism pair between a type and its product normal form,
-    composed from one primitive witness per reduction step."""
-    trace = type_nf(ty, strategy)
+    composed from one lifted primitive witness per reduction step; the
+    type after a step is the codomain of that step's forward witness."""
     current = ty
-    fwd = _identity(ty)
-    bwd = _identity(ty)
-    for step in trace.steps:
-        sub = current
-        for label in step.path:
-            sub = getattr(sub, {"dom": "dom", "cod": "cod", "left": "left", "right": "right"}[label])
-        pf, pb = _primitive_iso(sub, step.rule)
-        lf, lb = _lift_iso(current, step.path, pf, pb)
+    fwd = bwd = lams(ty, lambda x: x())
+    for step in type_nf(ty).steps:
+        lf, lb = _lift_iso(current, step.path, step.rule)
         fwd = _compose_terms(lf, fwd)
         bwd = _compose_terms(bwd, lb)
-        current = _apply_at(current, step.path, step.rule)
+        current = lf.ty.cod
     return IsoWitness(ty, current, fwd, bwd)
 
 
@@ -379,6 +370,13 @@ class ProductCertificate:
     def level(self):
         return self.inner.level
 
+    def applied(self, side: str) -> Term:
+        """The chosen component of one instantiated side, moved through
+        the isomorphism and applied to the inner head arguments."""
+        source = self.a_prime if side == "a" else self.b_prime
+        proj = projector(self.n_components, self.component, self.iso_forward.ty.cod)
+        return apps(app(proj, app(self.iso_forward, source)), *self.inner.head_args)
+
 
 def separate_prod(a: Term, b: Term, max_base: int = 3,
                   level_override: int | None = None) -> ProductCertificate:
@@ -397,7 +395,7 @@ def separate_prod(a: Term, b: Term, max_base: int = 3,
     idx, parts_a, parts_b = _differing_parts(a, b, iso)
     inner = Sep.separate_two(parts_a[idx - 1], parts_b[idx - 1],
                              max_base=max_base, level_override=level_override)
-    sub = _instance_sub(inner)
+    sub = Sep.numeral_type_over(inner.level, inner.target_c.ty)
     names = S.term_atoms(a) | S.term_atoms(b) | S.term_atoms(iso.forward)
     mapping = {name: sub for name in names}
     return ProductCertificate(
@@ -409,12 +407,6 @@ def separate_prod(a: Term, b: Term, max_base: int = 3,
         n_components=len(parts_a),
         inner=inner,
     )
-
-
-def _instance_sub(inner: Sep.SeparationCertificate) -> Ty:
-    """The type every atom is replaced by: the numeral type at the
-    certificate's level, over the target type of the inner separation."""
-    return subst_type(S.numeral_type(inner.level), {"p": inner.target_c.ty})
 
 
 @closed_value_scope
@@ -430,17 +422,14 @@ def verify_product(cert: ProductCertificate) -> bool:
     if not (Sep.is_type_instance(cert.a_source, cert.a_prime, sub)
             and Sep.is_type_instance(cert.b_source, cert.b_prime, sub)):
         return False
-    if not all(Sep._is_numeral_type(ty, cert.level, cert.inner.target_c.ty)
+    if not all(Sep.is_numeral_type_over(ty, cert.level, cert.inner.target_c.ty)
                for ty in sub.values()):
         return False
     p = atom("p")
     x = S.free("x", prod(p, p))
     e, f = S.proj1(x), S.proj2(x)
-    proj = projector(cert.n_components, cert.component, cert.iso_forward.ty.cod)
-    for source, want in ((cert.a_prime, e), (cert.b_prime, f)):
-        lhs = S.app(proj, S.app(cert.iso_forward, source))
-        lhs = S.apps(lhs, *cert.inner.head_args)
-        lhs = S.apps(lhs, e, f)
+    for side, want in (("a", e), ("b", f)):
+        lhs = S.apps(cert.applied(side), e, f)
         if lhs.ty is not want.ty:
             raise IllTyped("certificate sides and targets differ in type")
         if not decide_eq(lhs, want):

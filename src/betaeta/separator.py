@@ -119,7 +119,7 @@ def separate(a: Term, b: Term, c: Term, d: Term, max_base: int = 3,
         raise AssertionError("intermediate stage: b-side is not the one numeral")
 
     target_ty = c.ty
-    instance = subst_type(numeral_type(level), {"p": target_ty})
+    instance = numeral_type_over(level, target_ty)
     final_sub = {name: instance for name in all_atoms}
     at_target = {"p": target_ty}
 
@@ -183,7 +183,7 @@ def verify(cert: SeparationCertificate) -> bool:
             and is_type_instance(cert.b_source, cert.b_prime, sub)):
         return False
     atoms = S.term_atoms(cert.a_source) | S.term_atoms(cert.b_source)
-    if not all(_is_numeral_type(sub.get(name), cert.level, cert.target_c.ty)
+    if not all(is_numeral_type_over(sub.get(name), cert.level, cert.target_c.ty)
                for name in atoms):
         return False
     sources = _ordered_free_union(cert.a_source, cert.b_source)
@@ -205,37 +205,45 @@ def verify(cert: SeparationCertificate) -> bool:
         raise IllTyped("malformed certificate")
 
 
-def _is_numeral_type(ty, level, base: Ty) -> bool:
-    """Whether ``ty`` is ``subst_type(numeral_type(level), {"p": base})``,
-    decided by peeling it, so that a stated level far above the real one
-    costs no more than the real one."""
+def numeral_type_over(level: int, target: Ty) -> Ty:
+    """The numeral type of ``level`` over ``target``: the type at which a
+    certificate instantiates every atom of its sources."""
+    return numeral_type(level, target)
+
+
+def is_numeral_type_over(ty, level, target: Ty) -> bool:
+    """Whether ``ty`` is ``numeral_type_over(level, target)``, decided by
+    peeling it, so that a stated level far above the real one costs no
+    more than the real one."""
     if type(level) is not int or level < 0:
         return False
     for _ in range(level + 2):
         if type(ty) is not S.TyArrow or ty.dom is not ty.cod:
             return False
         ty = ty.cod
-    return ty is base
+    return ty is target
 
 
 def match_type_instance(general: Ty, instance: Ty, sub: dict[str, Ty]) -> bool:
     """Whether ``instance`` is obtained from ``general`` by a (consistent)
-    substitution of types for atoms, extending ``sub`` in place."""
-    if isinstance(general, S.TyAtom):
-        bound = sub.get(general.name)
-        if bound is None:
-            sub[general.name] = instance
+    substitution of types for atoms, extending ``sub`` in place.  Each
+    distinct node pair is matched once (a failure ends the match), so a
+    shared type costs its distinct nodes, not its unfolded tree."""
+    seen = set()
+
+    def go(g, t):
+        if (g.uid, t.uid) in seen:
             return True
-        return bound is instance
-    if isinstance(general, S.TyTerminal):
-        return general is instance
-    if isinstance(general, S.TyArrow):
-        return (isinstance(instance, S.TyArrow)
-                and match_type_instance(general.dom, instance.dom, sub)
-                and match_type_instance(general.cod, instance.cod, sub))
-    return (isinstance(instance, S.TyProd)
-            and match_type_instance(general.left, instance.left, sub)
-            and match_type_instance(general.right, instance.right, sub))
+        seen.add((g.uid, t.uid))
+        if isinstance(g, S.TyAtom):
+            return sub.setdefault(g.name, t) is t
+        if isinstance(g, S.TyTerminal):
+            return g is t
+        if isinstance(g, S.TyArrow):
+            return isinstance(t, S.TyArrow) and go(g.dom, t.dom) and go(g.cod, t.cod)
+        return isinstance(t, S.TyProd) and go(g.left, t.left) and go(g.right, t.right)
+
+    return go(general, instance)
 
 
 def is_type_instance(general: Term, instance: Term, sub: dict[str, Ty] | None = None) -> bool:

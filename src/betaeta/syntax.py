@@ -192,11 +192,7 @@ def subst_type(ty: Ty, mapping: dict[str, Ty], _memo=None) -> Ty:
 
 
 def is_product_free(ty: Ty) -> bool:
-    if isinstance(ty, TyAtom):
-        return True
-    if isinstance(ty, TyArrow):
-        return is_product_free(ty.dom) and is_product_free(ty.cod)
-    return False
+    return all(type(t) in (TyAtom, TyArrow) for t in subtypes(ty))
 
 
 def split_arrows(ty: Ty) -> tuple[list[Ty], Ty]:

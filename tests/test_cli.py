@@ -9,6 +9,7 @@ from betaeta import cli
 from betaeta import ccc as C
 from betaeta import products as P
 from betaeta import separator as Sep
+from betaeta.errors import BadCertificate
 from betaeta.numerals import church
 
 
@@ -165,6 +166,49 @@ def test_verify_wrong_schema_exit(tmp_path, capsys):
     bad.write_text(json.dumps(env))
     code, _, err = run(capsys, "verify", str(bad))
     assert code == cli.EXIT_SCHEMA
+
+
+def _alias_tower_certificate(n: int) -> str:
+    """The README's two-valued certificate with both a-sides replaced by
+    the identity at ``dd{n-1}``, where ``dd0 = p -> p`` and
+    ``dd{i} = dd{i-1} -> dd{i-1}``: a few KB of text whose type is a
+    tree of about 2**(n+1) nodes, shared as n + 1."""
+    import betaeta.syntax as S
+    cert = Sep.separate_two(S.parse_term("\\x:p->p.\\y:p. x y"),
+                            S.parse_term("\\x:p->p.\\y:p. x (x y)"))
+    env = json.loads(cli.serialize_certificate(cert))
+    payload = env["payload"]
+    payload["type_defs"] += [["dd0", "p -> p"]] + [[f"dd{i}", f"dd{i - 1} -> dd{i - 1}"]
+                                                   for i in range(1, n)]
+    payload["a_source"] = payload["a_prime"] = f"\\x1:dd{n - 1}. x1"
+    return json.dumps(env)
+
+
+def test_verify_matches_a_shared_source_type_once_per_node(tmp_path):
+    # a type-instance match that walks the shared type as a tree never
+    # ends here, so run it in a child with a timeout
+    cert_file = tmp_path / "tower.json"
+    cert_file.write_text(_alias_tower_certificate(40))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "betaeta", "verify", str(cert_file)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (cli.EXIT_FAIL, "fail\n", "")
+
+
+@pytest.mark.parametrize("kind", [["lambda-separation"], {"k": 1}, 7, 1.5, None, True])
+def test_verify_rejects_a_kind_that_is_not_a_name(tmp_path, capsys, kind):
+    cert = Sep.separate_two(church(1, 0), church(2, 0))
+    env = json.loads(cli.serialize_certificate(cert))
+    env["kind"] = kind
+    with pytest.raises(BadCertificate, match="unknown certificate kind"):
+        cli.parse_certificate(json.dumps(env))
+    bad = tmp_path / "kind.json"
+    bad.write_text(json.dumps(env))
+    code, out, err = run(capsys, "verify", str(bad))
+    assert (code, out) == (cli.EXIT_FAIL, "")
+    assert err.startswith("certificate: unknown certificate kind")
+    assert "Traceback" not in err
 
 
 def test_type_nf_command(capsys):

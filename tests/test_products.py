@@ -270,3 +270,38 @@ def test_verify_product_rejects_a_tampered_level():
     for level in ('1', '2', '"0"', '-1'):
         tampered = cli.parse_certificate(text.replace('"level": 0,', f'"level": {level},'))
         assert not P.verify_product(tampered)
+
+
+# sha256 of the built terms, printed through one shared alias table: the
+# defining term at kappa of base-2 elements of each roster type (every
+# element, or 16 seeded codes where the type has 2**32 of them), then the
+# isomorphism pair of 60 seeded mixed types; a rewrite of either
+# construction must build the same nodes
+BUILT_TERMS_PIN = (664, 12_682_311,
+                   "05c2c727557005c8e57db7a2d0f7e9bf67ad849362c0623c55da3ba4d0411fb8")
+
+
+def test_built_terms_are_pinned():
+    import hashlib
+    from betaeta import models as M
+    from conftest import PRODUCT_FREE_ROSTER
+    model = M.PModel(2)
+    terms = []
+    for ty in PRODUCT_FREE_ROSTER:
+        n = model.card(ty)
+        codes = range(n) if n <= 256 else sorted(random.Random(n).sample(range(n), 16))
+        for code in codes:
+            phi = model.element(ty, code)
+            terms.append(M.define_functional(phi, M.kappa(phi)))
+    rng = random.Random(9)
+    for _ in range(60):
+        iso = P.build_iso(random_mixed_type(rng))
+        terms += [iso.forward, iso.backward]
+    defs, names = S.type_alias_table(terms)
+    digest = hashlib.sha256()
+    size = 0
+    for line in [f"{n} = {d}" for n, d in defs] + [S.show_term(t, names) for t in terms]:
+        data = (line + "\n").encode()
+        digest.update(data)
+        size += len(data)
+    assert (len(terms), size, digest.hexdigest()) == BUILT_TERMS_PIN

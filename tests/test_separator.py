@@ -288,3 +288,39 @@ def test_verify_rejects_a_tampered_level():
     for level in ('9', '6', '"8"', '-1'):
         tampered = cli.parse_certificate(text.replace('"level": 8,', f'"level": {level},'))
         assert not Sep.verify(tampered)
+
+
+def test_match_type_instance_on_shared_types():
+    # towers of about 2**61 tree nodes, shared as 61: one match per node pair
+    q, r = S.atom("q"), S.atom("r")
+    target = S.arrow(q, q)
+    sub = {}
+    assert Sep.match_type_instance(S.tower_type(60), S.tower_type(60, target), sub)
+    assert sub == {"p": target}
+    # a clash met only after the shared part is matched still fails
+    sub = {}
+    assert not Sep.match_type_instance(S.arrow(S.tower_type(60), p),
+                                       S.arrow(S.tower_type(60, q), r), sub)
+    assert sub == {"p": q}
+    assert not Sep.match_type_instance(S.tower_type(60), S.tower_type(59, q), {})
+
+
+def test_high_level_numerals_overflow_promptly():
+    # the type of church(0, 60) is a tree of about 2**63 nodes, shared as 63; a
+    # product-free check that walks it as a tree never ends, so run it in
+    # a child with a timeout
+    import os
+    import subprocess
+    import sys
+    code = ("from betaeta import separator as Sep\n"
+            "from betaeta.errors import Overflow\n"
+            "from betaeta.numerals import church\n"
+            "try:\n"
+            "    Sep.separate_two(church(0, 60), church(1, 60))\n"
+            "except Overflow as exc:\n"
+            "    print('Overflow:', exc)\n")
+    src = os.path.dirname(os.path.dirname(Sep.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("Overflow: ")
