@@ -337,15 +337,18 @@ def collapse(f: ArrowTerm, g: ArrowTerm, max_base: int = 3,
 def replay_collapse(cert: CollapseCertificate) -> bool:
     """Replay a collapse certificate independently of its construction.
 
-    Checks, in order: the two instantiated sides are type-instances of
-    the arrow translations; the separation stage verifies by
-    normalization (these are the two certified equalities; the middle
-    step equating the sides is the hypothesis instance); and the
-    certified targets are the translations of the derived projection
-    arrows.  The closing step, from equal projections to equal parallel
-    arrows, is the pairing law p1 . <h1, h2> = h1, an axiom of the
-    calculus that ``check_axioms`` (``betaeta ccc check``) exercises; it
-    is not evidence carried by the certificate, so it is not replayed."""
+    Checks, in order: the stated schema rule is ``SCHEMA_RULE``; the two
+    instantiated sides are type-instances of the arrow translations; the
+    separation stage verifies by normalization (these are the two
+    certified equalities; the middle step equating the sides is the
+    hypothesis instance); and the certified targets are the translations
+    of the derived projection arrows.  The closing step, from equal
+    projections to equal parallel arrows, is the pairing law
+    p1 . <h1, h2> = h1, an axiom of the calculus that ``check_axioms``
+    (``betaeta ccc check``) exercises; it is not evidence carried by the
+    certificate, so it is not replayed."""
+    if cert.schema != SCHEMA_RULE:
+        return False
     sep = cert.separation
     if not (is_type_instance(to_lambda(cert.f), sep.a_prime)
             and is_type_instance(to_lambda(cert.g), sep.b_prime)):

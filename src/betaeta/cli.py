@@ -78,6 +78,14 @@ def _sep_payload(cert: Sep.SeparationCertificate) -> dict:
     }
 
 
+def _typed(data: dict, key: str, kind: type):
+    """``data[key]``, which must be exactly a ``kind``: ``true`` is no int."""
+    value = data[key]
+    if type(value) is not kind:
+        raise BadCertificate(f"'{key}' must be {kind.__name__}, not {json.dumps(value)}")
+    return value
+
+
 def _sep_from_payload(data: dict) -> Sep.SeparationCertificate:
     try:
         aliases = S.parse_alias_table([tuple(x) for x in data["type_defs"]])
@@ -107,7 +115,7 @@ def _sep_from_payload(data: dict) -> Sep.SeparationCertificate:
             base=data["base"],
             model_args=[(S.parse_type(t), code) for t, code in data["model_args"]],
             relabeling=list(data["relabeling"]),
-            two_valued=data["two_valued"],
+            two_valued=_typed(data, "two_valued", bool),
             kappa_values=list(data["kappa_values"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -141,8 +149,8 @@ def _prod_from_payload(data: dict) -> P.ProductCertificate:
             a_prime=term(data["a_prime"]),
             b_prime=term(data["b_prime"]),
             iso_forward=term(data["iso_forward"]),
-            component=data["component"],
-            n_components=data["n_components"],
+            component=_typed(data, "component", int),
+            n_components=_typed(data, "n_components", int),
             inner=_sep_from_payload(data["inner"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -200,7 +208,7 @@ def parse_certificate(text: str):
         raise BadCertificate(f"not JSON: {exc}") from exc
     if not isinstance(envelope, dict) or "schema" not in envelope:
         raise BadCertificate("missing envelope fields")
-    if envelope["schema"] != SCHEMA_VERSION:
+    if type(envelope["schema"]) is not int or envelope["schema"] != SCHEMA_VERSION:
         raise BadCertificate(f"unsupported schema version {envelope['schema']}",)
     kind = envelope.get("kind")
     # compared, not hashed, since a decoded kind may be any JSON value

@@ -605,6 +605,8 @@ def min_check_level(phi: Functional) -> int:
 
 def type_order(ty: Ty) -> int:
     """Arrow-nesting depth; bounds the recursion needed by the check."""
-    if isinstance(ty, TyArrow):
-        return max(type_order(ty.dom) + 1, type_order(ty.cod))
-    return 0
+    order: dict[int, int] = {}
+    for t in S.subtypes(ty):  # children first
+        order[t.uid] = (max(order[t.dom.uid] + 1, order[t.cod.uid])
+                        if type(t) is TyArrow else 0)
+    return order[ty.uid]

@@ -108,17 +108,28 @@ def _children(ty: Ty):
     return ()
 
 
-def _find_redex(ty: Ty, path: tuple, innermost: bool):
-    here = _rule_at(ty)
-    if here is not None and not innermost:
-        return path, here
-    for label, child in _children(ty):
-        found = _find_redex(child, path + (label,), innermost)
-        if found is not None:
-            return found
-    if here is not None and innermost:
-        return path, here
-    return None
+def _find_redex(ty: Ty, innermost: bool):
+    """The path to the first redex of ``ty`` (in preorder when outermost,
+    post-order when innermost) and its rule, or None.  A node found
+    redex-free is not searched again where it is shared."""
+    clean = set()
+
+    def go(t, path):
+        if t.uid in clean:
+            return None
+        here = _rule_at(t)
+        if here is not None and not innermost:
+            return path, here
+        for label, child in _children(t):
+            found = go(child, path + (label,))
+            if found is not None:
+                return found
+        if here is not None and innermost:
+            return path, here
+        clean.add(t.uid)
+        return None
+
+    return go(ty, ())
 
 
 def _apply_at(ty: Ty, path: tuple, rule: str) -> Ty:
@@ -165,7 +176,7 @@ def type_nf(ty: Ty, strategy: str = "innermost", atom_weight: int = 2) -> TypeNF
     current = ty
     m_cur = _measure_opt(current, atom_weight)
     while True:
-        found = _find_redex(current, (), strategy == "innermost")
+        found = _find_redex(current, strategy == "innermost")
         if found is None:
             break
         path, rule = found

@@ -7,11 +7,14 @@ identity and towers such as ``A -> A`` iterated sixty times stay linear
 in memory.  Binders are nameless (de Bruijn indices); variables that are
 free in a whole term are kept as named ``Free`` nodes, which makes
 substitution of a term for a free variable capture-proof without any
-shifting.  A term built in code takes its binders from ``lams``, which
-gives the body each binder's index directly, so building interns no
-throwaway name.  Every term node carries its type, computed at
-construction; building an ill-typed application or projection raises
-immediately.
+shifting.  Each term node records at construction its ``scope``, one
+more than its largest loose de Bruijn index, and ``named``, whether a
+``Free`` node sits below it, so ``free_vars``, ``is_closed``, ``bind``
+and ``substitute_term`` skip a closed subterm without walking it.  A
+term built in code takes its binders from ``lams``, which gives the
+body each binder's index directly, so building interns no throwaway
+name.  Every term node carries its type, computed at construction;
+building an ill-typed application or projection raises immediately.
 
 The interning tables are module-level and take no lock: the workbench
 runs in one thread, and callers that add threads must serialize their
@@ -208,8 +211,9 @@ def split_arrows(ty: Ty) -> tuple[list[Ty], Ty]:
 # Terms
 
 class Term:
-    # scope: one more than the largest free de Bruijn index, 0 when closed
-    __slots__ = ("uid", "ty", "scope")
+    # scope: one more than the largest free de Bruijn index, 0 when closed;
+    # named: whether a Free node sits anywhere below (or at) this node
+    __slots__ = ("uid", "ty", "scope", "named")
 
     def __repr__(self):
         if _max_annotation_nodes(self) > 64:
@@ -286,6 +290,7 @@ def var(index: int, ty: Ty) -> Var:
         t.index = index
         t.ty = ty
         t.scope = index + 1
+        t.named = False
     return t
 
 
@@ -297,6 +302,7 @@ def free(name: str, ty: Ty) -> Free:
         t.name = name
         t.ty = ty
         t.scope = 0
+        t.named = True
     return t
 
 
@@ -309,6 +315,7 @@ def lam(binder: Ty, body: Term) -> Lam:
         t.body = body
         t.ty = arrow(binder, body.ty)
         t.scope = max(body.scope - 1, 0)
+        t.named = body.named
     return t
 
 
@@ -328,6 +335,7 @@ def app(fun: Term, arg: Term) -> App:
     t.arg = arg
     t.ty = fty.cod
     t.scope = max(fun.scope, arg.scope)
+    t.named = fun.named or arg.named
     return t
 
 
@@ -346,6 +354,7 @@ def pair(fst: Term, snd: Term) -> Pair:
         t.snd = snd
         t.ty = prod(fst.ty, snd.ty)
         t.scope = max(fst.scope, snd.scope)
+        t.named = fst.named or snd.named
     return t
 
 
@@ -361,6 +370,7 @@ def _proj(cls, tag, arg):
     t.arg = arg
     t.ty = ty.left if cls is Proj1 else ty.right
     t.scope = arg.scope
+    t.named = arg.named
     return t
 
 
@@ -375,6 +385,7 @@ def proj2(arg: Term) -> Proj2:
 UNIT: Unit = _new_term(Unit, ("k",))
 UNIT.ty = TERMINAL
 UNIT.scope = 0
+UNIT.named = False
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +505,8 @@ def _max_annotation_nodes(t: Term) -> int:
 def free_vars(t: Term) -> dict[str, Ty]:
     """Free named variables of ``t`` in order of first occurrence."""
     out: dict[str, Ty] = {}
+    if not t.named:
+        return out
     for u in subterms(t):
         if type(u) is Free and out.setdefault(u.name, u.ty) is not u.ty:
             raise IllTyped(f"free variable '{u.name}' used at two types")
@@ -502,7 +515,7 @@ def free_vars(t: Term) -> dict[str, Ty]:
 
 def is_closed(t: Term) -> bool:
     """No free variable: neither a named one nor a loose de Bruijn index."""
-    return t.scope == 0 and all(type(u) is not Free for u in subterms(t))
+    return t.scope == 0 and not t.named
 
 
 def shift(t: Term, by: int, cutoff: int = 0) -> Term:
@@ -525,7 +538,7 @@ def bind(body: Term, *fvs: Free) -> Term:
         k = index.get(u)
         return u if k is None else var(d + k, u.ty)
 
-    body = map_term(body, leaf, depth=0)
+    body = map_term(body, leaf, depth=0, keep=lambda u, d: not u.named)
     for fv in reversed(fvs):
         body = lam(fv.ty, body)
     return body
@@ -566,15 +579,15 @@ def substitute_term(a: Term, name: str, b: Term) -> Term:
     impossible: ``b`` has no loose indices, so it drops in unchanged at
     any depth.
     """
-    def leaf(u, d):
-        if type(u) is not Free or u.name != name:
+    def leaf(u, d):  # a Free node: the others are kept
+        if u.name != name:
             return u
         if u.ty is not b.ty:
             raise TypeMismatch(
                 f"substituting {show_type(b.ty)} for '{name}' : {show_type(u.ty)}")
         return b
 
-    return map_term(a, leaf)
+    return map_term(a, leaf, keep=lambda u, d: not u.named)
 
 
 def substitute_types(a: Term, mapping: dict[str, Ty]) -> Term:

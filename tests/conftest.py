@@ -6,7 +6,10 @@ arguments.  Types for the product machinery mix atoms, the terminal
 type, arrows and products under a node budget.
 """
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -48,6 +51,17 @@ def random_mixed_type(rng: random.Random, max_nodes: int = 30) -> Ty:
         return S.arrow(left, right) if rng.random() < 0.55 else S.prod(left, right)
 
     return go(rng.randint(2, max_nodes))
+
+
+def run_in_child(code: str, timeout: float = 60) -> str:
+    """Run ``code`` in a fresh interpreter with ``betaeta`` importable and
+    return its stdout; a walk that never ends fails by the timeout here
+    instead of hanging the suite."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=timeout)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return proc.stdout
 
 
 @pytest.fixture

@@ -307,3 +307,64 @@ def test_certificate_bytes_are_pinned():
     for label, cert in certs.items():
         data = cli.serialize_certificate(cert).encode()
         assert (len(data), hashlib.sha256(data).hexdigest()) == GOLDEN_CERTIFICATES[label], label
+
+
+def _verify_envelope(tmp_path, capsys, env):
+    """``betaeta verify`` on the envelope ``env``: exit code, stdout and
+    stderr; a raw exception out of ``main`` fails the test."""
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(json.dumps(env))
+    code, out, err = run(capsys, "verify", str(cert_file))
+    assert "Traceback" not in err
+    return code, out, err
+
+
+def _product_envelope():
+    import betaeta.syntax as S
+    cert = P.separate_prod(S.parse_term("\\x:p*p. <p1 x, p2 x>"),
+                           S.parse_term("\\x:p*p. <p2 x, p1 x>"))
+    return json.loads(cli.serialize_certificate(cert))
+
+
+def _collapse_envelope():
+    cert = C.collapse(C.parse_arrow("p1[p, p]"), C.parse_arrow("p2[p, p]"))
+    return json.loads(cli.serialize_certificate(cert))
+
+
+@pytest.mark.parametrize("value", ["0", 1.5, None, [1], True])
+@pytest.mark.parametrize("field", ["component", "n_components"])
+def test_verify_rejects_a_component_field_that_is_not_an_int(tmp_path, capsys, field, value):
+    product, collapse = _product_envelope(), _collapse_envelope()
+    product["payload"][field] = value
+    collapse["payload"]["separation"][field] = value
+    for env in (product, collapse):
+        code, out, err = _verify_envelope(tmp_path, capsys, env)
+        assert (code, out) == (cli.EXIT_FAIL, "")
+        assert err.startswith("certificate: ") and f"'{field}' must be int" in err
+
+
+@pytest.mark.parametrize("value", [True, 1.0, "1", None, [1]])
+def test_verify_rejects_a_schema_that_is_not_an_int(tmp_path, capsys, value):
+    env = _product_envelope()
+    env["schema"] = value
+    code, out, err = _verify_envelope(tmp_path, capsys, env)
+    assert (code, out) == (cli.EXIT_SCHEMA, "")
+    assert err.startswith("unsupported schema version")
+
+
+@pytest.mark.parametrize("value", [1, 0, "true", None, []])
+def test_verify_rejects_a_two_valued_that_is_not_a_bool(tmp_path, capsys, value):
+    cert = Sep.separate_two(church(1, 0), church(2, 0))
+    env = json.loads(cli.serialize_certificate(cert))
+    env["payload"]["two_valued"] = value
+    code, out, err = _verify_envelope(tmp_path, capsys, env)
+    assert (code, out) == (cli.EXIT_FAIL, "")
+    assert err.startswith("certificate: ") and "'two_valued' must be bool" in err
+
+
+@pytest.mark.parametrize("value", ["nonsense", 5, "", None])
+def test_verify_rejects_a_tampered_schema_rule(tmp_path, capsys, value):
+    env = _collapse_envelope()
+    assert _verify_envelope(tmp_path, capsys, env)[:2] == (0, "pass\n")
+    env["payload"]["schema_rule"] = value
+    assert _verify_envelope(tmp_path, capsys, env)[:2] == (cli.EXIT_FAIL, "fail\n")

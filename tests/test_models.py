@@ -11,7 +11,7 @@ from betaeta import syntax as S
 from betaeta.errors import IllTyped, LevelTooSmall, Overflow, TypeMismatch
 from betaeta.normalize import beta_eta_nf, decide_eq
 
-from conftest import PRODUCT_FREE_ROSTER, gen_closed_term
+from conftest import PRODUCT_FREE_ROSTER, gen_closed_term, run_in_child
 
 p = S.atom("p")
 pp = S.arrow(p, p)
@@ -409,3 +409,14 @@ def test_distinguish_tuple_cap():
     assert M.distinguish(a, b, 2, tuple_cap=16).base == 2
     with pytest.raises(Overflow, match="16 tuples"):
         M.distinguish(a, b, 2, tuple_cap=15)
+
+
+def test_type_order_walks_a_shared_type_once_per_node():
+    # tower_type(200) is a tree of 2**201 nodes shared as 201
+    out = run_in_child("import time\n"
+                       "from betaeta import models as M, syntax as S\n"
+                       "start = time.perf_counter()\n"
+                       "order = M.type_order(S.tower_type(200))\n"
+                       "print(order, time.perf_counter() - start)\n")
+    order, seconds = out.split()
+    assert order == "200" and float(seconds) < 1.0

@@ -9,7 +9,7 @@ from betaeta.errors import EqualTerms, IllTyped, IndexOutOfRange, Overflow
 from betaeta.normalize import decide_eq
 from betaeta.numerals import church
 
-from conftest import random_mixed_type
+from conftest import random_mixed_type, run_in_child
 
 p, q, r = S.atom("p"), S.atom("q"), S.atom("r")
 T = S.TERMINAL
@@ -305,3 +305,15 @@ def test_built_terms_are_pinned():
         digest.update(data)
         size += len(data)
     assert (len(terms), size, digest.hexdigest()) == BUILT_TERMS_PIN
+
+
+def test_type_nf_searches_a_shared_type_once_per_node():
+    # tower_type(40) is a tree of 2**41 nodes shared as 41; a redex search
+    # that walks it as a tree never ends, so run it in a child
+    out = run_in_child("import time\n"
+                       "from betaeta import products as P, syntax as S\n"
+                       "start = time.perf_counter()\n"
+                       "steps = P.type_nf(S.tower_type(40)).steps\n"
+                       "print(len(steps), time.perf_counter() - start)\n")
+    steps, seconds = out.split()
+    assert steps == "0" and float(seconds) < 1.0

@@ -145,3 +145,67 @@ def test_tampered_certificate_fails(case, field, which):
 def test_decide_eq_agrees_with_distinguish(pair):
     a, b = pair
     assert decide_eq(a, b) == (M.distinguish(a, b, 3) is None)
+
+
+@st.composite
+def term_pools(draw):
+    """Terms grown from a pool by random constructor steps: named leaves
+    (each name at two types), loose indices, binders, applications, pairs
+    and projections.  Each step may reuse any earlier term, so the terms
+    share subterms."""
+    rng = random.Random(draw(SEEDS))
+    p = S.atom("p")
+    tys = (p, S.arrow(p, p))
+    pool = [S.UNIT]
+    for _ in range(draw(st.integers(1, 60))):
+        op, a = rng.randrange(6), rng.choice(pool)
+        if op == 0:
+            pool.append(S.free(rng.choice("xy"), rng.choice(tys)))
+        elif op == 1:
+            pool.append(S.var(rng.randrange(3), rng.choice(tys)))
+        elif op == 2:
+            pool.append(S.lam(rng.choice(tys), a))
+        elif op == 3 and type(a.ty) is S.TyArrow:
+            args = [b for b in pool if b.ty is a.ty.dom]
+            if args:
+                pool.append(S.app(a, rng.choice(args)))
+        elif op == 4:
+            pool.append(S.pair(a, rng.choice(pool)))
+        elif type(a.ty) is S.TyProd:
+            pool.append(rng.choice((S.proj1, S.proj2))(a))
+    return pool
+
+
+def _walked_free_vars(t):
+    out = {}
+    for u in S.subterms(t):
+        if type(u) is S.Free and out.setdefault(u.name, u.ty) is not u.ty:
+            raise IllTyped(f"free variable '{u.name}' used at two types")
+    return out
+
+
+def _outcome(f, t):
+    try:
+        return list(f(t).items())
+    except IllTyped:
+        return IllTyped
+
+
+@SETTINGS
+@given(term_pools())
+def test_named_flag_agrees_with_a_walk(pool):
+    for t in pool:
+        named = any(type(u) is S.Free for u in S.subterms(t))
+        assert t.named == named
+        assert S.is_closed(t) == (t.scope == 0 and not named)
+        expected = _outcome(_walked_free_vars, t)
+        assert _outcome(S.free_vars, t) == expected
+        if expected is IllTyped:
+            continue
+        # the passes that skip unnamed subterms give what a full rebuild gives
+        for name, ty in expected:
+            x, w = S.free(name, ty), S.free("w", ty)
+            assert S.substitute_term(t, name, w) is S.map_term(
+                t, lambda u, d: w if u is x else u)
+            assert S.bind(t, x) is S.lam(ty, S.map_term(
+                t, lambda u, d: S.var(d, ty) if u is x else u, depth=0))

@@ -6,6 +6,9 @@ from betaeta import syntax as S
 from betaeta.errors import (
     BetaEtaError, IllTyped, ParseError, TypeMismatch, UnboundVariable,
 )
+from betaeta.normalize import decide_eq
+
+from conftest import PRODUCT_FREE_ROSTER, gen_closed_term
 
 p = S.atom("p")
 q = S.atom("q")
@@ -333,3 +336,19 @@ def test_parser_results_are_pinned(kind, seed, ok, digest):
     # arrows, primes, non-ASCII names, stray characters) and the result of
     # each, or the class, message and position of its error, in one digest
     assert _parser_outcomes(kind, seed, 1500) == (ok, digest)
+
+
+def test_closed_terms_are_not_walked_for_names(monkeypatch):
+    pairs = [(gen_closed_term(ty, random.Random(seed)), gen_closed_term(ty, random.Random(seed + 1)))
+             for ty in PRODUCT_FREE_ROSTER for seed in range(4)]
+
+    def no_walk(t):
+        raise AssertionError("walked a closed term")
+
+    monkeypatch.setattr(S, "subterms", no_walk)
+    for a, b in pairs:
+        assert S.free_vars(a) == {} and S.is_closed(a)
+        assert S.bind(a, S.free("x", p)).body is a
+        assert S.substitute_term(a, "x", S.free("y", p)) is a
+        assert decide_eq(a, b) in (True, False)
+    assert not all(decide_eq(a, b) for a, b in pairs)
