@@ -319,7 +319,8 @@ class CollapseCertificate:
 
 
 def collapse(f: ArrowTerm, g: ArrowTerm, max_base: int = 3,
-             level_override: int | None = None) -> CollapseCertificate:
+             level_override: int | None = None,
+             max_level: int | None = None) -> CollapseCertificate:
     """Certificate that extending the calculus with f = g (as a schema
     over atoms) identifies the two projections at a common object, and
     with them every pair of parallel arrows."""
@@ -329,7 +330,8 @@ def collapse(f: ArrowTerm, g: ArrowTerm, max_base: int = 3,
         raise EqualArrows("the arrows are provably equal")
     ta = to_lambda(f)
     tb = to_lambda(g)
-    sep = P.separate_prod(ta, tb, max_base=max_base, level_override=level_override)
+    sep = P.separate_prod(ta, tb, max_base=max_base, level_override=level_override,
+                          max_level=max_level)
     return CollapseCertificate(f=f, g=g, separation=sep)
 
 

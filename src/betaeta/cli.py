@@ -27,8 +27,8 @@ from . import separator as Sep
 from . import syntax as S
 from .errors import (
     BadCertificate, BetaEtaError, EqualArrows, EqualTerms, IllFormed,
-    IllTyped, NotSeparable, Overflow, ParseError, ResourceExhausted,
-    SideConditionViolated, TypeMismatch, UnboundVariable,
+    IllTyped, LevelAboveMax, NotSeparable, Overflow, ParseError, ResourceExhausted,
+    SideConditionViolated, TermTooDeep, TypeMismatch, UnboundVariable,
 )
 from .normalize import beta_eta_nf, decide_eq, long_nf, set_work_budget
 
@@ -321,19 +321,17 @@ def cmd_separate(args) -> int:
     a = S.parse_term(a_text, ctx)
     b = S.parse_term(b_text, ctx)
 
+    budgets = {"max_base": args.max_base, "max_level": args.max_level}
     if args.product:
-        cert = P.separate_prod(a, b, max_base=args.max_base)
+        cert = P.separate_prod(a, b, **budgets)
     elif args.two_valued or not targets:
-        cert = Sep.separate_two(a, b, max_base=args.max_base)
+        cert = Sep.separate_two(a, b, **budgets)
     else:
         if len(targets) != 2:
             raise ParseError("separation with targets needs both c and d", 0)
         c = S.parse_term(targets[0], ctx)
         d = S.parse_term(targets[1], ctx)
-        cert = Sep.separate(a, b, c, d, max_base=args.max_base)
-    if cert.level > args.max_level:
-        _diag(f"required level {cert.level} exceeds --max-level {args.max_level}")
-        return EXIT_BUDGET
+        cert = Sep.separate(a, b, c, d, **budgets)
     _emit(serialize_certificate(cert))
     return 0
 
@@ -362,7 +360,8 @@ def cmd_type_nf(args) -> int:
     if args.trace:
         for step in trace.steps:
             pos = "/".join(step.path) or "root"
-            _emit(f"# {step.rule} at {pos}: {step.before} -> {step.after}")
+            _emit(f"# {step.rule} at {pos}: "
+                  f"{P.show_measure(step.before)} -> {P.show_measure(step.after)}")
     return 0
 
 
@@ -403,10 +402,7 @@ def cmd_ccc(args) -> int:
         raise ParseError("collapse needs two arrow terms", 0)
     f = C.parse_arrow(args.f)
     g = C.parse_arrow(args.g)
-    cert = C.collapse(f, g, max_base=args.max_base)
-    if cert.separation.level > args.max_level:
-        _diag(f"required level {cert.separation.level} exceeds --max-level {args.max_level}")
-        return EXIT_BUDGET
+    cert = C.collapse(f, g, max_base=args.max_base, max_level=args.max_level)
     _emit(serialize_certificate(cert))
     return 0
 
@@ -513,11 +509,14 @@ def main(argv=None) -> int:
     except (EqualTerms, EqualArrows) as exc:
         _diag(f"equal: {exc}")
         return EXIT_EQUAL
+    except LevelAboveMax as exc:
+        _diag(str(exc))
+        return EXIT_BUDGET
     except (NotSeparable, Overflow, ResourceExhausted) as exc:
         _diag(f"budget: {exc}")
         return EXIT_BUDGET
     except RecursionError:
-        _diag("budget: term too deep for the recursive evaluator")
+        _diag(f"budget: {TermTooDeep()}")
         return EXIT_BUDGET
     except BadCertificate as exc:
         _diag(f"certificate: {exc}")

@@ -35,8 +35,19 @@ class Overflow(BetaEtaError):
     """A cardinality, code or measure exceeded the configured budget."""
 
 
+class LevelAboveMax(Overflow):
+    """A separation needs a numeral level above the caller's ``max_level``."""
+
+
 class ResourceExhausted(BetaEtaError):
     """Normalization exceeded the configured memory/work budget."""
+
+
+class TermTooDeep(ResourceExhausted):
+    """Python's recursion limit stopped a normalization call."""
+
+    def __init__(self):
+        super().__init__("term too deep for the recursive evaluator")
 
 
 class EqualTerms(BetaEtaError):

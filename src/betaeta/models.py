@@ -17,7 +17,8 @@ is materialized only when such a value is passed to a coded element.
 The model search compiles both terms once per model and walks the
 argument tuples as a prefix tree, first argument slowest, so a partial
 application is computed once per prefix.  That order fixes which
-witness comes first, and so a certificate's ``model_args``.
+witness comes first, and so a certificate's ``model_args``.  A pair of
+one interned node is equal in every model, so nothing is evaluated.
 
 The defining-term construction tells the branches of a function apart
 by a product with one prime per tuple over the branch type's argument
@@ -328,7 +329,9 @@ def distinguish(a: Term, b: Term, max_base: int,
     slowest, and the first that tells the terms apart is the witness; a
     certificate states it as ``model_args``, so the order is part of the
     certificate format.  A base whose tuples exceed ``tuple_cap`` raises
-    Overflow before either term is evaluated there."""
+    Overflow before either term is evaluated there.  A pair of one
+    interned node is evaluated at no base, and an equal pair of two nodes
+    gets the full search: the search does not consult normalization."""
     if a.ty is not b.ty:
         raise TypeMismatch("terms to distinguish must share a type")
     if not (S.is_closed(a) and S.is_closed(b)):
@@ -343,6 +346,8 @@ def distinguish(a: Term, b: Term, max_base: int,
         total = math.prod(sizes)
         if total > tuple_cap:
             raise Overflow(f"argument search space of {total} tuples exceeds the cap")
+        if a is b:  # one interned node: no model tells it from itself
+            continue
         va = eval_term(a, model)
         vb = eval_term(b, model)
         found = _first_difference(va, vb, model, arg_tys, sizes)

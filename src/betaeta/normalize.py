@@ -43,6 +43,8 @@ evaluates short of lambda bodies and closed children) in one go, and a
 closed node counts one step when its value is in the table and its own
 spine when it is not.  So the count is exact, the same as counting node
 by node, and a budget trips exactly when the total of a call exceeds it.
+A call that outruns Python's recursion limit raises ``TermTooDeep``, a
+``ResourceExhausted``, instead of a raw ``RecursionError``.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from functools import wraps
 from itertools import count
 from operator import itemgetter
 
-from .errors import IllTyped, ResourceExhausted, TypeMismatch
+from .errors import IllTyped, ResourceExhausted, TermTooDeep, TypeMismatch
 from . import syntax as S
 from .syntax import (
     App, Free, Lam, Pair, Proj1, Proj2, Term, Ty, TyArrow, TyProd,
@@ -447,14 +449,21 @@ def _no_loose_index(*terms: Term):
         raise IllTyped("the term has a loose de Bruijn index")
 
 
-def _normal_form(a: Term, read, kind: str) -> NormalForm:
-    _no_loose_index(a)
+def _entry(run):
+    """``run()`` as one entry call: its own step count and scope."""
     _WORK[0] = 0  # the step budget applies per entry call
     _scope(1)  # plain try/finally: a context manager costs ~1 us a call
     try:
-        return NormalForm(read(eval_term(a, ())), kind)
+        return run()
+    except RecursionError:
+        raise TermTooDeep() from None
     finally:
         _scope(-1)
+
+
+def _normal_form(a: Term, read, kind: str) -> NormalForm:
+    _no_loose_index(a)
+    return _entry(lambda: NormalForm(read(eval_term(a, ())), kind))
 
 
 def long_nf(a: Term) -> NormalForm:
@@ -491,11 +500,4 @@ def decide_eq(a: Term, b: Term) -> bool:
     if a is b:
         return True
     _check_common_context(a, b)
-    _WORK[0] = 0
-    _scope(1)
-    try:
-        u = eval_term(a, ())
-        v = eval_term(b, ())
-        return values_equal(u, v, a.ty, 0)
-    finally:
-        _scope(-1)
+    return _entry(lambda: values_equal(eval_term(a, ()), eval_term(b, ()), a.ty, 0))

@@ -145,12 +145,25 @@ def _apply_at(ty: Ty, path: tuple, rule: str) -> Ty:
     return prod(ty.left, _apply_at(ty.right, rest, rule))
 
 
+# the least measure of more decimal digits than ``str`` converts by default
+_UNPRINTABLE = 10 ** 4300
+
+
+def show_measure(m: int | None) -> str:
+    """A measure in decimal, or by its bit length past 4,300 digits."""
+    return f"<{m.bit_length()} bits>" if m is not None and m >= _UNPRINTABLE else str(m)
+
+
 @dataclass(frozen=True)
 class TypeStep:
     path: tuple
     rule: str
     before: int | None
     after: int | None
+
+    def __repr__(self):
+        return (f"TypeStep(path={self.path!r}, rule={self.rule!r}, "
+                f"before={show_measure(self.before)}, after={show_measure(self.after)})")
 
 
 @dataclass
@@ -390,7 +403,8 @@ class ProductCertificate:
 
 
 def separate_prod(a: Term, b: Term, max_base: int = 3,
-                  level_override: int | None = None) -> ProductCertificate:
+                  level_override: int | None = None,
+                  max_level: int | None = None) -> ProductCertificate:
     """Separating certificate for closed unequal terms with products:
     project one differing component of the normal-form image and reuse
     the product-free pipeline on it, with the two projections of a fresh
@@ -404,8 +418,8 @@ def separate_prod(a: Term, b: Term, max_base: int = 3,
 
     iso = build_iso(a.ty)
     idx, parts_a, parts_b = _differing_parts(a, b, iso)
-    inner = Sep.separate_two(parts_a[idx - 1], parts_b[idx - 1],
-                             max_base=max_base, level_override=level_override)
+    inner = Sep.separate_two(parts_a[idx - 1], parts_b[idx - 1], max_base=max_base,
+                             level_override=level_override, max_level=max_level)
     sub = Sep.numeral_type_over(inner.level, inner.target_c.ty)
     names = S.term_atoms(a) | S.term_atoms(b) | S.term_atoms(iso.forward)
     mapping = {name: sub for name in names}

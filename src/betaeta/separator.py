@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import EqualTerms, IllTyped, NotSeparable, TypeMismatch
+from .errors import EqualTerms, IllTyped, LevelAboveMax, NotSeparable, TypeMismatch
 from . import models as M
 from . import numerals as N
 from . import syntax as S
@@ -66,13 +66,15 @@ def _even_at_least(n: int) -> int:
 
 
 def separate(a: Term, b: Term, c: Term, d: Term, max_base: int = 3,
-             level_override: int | None = None) -> SeparationCertificate:
+             level_override: int | None = None,
+             max_level: int | None = None) -> SeparationCertificate:
     """Build a certificate witnessing contexts that send ``a`` to ``c``
     and ``b`` to ``d``.  Before it returns, it checks that the sides
     reach the zero and one numerals at the chosen level.
 
-    Raises EqualTerms when the pair is provably equal and NotSeparable
-    when no hierarchy of base up to ``max_base`` tells the values apart.
+    Raises EqualTerms when the pair is provably equal, NotSeparable when
+    no hierarchy of base up to ``max_base`` tells the values apart, and
+    LevelAboveMax, before any defining term is built, past ``max_level``.
     """
     if a.ty is not b.ty:
         raise TypeMismatch("the terms to separate must share a type")
@@ -104,6 +106,8 @@ def separate(a: Term, b: Term, c: Term, d: Term, max_base: int = 3,
         if level_override < level:
             raise ValueError(f"level override {level_override} is below the minimum {level}")
         level = level_override
+    if max_level is not None and level > max_level:
+        raise LevelAboveMax(f"required level {level} exceeds --max-level {max_level}")
 
     definers = [M.define_functional(phi, level) for phi in found.args]
     lowerings: list[Term] = []
@@ -153,7 +157,8 @@ def separate(a: Term, b: Term, c: Term, d: Term, max_base: int = 3,
 
 
 def separate_two(a: Term, b: Term, max_base: int = 3,
-                 level_override: int | None = None) -> SeparationCertificate:
+                 level_override: int | None = None,
+                 max_level: int | None = None) -> SeparationCertificate:
     """Two-valued form: the context's head arguments are all closed and
     the applied sides are the two projections, so for any e and f of a
     common type the contexts send ``a`` to e and ``b`` to f."""
@@ -161,7 +166,7 @@ def separate_two(a: Term, b: Term, max_base: int = 3,
     first = S.lams(p, p, lambda x, y: x())
     second = S.lams(p, p, lambda x, y: y())
     cert = separate(a, b, first, second, max_base=max_base,
-                    level_override=level_override)
+                    level_override=level_override, max_level=max_level)
     cert.two_valued = True
     return cert
 

@@ -7,8 +7,10 @@ import pytest
 
 from betaeta import cli
 from betaeta import ccc as C
+from betaeta import models as M
 from betaeta import products as P
 from betaeta import separator as Sep
+from betaeta import syntax as S
 from betaeta.errors import BadCertificate
 from betaeta.numerals import church
 
@@ -221,6 +223,17 @@ def test_type_nf_trace(capsys):
     assert code == 0 and "curryDom" in out
 
 
+def test_type_nf_trace_shows_a_huge_measure_by_bit_length(capsys):
+    # the first measure has more than the 4,300 digits str() will print
+    ty = "((p*p)->(p*T))->p*(p*p)"
+    code, out, err = run(capsys, "type-nf", "--trace", ty)
+    assert (code, err) == (0, "")
+    assert "\n# prodT at dom/cod: <194553 bits> -> 217490517487340961" in out
+    step = P.type_nf(S.parse_type(ty)).steps[0]
+    assert repr(step).startswith("TypeStep(path=('dom', 'cod'), rule='prodT', "
+                                 "before=<194553 bits>, after=217490517487340961")
+
+
 def test_iso_command(capsys):
     code, out, _ = run(capsys, "iso", "p*T")
     assert code == 0 and "forward:" in out and "backward:" in out
@@ -261,6 +274,20 @@ def test_ccc_collapse_command(tmp_path, capsys):
     cert_file = tmp_path / "collapse.json"
     cert_file.write_text(out)
     assert run(capsys, "verify", str(cert_file))[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("separate", r"\x:p->p.\y:p. x y", r"\x:p->p.\y:p. x (x y)"),
+    ("ccc", "collapse", "id[p -> p]", "curry[p -> p, p](p2[p -> p, p] . id[(p -> p) * p])"),
+])
+def test_max_level_refuses_before_building(capsys, monkeypatch, argv):
+    # both need level 8, which is known before any defining term is built
+    def unreachable(*args):
+        raise AssertionError("a defining term was built")
+
+    monkeypatch.setattr(M, "define_functional", unreachable)
+    assert run(capsys, *argv, "--max-level", "7") == (
+        cli.EXIT_BUDGET, "", "required level 8 exceeds --max-level 7\n")
 
 
 def test_stdout_is_data_only(capsys):

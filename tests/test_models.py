@@ -383,17 +383,23 @@ def test_distinguish_searches_every_tuple_of_an_equal_pair(pair):
     assert M.distinguish(a, nf, 3) is None
 
 
-def test_distinguish_refuses_base_3_of_the_tower_pair(monkeypatch):
-    # base 2 agrees on (c2, c4); base 3 has 3**27 arguments, refused
-    # before either term is evaluated there
-    evaluated = []
+@pytest.fixture
+def evaluated(monkeypatch):
+    """The model base of every ``eval_term`` call ``distinguish`` makes."""
+    bases = []
     real = M.eval_term
 
     def spy(t, model, assignment=None):
-        evaluated.append(model.base)
+        bases.append(model.base)
         return real(t, model, assignment)
 
     monkeypatch.setattr(M, "eval_term", spy)
+    return bases
+
+
+def test_distinguish_refuses_base_3_of_the_tower_pair(evaluated):
+    # base 2 agrees on (c2, c4); base 3 has 3**27 arguments, refused
+    # before either term is evaluated there
     with pytest.raises(Overflow, match=r"^argument search space of 7625597484987 "
                                        r"tuples exceeds the cap$"):
         M.distinguish(TOWER["c2"], TOWER["c4"], 3)
@@ -401,6 +407,18 @@ def test_distinguish_refuses_base_3_of_the_tower_pair(monkeypatch):
     evaluated.clear()
     assert M.distinguish(TOWER["c2"], TOWER["c4"], 2) is None
     assert evaluated == [2, 2]
+
+
+def test_distinguish_evaluates_nothing_for_one_node(evaluated):
+    for a, b, _ in _fixed_pairs():
+        assert M.distinguish(a, a, 2) is None
+        assert M.distinguish(b, b, 2) is None
+    assert evaluated == []
+    # the checks before the search and the cap still apply to one node
+    with pytest.raises(Overflow, match="7625597484987 tuples"):
+        M.distinguish(TOWER["c2"], TOWER["c2"], 3)
+    with pytest.raises(IllTyped, match="the result type must be an atom"):
+        M.distinguish(*[S.parse_term("\\x:p*p. x")] * 2, 2)
 
 
 def test_distinguish_tuple_cap():

@@ -7,7 +7,7 @@ from betaeta import syntax as S
 from betaeta.errors import IllTyped, ResourceExhausted, TypeMismatch
 from betaeta.numerals import church
 
-from conftest import PRODUCT_FREE_ROSTER, gen_closed_term
+from conftest import PRODUCT_FREE_ROSTER, gen_closed_term, run_in_child
 
 p = S.atom("p")
 
@@ -234,6 +234,30 @@ def test_step_count_is_exact():
             Nz.decide_eq(c, d)
     finally:
         Nz.set_work_budget(500_000_000)
+
+
+def test_a_term_too_deep_raises_the_documented_error():
+    # f (f (... y)) nested 60,000 deep outruns the recursion limit; a child
+    # runs it, since a deep recursion could take the test process down.
+    # Afterwards a call counts its steps as before.
+    out = run_in_child(
+        "from betaeta import normalize as Nz, syntax as S\n"
+        "from betaeta.errors import TermTooDeep\n"
+        "from betaeta.numerals import church, lower\n"
+        "p = S.atom('p')\n"
+        "f, y = S.free('f', S.arrow(p, p)), S.free('y', p)\n"
+        "t = y\n"
+        "for _ in range(60_000):\n"
+        "    t = S.app(f, t)\n"
+        "for call in (lambda: Nz.decide_eq(t, y), lambda: Nz.long_nf(t),\n"
+        "             lambda: Nz.beta_nf(t)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except TermTooDeep as exc:\n"
+        "        print(exc)\n"
+        "assert Nz.decide_eq(S.app(lower(2), church(3, 3)), church(3, 2))\n"
+        "print(Nz._WORK[0])\n")
+    assert out.splitlines() == ["term too deep for the recursive evaluator"] * 3 + ["94"]
 
 
 def test_repeated_decide_eq_compiles_nothing_new():

@@ -3,7 +3,7 @@ import pytest
 from betaeta import numerals as N
 from betaeta import separator as Sep
 from betaeta import syntax as S
-from betaeta.errors import EqualTerms, IllTyped, TypeMismatch
+from betaeta.errors import EqualTerms, IllTyped, LevelAboveMax, TypeMismatch
 from betaeta.normalize import decide_eq
 from betaeta.numerals import church
 
@@ -158,6 +158,13 @@ def test_level_override_must_cover_minimum():
     cert = Sep.separate_two(church(1, 0), church(2, 0), level_override=10)
     assert cert.level == 10
     assert Sep.verify(cert)
+
+
+def test_max_level_bounds_the_chosen_level():
+    one, two = church(1, 0), church(2, 0)
+    assert Sep.separate_two(one, two, max_level=8).level == 8
+    with pytest.raises(LevelAboveMax, match="^required level 10 exceeds --max-level 9$"):
+        Sep.separate_two(one, two, level_override=10, max_level=9)
 
 
 def _one_two_certificate():
