@@ -28,7 +28,7 @@ from . import syntax as S
 from .errors import (
     BadCertificate, BetaEtaError, EqualArrows, EqualTerms, IllFormed,
     IllTyped, LevelAboveMax, NotSeparable, Overflow, ParseError, ResourceExhausted,
-    SideConditionViolated, TermTooDeep, TypeMismatch, UnboundVariable,
+    SideConditionViolated, TypeMismatch, UnboundVariable, not_too_deep,
 )
 from .normalize import beta_eta_nf, decide_eq, long_nf, set_work_budget
 
@@ -78,12 +78,23 @@ def _sep_payload(cert: Sep.SeparationCertificate) -> dict:
     }
 
 
-def _typed(data: dict, key: str, kind: type):
-    """``data[key]``, which must be exactly a ``kind``: ``true`` is no int."""
+def _typed(data: dict, key: str, shape):
+    """``data[key]``, which must have ``shape``: ``true`` is no int."""
     value = data[key]
-    if type(value) is not kind:
-        raise BadCertificate(f"'{key}' must be {kind.__name__}, not {json.dumps(value)}")
+    if not _fits(value, shape):
+        name = repr(shape).replace("<class '", "").replace("'>", "")
+        raise BadCertificate(f"'{key}' must be {name}, not {json.dumps(value)}")
     return value
+
+
+def _fits(value, shape) -> bool:
+    # a shape is a type the value is exactly of, [shape] for a list of
+    # that shape, or a tuple of shapes for a list with one entry of each
+    if type(shape) is type:
+        return type(value) is shape
+    if type(shape) is list:
+        return type(value) is list and all(_fits(v, shape[0]) for v in value)
+    return type(value) is list and len(value) == len(shape) and all(map(_fits, value, shape))
 
 
 def _sep_from_payload(data: dict) -> Sep.SeparationCertificate:
@@ -112,11 +123,11 @@ def _sep_from_payload(data: dict) -> Sep.SeparationCertificate:
             target_d=term(data["target_d"]),
             target_ctx=S.Context(tctx),
             level=data["level"],
-            base=data["base"],
-            model_args=[(S.parse_type(t), code) for t, code in data["model_args"]],
-            relabeling=list(data["relabeling"]),
+            base=_typed(data, "base", int),
+            model_args=[(S.parse_type(t), c) for t, c in _typed(data, "model_args", [(str, int)])],
+            relabeling=_typed(data, "relabeling", [int]),
             two_valued=_typed(data, "two_valued", bool),
-            kappa_values=list(data["kappa_values"]),
+            kappa_values=_typed(data, "kappa_values", [int]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise BadCertificate(f"malformed separation payload: {exc}") from exc
@@ -311,12 +322,13 @@ def cmd_eq(args) -> int:
 def cmd_separate(args) -> int:
     if args.pair_file:
         a_text, b_text = _read_pair_file(args.pair_file)
-        targets = [t for t in (args.b, args.c) if t is not None]
+        targets = [args.a, args.b, args.c, args.d]  # the terms are in the file
     else:
         if args.b is None:
             raise ParseError("separate needs two terms or --pair-file", 0)
         a_text, b_text = args.a, args.b
-        targets = [t for t in (args.c, args.d) if t is not None]
+        targets = [args.c, args.d]
+    targets = [t for t in targets if t is not None]
     ctx = _parse_ctx(args.ctx)
     a = S.parse_term(a_text, ctx)
     b = S.parse_term(b_text, ctx)
@@ -410,6 +422,21 @@ def cmd_ccc(args) -> int:
 # ---------------------------------------------------------------------------
 # Entry point
 
+class _IntermixedParser(argparse.ArgumentParser):
+    # a subcommand parser that matches positionals wherever options come
+    # between them, which a parser with subcommands cannot do
+    _mixing = False
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._mixing:  # one of the intermixed parse's own passes
+            return super().parse_known_args(args, namespace)
+        self._mixing = True
+        try:
+            return self.parse_known_intermixed_args(args, namespace)
+        finally:
+            self._mixing = False
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="betaeta",
@@ -418,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--mem-budget", type=int,
                      default=_env_default("BETAETA_MEM_BUDGET", 10_000_000),
                      help="cap on interned term nodes")
-    sub = top.add_subparsers(dest="command", required=True)
+    sub = top.add_subparsers(dest="command", required=True, parser_class=_IntermixedParser)
 
     def common_budgets(p):
         p.add_argument("--max-base", type=int,
@@ -498,7 +525,7 @@ def main(argv=None) -> int:
     S.set_node_budget(args.mem_budget)
     set_work_budget(max(args.mem_budget * 50, 1_000_000))
     try:
-        return args.fn(args)
+        return not_too_deep(args.fn)(args)
     except ParseError as exc:
         _diag(f"parse error: {exc}")
         return EXIT_PARSE
@@ -514,9 +541,6 @@ def main(argv=None) -> int:
         return EXIT_BUDGET
     except (NotSeparable, Overflow, ResourceExhausted) as exc:
         _diag(f"budget: {exc}")
-        return EXIT_BUDGET
-    except RecursionError:
-        _diag(f"budget: {TermTooDeep()}")
         return EXIT_BUDGET
     except BadCertificate as exc:
         _diag(f"certificate: {exc}")

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all betaeta modules."""
+"""Exception hierarchy shared by all betaeta modules, and ``not_too_deep``,
+which turns Python's ``RecursionError`` into the package's ``TermTooDeep``."""
+
+from functools import wraps
 
 
 class BetaEtaError(Exception):
@@ -48,6 +51,17 @@ class TermTooDeep(ResourceExhausted):
 
     def __init__(self):
         super().__init__("term too deep for the recursive evaluator")
+
+
+def not_too_deep(fn):
+    """``fn``, raising ``TermTooDeep`` instead of a raw ``RecursionError``."""
+    @wraps(fn)
+    def guarded(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except RecursionError:
+            raise TermTooDeep() from None
+    return guarded
 
 
 class EqualTerms(BetaEtaError):

@@ -36,6 +36,10 @@ into ``verify``.  Values point only at values built before them, so when
 a scope closes reference counting frees them all and the cyclic
 collector finds nothing to free.
 
+So the outermost scope pauses the cyclic collector, which could free
+nothing there, and re-enables it as it closes, only if it was enabled
+at open.  ``test_verify_leaves_no_cyclic_garbage`` pins the invariant.
+
 The step budget is per entry call.  A step is one term node evaluated,
 one application, one readback node or one comparison node.  Running a
 term or a lambda body counts the steps of its spine (the nodes it
@@ -49,12 +53,13 @@ A call that outruns Python's recursion limit raises ``TermTooDeep``, a
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from functools import wraps
 from itertools import count
 from operator import itemgetter
 
-from .errors import IllTyped, ResourceExhausted, TermTooDeep, TypeMismatch
+from .errors import IllTyped, ResourceExhausted, TypeMismatch, not_too_deep
 from . import syntax as S
 from .syntax import (
     App, Free, Lam, Pair, Proj1, Proj2, Term, Ty, TyArrow, TyProd,
@@ -68,6 +73,8 @@ _WORK_LIMIT = [500_000_000]  # float("inf") when unlimited, so a tick needs no N
 _CLOSED: dict = {}
 _APPLIED: dict = {}
 _SCOPES = [0]
+# whether the cyclic collector was enabled when the outermost scope opened
+_GC_WAS_ENABLED = [False]
 # serial numbers of values, never reset or reused
 _SERIAL = count()
 # compiled code by term uid, (run, steps); kept for the process, like the
@@ -94,11 +101,17 @@ def _tick(n: int = 1):
 
 def _scope(step: int):
     # open (+1) or close (-1) a scope; the outermost scope empties the
-    # value tables as it opens (count 1) and as it closes (count 0)
+    # value tables as it opens (count 1) and as it closes (count 0), and
+    # pauses the cyclic collector in between
     _SCOPES[0] += step
     if _SCOPES[0] == max(step, 0):
         _CLOSED.clear()
         _APPLIED.clear()
+        if step > 0:
+            _GC_WAS_ENABLED[0] = gc.isenabled()
+            gc.disable()
+        elif _GC_WAS_ENABLED[0]:
+            gc.enable()
 
 
 def closed_value_scope(fn):
@@ -449,14 +462,13 @@ def _no_loose_index(*terms: Term):
         raise IllTyped("the term has a loose de Bruijn index")
 
 
+@not_too_deep
 def _entry(run):
     """``run()`` as one entry call: its own step count and scope."""
     _WORK[0] = 0  # the step budget applies per entry call
     _scope(1)  # plain try/finally: a context manager costs ~1 us a call
     try:
         return run()
-    except RecursionError:
-        raise TermTooDeep() from None
     finally:
         _scope(-1)
 

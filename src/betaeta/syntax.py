@@ -37,6 +37,7 @@ from .errors import (
     ResourceExhausted,
     TypeMismatch,
     UnboundVariable,
+    not_too_deep,
 )
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
@@ -768,6 +769,7 @@ def _parse_type_atom(toks: _Tokens, aliases) -> Ty:
     raise ParseError(f"unexpected '{tok}' in type", toks.pos)
 
 
+@not_too_deep
 def parse_type(text: str, aliases: dict[str, Ty] | None = None) -> Ty:
     toks = _Tokens(text)
     ty = _parse_type(toks, aliases)
@@ -831,6 +833,7 @@ def _parse_atom(toks: _Tokens, aliases) -> SNode:
     raise ParseError(f"unexpected '{tok}'", toks.pos)
 
 
+@not_too_deep
 def parse(text: str, aliases: dict[str, Ty] | None = None) -> SNode:
     """Parse surface text into an untyped tree; free variables are kept
     by name and acquire types only at elaboration."""
@@ -841,6 +844,7 @@ def parse(text: str, aliases: dict[str, Ty] | None = None) -> SNode:
     return node
 
 
+@not_too_deep
 def elaborate(node: SNode, ctx: Context = EMPTY) -> Term:
     """Type and convert a surface tree into a nameless interned term."""
     bound: dict = {}  # name -> (binder level, type) of its innermost binder

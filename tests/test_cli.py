@@ -296,6 +296,49 @@ def test_stdout_is_data_only(capsys):
     assert "equal" in err
 
 
+# an option may come anywhere among the terms; each command gives what it
+# gives with its options first
+TWO = (r"\x:p. \y:p. x", r"\x:p. \y:p. y")
+
+
+def test_collapse_option_between_the_arrows(capsys):
+    first = run(capsys, "ccc", "collapse", "--max-level", "7", "p1[p, p]", "p2[p, p]")
+    assert first[0] == 0
+    assert run(capsys, "ccc", "collapse", "p1[p, p]", "--max-level", "7", "p2[p, p]") == first
+
+
+def test_separate_flag_between_the_terms(capsys):
+    first = run(capsys, "separate", "--two-valued", *TWO)
+    assert first[0] == 0 and json.loads(first[1])["payload"]["two_valued"] is True
+    assert run(capsys, "separate", TWO[0], "--two-valued", TWO[1]) == first
+
+
+def test_eq_context_between_the_terms(capsys):
+    assert run(capsys, "eq", "f", "--ctx", "f:p->p", r"\x:p. f x") == (0, "equal\n", "")
+
+
+def test_separate_pair_file_with_targets(tmp_path, capsys):
+    pair_file = tmp_path / "pair.txt"
+    pair_file.write_text(TWO[0] + "\n---\n" + TWO[1] + "\n")
+    inline = run(capsys, "separate", *TWO, "c", "d", "--ctx", "c:p, d:p")
+    assert inline[0] == 0 and json.loads(inline[1])["payload"]["target_c"] == "c"
+    assert run(capsys, "separate", "--pair-file", str(pair_file), "c", "d",
+               "--ctx", "c:p, d:p") == inline
+    code, out, err = run(capsys, "separate", "--pair-file", str(pair_file), "c",
+                         "--ctx", "c:p")
+    assert (code, out) == (cli.EXIT_PARSE, "") and "needs both c and d" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("eq", "--ctx", "y:p", "y"), "eq needs two terms"),
+    (("separate", "--two-valued", TWO[0]), "separate needs two terms"),
+    (("ccc", "collapse", "--max-level", "7", "p1[p, p]"), "collapse needs two arrow terms"),
+])
+def test_one_term_is_a_parse_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (cli.EXIT_PARSE, "") and err.startswith(f"parse error: {message}")
+
+
 def test_deep_term_exits_with_budget_code(tmp_path):
     # a deep recursion could take the test process down, so run a child
     depth = 60_000
@@ -395,3 +438,23 @@ def test_verify_rejects_a_tampered_schema_rule(tmp_path, capsys, value):
     assert _verify_envelope(tmp_path, capsys, env)[:2] == (0, "pass\n")
     env["payload"]["schema_rule"] = value
     assert _verify_envelope(tmp_path, capsys, env)[:2] == (cli.EXIT_FAIL, "fail\n")
+
+
+# each field the verifier does not replay is still decoded at its
+# documented JSON type, so a tampered one is refused, not carried along
+@pytest.mark.parametrize("field, value, message", [
+    ("base", "2", "'base' must be int"),
+    ("base", True, "'base' must be int"),
+    ("model_args", [["p", "x"]], "'model_args' must be [(str, int)]"),
+    ("model_args", [["p"]], "'model_args' must be [(str, int)]"),
+    ("relabeling", {"a": 1}, "'relabeling' must be [int]"),
+    ("kappa_values", "12", "'kappa_values' must be [int]"),
+])
+def test_verify_rejects_a_source_field_of_the_wrong_type(tmp_path, capsys, field, value, message):
+    cert = Sep.separate_two(church(1, 0), church(2, 0))
+    env = json.loads(cli.serialize_certificate(cert))
+    assert _verify_envelope(tmp_path, capsys, env)[:2] == (0, "pass\n")
+    env["payload"][field] = value
+    code, out, err = _verify_envelope(tmp_path, capsys, env)
+    assert (code, out) == (cli.EXIT_FAIL, "")
+    assert err.startswith("certificate: ") and message in err

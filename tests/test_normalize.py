@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -258,6 +259,100 @@ def test_a_term_too_deep_raises_the_documented_error():
         "assert Nz.decide_eq(S.app(lower(2), church(3, 3)), church(3, 2))\n"
         "print(Nz._WORK[0])\n")
     assert out.splitlines() == ["term too deep for the recursive evaluator"] * 3 + ["94"]
+
+
+# the outermost normalization scope pauses the cyclic collector and puts
+# back the state it found, however the scope ends
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_collector_state_is_restored(enabled):
+    # after a normal return and after a budget trip
+    from betaeta.numerals import lower
+    c, d = S.app(lower(2), church(3, 3)), church(3, 2)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert Nz.decide_eq(c, d)
+        assert gc.isenabled() is enabled
+        Nz.set_work_budget(93)  # one step short of the 94 the pair needs
+        with pytest.raises(ResourceExhausted):
+            Nz.decide_eq(c, d)
+        assert gc.isenabled() is enabled
+        Nz.set_work_budget(500_000_000)
+        assert Nz.long_nf(c).term is Nz.long_nf(d).term
+        assert gc.isenabled() is enabled
+    finally:
+        Nz.set_work_budget(500_000_000)
+        (gc.enable if was else gc.disable)()
+
+
+def test_collector_state_is_restored_after_a_term_too_deep():
+    # the deep term of the test above, with the collector on and then off
+    out = run_in_child(
+        "import gc\n"
+        "from betaeta import normalize as Nz, syntax as S\n"
+        "from betaeta.errors import TermTooDeep\n"
+        "p = S.atom('p')\n"
+        "f, y = S.free('f', S.arrow(p, p)), S.free('y', p)\n"
+        "t = y\n"
+        "for _ in range(60_000):\n"
+        "    t = S.app(f, t)\n"
+        "for enabled in (True, False):\n"
+        "    (gc.enable if enabled else gc.disable)()\n"
+        "    for call in (lambda: Nz.decide_eq(t, y), lambda: Nz.long_nf(t),\n"
+        "                 lambda: Nz.beta_nf(t)):\n"
+        "        try:\n"
+        "            call()\n"
+        "        except TermTooDeep:\n"
+        "            print(gc.isenabled() is enabled)\n")
+    assert out.splitlines() == ["True"] * 6
+
+
+def test_collector_is_paused_in_nested_scopes(monkeypatch):
+    from betaeta.numerals import lower
+    c, d = S.app(lower(2), church(3, 3)), church(3, 2)
+    seen = []
+    real = Nz.values_equal
+
+    def spy(*args):
+        seen.append(gc.isenabled())
+        return real(*args)
+
+    monkeypatch.setattr(Nz, "values_equal", spy)
+
+    @Nz.closed_value_scope
+    def check():
+        seen.append(gc.isenabled())
+        out = Nz.decide_eq(c, d)
+        seen.append(gc.isenabled())  # the inner scope kept it paused
+        return out
+
+    assert gc.isenabled()
+    assert check()
+    assert gc.isenabled()
+    assert len(seen) > 3 and not any(seen)
+
+
+def test_a_certificate_check_runs_no_collection():
+    # without the pause, this verify ran 24 collections (Python 3.11)
+    from betaeta import separator as Sep
+    a = S.parse_term("\\x:(p->p)->p. x \\y:p. x \\z:p. y")
+    b = S.parse_term("\\x:(p->p)->p. x \\y:p. x \\z:p. z")
+    cert = Sep.separate_two(a, b)
+    starts = []
+
+    def probe(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(probe)
+    try:
+        assert Sep.verify(cert)
+        assert starts == []
+        gc.collect()  # the probe does see a collection
+        assert starts == [2]
+    finally:
+        gc.callbacks.remove(probe)
 
 
 def test_repeated_decide_eq_compiles_nothing_new():

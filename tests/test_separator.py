@@ -267,25 +267,43 @@ def test_verify_step_counts_are_exact(monkeypatch):
         Nz.set_work_budget(500_000_000)
 
 
-def test_verify_leaves_no_cyclic_garbage():
+def _leaves_no_cyclic_garbage(check):
     # values only point at older values, so closing the scope frees them
-    # by reference counting alone
+    # by reference counting alone; this is why a scope may pause the
+    # cyclic collector
     import gc
     from betaeta import normalize as Nz
 
     def closures():
         return sum(1 for o in gc.get_objects() if type(o) is Nz.VClosure)
 
-    a, b = worked_pair()
-    cert = Sep.separate_two(a, b)
     gc.collect()
     gc.disable()
     try:
         before = closures()
-        assert Sep.verify(cert)
+        assert check()
         assert closures() == before
     finally:
         gc.enable()
+
+
+def test_verify_leaves_no_cyclic_garbage():
+    a, b = worked_pair()
+    cert = Sep.separate_two(a, b)
+    _leaves_no_cyclic_garbage(lambda: Sep.verify(cert))
+
+
+def test_verify_product_leaves_no_cyclic_garbage():
+    from betaeta import products as P
+    cert = P.separate_prod(S.parse_term("\\x:p*p. <p1 x, p2 x>"),
+                           S.parse_term("\\x:p*p. <p2 x, p1 x>"))
+    _leaves_no_cyclic_garbage(lambda: P.verify_product(cert))
+
+
+def test_replay_collapse_leaves_no_cyclic_garbage():
+    from betaeta import ccc as C
+    cert = C.collapse(C.parse_arrow("p1[p, p]"), C.parse_arrow("p2[p, p]"))
+    _leaves_no_cyclic_garbage(lambda: C.replay_collapse(cert))
 
 
 def test_verify_rejects_a_tampered_level():

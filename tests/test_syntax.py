@@ -8,7 +8,7 @@ from betaeta.errors import (
 )
 from betaeta.normalize import decide_eq
 
-from conftest import PRODUCT_FREE_ROSTER, gen_closed_term
+from conftest import PRODUCT_FREE_ROSTER, gen_closed_term, run_in_child
 
 p = S.atom("p")
 q = S.atom("q")
@@ -352,3 +352,29 @@ def test_closed_terms_are_not_walked_for_names(monkeypatch):
         assert S.substitute_term(a, "x", S.free("y", p)) is a
         assert decide_eq(a, b) in (True, False)
     assert not all(decide_eq(a, b) for a, b in pairs)
+
+
+def test_a_text_too_deep_raises_the_documented_error():
+    # a term nested 60,000 deep, a type in 40,000 parentheses and a
+    # surface tree nested 150,000 deep all outrun the recursion limit; a
+    # child runs them, since a deep recursion could take the test process
+    # down.  Afterwards the parser works as before.
+    out = run_in_child(
+        "from betaeta import syntax as S\n"
+        "from betaeta.errors import TermTooDeep\n"
+        "n = 60_000\n"
+        "term = '\\\\f:p->p. \\\\x:p. ' + 'f (' * n + 'x' + ')' * n\n"
+        "tree = ('var', 'y')\n"
+        "for _ in range(150_000):\n"
+        "    tree = ('app', ('var', 'f'), tree)\n"
+        "ctx = S.Context([('f', S.arrow(S.atom('p'), S.atom('p'))), ('y', S.atom('p'))])\n"
+        "for call in (lambda: S.parse_term(term), lambda: S.parse(term),\n"
+        "             lambda: S.parse_type('(' * 40_000 + 'p' + ')' * 40_000),\n"
+        "             lambda: S.elaborate(tree, ctx)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except TermTooDeep as exc:\n"
+        "        print(exc)\n"
+        "print(S.show_term(S.parse_term('\\\\f:p->p. \\\\x:p. f (f x)')))\n")
+    assert out.splitlines() == ["term too deep for the recursive evaluator"] * 4 + [
+        "\\x1:p -> p. \\x2:p. x1 (x1 x2)"]
