@@ -26,7 +26,7 @@ from .errors import EqualArrows, IllFormed, ParseError, TypeMismatch
 from . import products as P
 from . import syntax as S
 from .normalize import closed_value_scope, decide_eq
-from .separator import is_type_instance
+from .separator import _replayed
 from .syntax import Term, Ty, arrow, atom, prod, TERMINAL
 
 
@@ -319,32 +319,29 @@ class CollapseCertificate:
 
 
 def collapse(f: ArrowTerm, g: ArrowTerm, max_base: int = 3,
-             level_override: int | None = None,
              max_level: int | None = None) -> CollapseCertificate:
     """Certificate that extending the calculus with f = g (as a schema
     over atoms) identifies the two projections at a common object, and
-    with them every pair of parallel arrows."""
+    with them every pair of parallel arrows.  It returns only a
+    certificate that ``replay_collapse`` accepts."""
     if f.src is not g.src or f.tgt is not g.tgt:
         raise TypeMismatch("arrows must share source and target")
     if decide_ccc_eq(f, g):
         raise EqualArrows("the arrows are provably equal")
-    ta = to_lambda(f)
-    tb = to_lambda(g)
-    sep = P.separate_prod(ta, tb, max_base=max_base, level_override=level_override,
-                          max_level=max_level)
-    return CollapseCertificate(f=f, g=g, separation=sep)
+    sep = P._build(to_lambda(f), to_lambda(g), max_base, max_level)
+    return _replayed(CollapseCertificate(f=f, g=g, separation=sep), replay_collapse)
 
 
 @closed_value_scope
 def replay_collapse(cert: CollapseCertificate) -> bool:
     """Replay a collapse certificate independently of its construction.
 
-    Checks, in order: the stated schema rule is ``SCHEMA_RULE``; the two
-    instantiated sides are type-instances of the arrow translations; the
-    separation stage verifies by normalization (these are the two
-    certified equalities; the middle step equating the sides is the
-    hypothesis instance); and the certified targets are the translations
-    of the derived projection arrows.  The closing step, from equal
+    Checks, in order: the stated schema rule is ``SCHEMA_RULE``; the
+    separation's sources are the arrow translations; the separation
+    stage verifies by normalization (these are the two certified
+    equalities; the middle step equating the sides is the hypothesis
+    instance); and the certified targets are the translations of the
+    derived projection arrows.  The closing step, from equal
     projections to equal parallel arrows, is the pairing law
     p1 . <h1, h2> = h1, an axiom of the calculus that ``check_axioms``
     (``betaeta ccc check``) exercises; it is not evidence carried by the
@@ -352,8 +349,7 @@ def replay_collapse(cert: CollapseCertificate) -> bool:
     if cert.schema != SCHEMA_RULE:
         return False
     sep = cert.separation
-    if not (is_type_instance(to_lambda(cert.f), sep.a_prime)
-            and is_type_instance(to_lambda(cert.g), sep.b_prime)):
+    if sep.a_source is not to_lambda(cert.f) or sep.b_source is not to_lambda(cert.g):
         return False
     if not P.verify_product(sep):
         return False

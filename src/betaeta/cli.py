@@ -122,7 +122,7 @@ def _sep_from_payload(data: dict) -> Sep.SeparationCertificate:
             target_c=term(data["target_c"]),
             target_d=term(data["target_d"]),
             target_ctx=S.Context(tctx),
-            level=data["level"],
+            level=_typed(data, "level", int),
             base=_typed(data, "base", int),
             model_args=[(S.parse_type(t), c) for t, c in _typed(data, "model_args", [(str, int)])],
             relabeling=_typed(data, "relabeling", [int]),
@@ -262,13 +262,6 @@ def _read_pair_file(path: str) -> tuple[str, str]:
         raise ParseError("pair file needs two terms separated by a '---' line", 0)
     cut = lines.index("---")
     return "\n".join(lines[:cut]).strip(), "\n".join(lines[cut + 1:]).strip()
-
-
-def _env_default(name: str, fallback):
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    return int(raw)
 
 
 def _emit(text: str):
@@ -442,16 +435,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="betaeta",
         description="workbench for equality, separation and collapse in the "
                     "simply typed lambda calculus with products")
+    # argparse converts a string default (an environment value) with the
+    # option's type, so a bad value exits 2 with the usage message
     top.add_argument("--mem-budget", type=int,
-                     default=_env_default("BETAETA_MEM_BUDGET", 10_000_000),
+                     default=os.environ.get("BETAETA_MEM_BUDGET", 10_000_000),
                      help="cap on interned term nodes")
     sub = top.add_subparsers(dest="command", required=True, parser_class=_IntermixedParser)
 
     def common_budgets(p):
         p.add_argument("--max-base", type=int,
-                       default=_env_default("BETAETA_MAX_BASE", 3))
+                       default=os.environ.get("BETAETA_MAX_BASE", 3))
         p.add_argument("--max-level", type=int,
-                       default=_env_default("BETAETA_MAX_LEVEL", 24))
+                       default=os.environ.get("BETAETA_MAX_LEVEL", 24))
 
     p = sub.add_parser("normalize", help="print a normal form")
     p.add_argument("term")

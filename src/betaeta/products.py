@@ -403,23 +403,27 @@ class ProductCertificate:
 
 
 def separate_prod(a: Term, b: Term, max_base: int = 3,
-                  level_override: int | None = None,
                   max_level: int | None = None) -> ProductCertificate:
     """Separating certificate for closed unequal terms with products:
     project one differing component of the normal-form image and reuse
     the product-free pipeline on it, with the two projections of a fresh
-    pair variable as targets."""
+    pair variable as targets.  It returns only a certificate that
+    ``verify_product`` accepts."""
     if a.ty is not b.ty:
         raise TypeMismatch("the terms to separate must share a type")
     if not (S.is_closed(a) and S.is_closed(b)):
         raise IllTyped("product separation expects closed terms")
+    # an equal pair stops here, before the long forms of the split
     if decide_eq(a, b):
         raise EqualTerms("the terms are provably equal")
+    return Sep._replayed(_build(a, b, max_base, max_level), verify_product)
 
+
+def _build(a: Term, b: Term, max_base: int, max_level: int | None) -> ProductCertificate:
+    """The certificate of a closed unequal pair, built unchecked."""
     iso = build_iso(a.ty)
     idx, parts_a, parts_b = _differing_parts(a, b, iso)
-    inner = Sep.separate_two(parts_a[idx - 1], parts_b[idx - 1], max_base=max_base,
-                             level_override=level_override, max_level=max_level)
+    inner = Sep._build_two(parts_a[idx - 1], parts_b[idx - 1], max_base, max_level)
     sub = Sep.numeral_type_over(inner.level, inner.target_c.ty)
     names = S.term_atoms(a) | S.term_atoms(b) | S.term_atoms(iso.forward)
     mapping = {name: sub for name in names}

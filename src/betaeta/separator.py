@@ -66,16 +66,38 @@ def _even_at_least(n: int) -> int:
 
 
 def separate(a: Term, b: Term, c: Term, d: Term, max_base: int = 3,
-             level_override: int | None = None,
              max_level: int | None = None) -> SeparationCertificate:
     """Build a certificate witnessing contexts that send ``a`` to ``c``
-    and ``b`` to ``d``.  Before it returns, it checks that the sides
-    reach the zero and one numerals at the chosen level.
+    and ``b`` to ``d``.  It returns only a certificate that ``verify``
+    accepts, so the search and the defining terms are checked by the
+    same replay a reader of the certificate runs.
 
     Raises EqualTerms when the pair is provably equal, NotSeparable when
     no hierarchy of base up to ``max_base`` tells the values apart, and
     LevelAboveMax, before any defining term is built, past ``max_level``.
     """
+    _refuse(a, b, c, d)
+    return _replayed(_build(a, b, c, d, max_base, max_level), verify)
+
+
+def separate_two(a: Term, b: Term, max_base: int = 3,
+                 max_level: int | None = None) -> SeparationCertificate:
+    """Two-valued form: the context's head arguments are all closed and
+    the applied sides are the two projections, so for any e and f of a
+    common type the contexts send ``a`` to e and ``b`` to f."""
+    _refuse(a, b, *_slots())
+    return _replayed(_build_two(a, b, max_base, max_level), verify)
+
+
+def _replayed(cert, check):
+    """``cert``, once its verifier ``check`` accepts it: each producer ends here."""
+    if not check(cert):
+        raise AssertionError(f"{check.__name__} rejected the certificate just built")
+    return cert
+
+
+def _refuse(a: Term, b: Term, c: Term, d: Term):
+    """Raise on a pair and targets that no certificate can relate."""
     if a.ty is not b.ty:
         raise TypeMismatch("the terms to separate must share a type")
     if c.ty is not d.ty:
@@ -85,6 +107,22 @@ def separate(a: Term, b: Term, c: Term, d: Term, max_base: int = 3,
     if decide_eq(a, b):
         raise EqualTerms("the terms are provably equal")
 
+
+def _slots() -> tuple[Term, Term]:
+    """The first and the second projection of two arguments at ``p``."""
+    p = atom("p")
+    return S.lams(p, p, lambda x, y: x()), S.lams(p, p, lambda x, y: y())
+
+
+def _build_two(a: Term, b: Term, max_base: int, max_level: int | None) -> SeparationCertificate:
+    """The two-valued certificate of an unequal pair, built unchecked."""
+    cert = _build(a, b, *_slots(), max_base, max_level)
+    cert.two_valued = True
+    return cert
+
+
+def _build(a: Term, b: Term, c: Term, d: Term, max_base: int,
+           max_level: int | None) -> SeparationCertificate:
     p = atom("p")
     all_atoms = S.term_atoms(a) | S.term_atoms(b)
     collapse = {name: p for name in all_atoms}
@@ -102,10 +140,6 @@ def separate(a: Term, b: Term, c: Term, d: Term, max_base: int = 3,
 
     kappas = [M.kappa(phi) for phi in found.args]
     level = _even_at_least(max(kappas, default=0))
-    if level_override is not None:
-        if level_override < level:
-            raise ValueError(f"level override {level_override} is below the minimum {level}")
-        level = level_override
     if max_level is not None and level > max_level:
         raise LevelAboveMax(f"required level {level} exceeds --max-level {max_level}")
 
@@ -113,14 +147,6 @@ def separate(a: Term, b: Term, c: Term, d: Term, max_base: int = 3,
     lowerings: list[Term] = []
     for j in range(level, 0, -2):
         lowerings.extend(N.lowering_pair(j))
-
-    ni = numeral_type(level)
-    a2i = S.substitute_types(a2, {"p": ni})
-    b2i = S.substitute_types(b2, {"p": ni})
-    if not decide_eq(S.apps(a2i, *definers), N.church(0, level)):
-        raise AssertionError("intermediate stage: a-side is not the zero numeral")
-    if not decide_eq(S.apps(b2i, *definers), N.church(1, level)):
-        raise AssertionError("intermediate stage: b-side is not the one numeral")
 
     target_ty = c.ty
     instance = numeral_type_over(level, target_ty)
@@ -156,21 +182,6 @@ def separate(a: Term, b: Term, c: Term, d: Term, max_base: int = 3,
     )
 
 
-def separate_two(a: Term, b: Term, max_base: int = 3,
-                 level_override: int | None = None,
-                 max_level: int | None = None) -> SeparationCertificate:
-    """Two-valued form: the context's head arguments are all closed and
-    the applied sides are the two projections, so for any e and f of a
-    common type the contexts send ``a`` to e and ``b`` to f."""
-    p = atom("p")
-    first = S.lams(p, p, lambda x, y: x())
-    second = S.lams(p, p, lambda x, y: y())
-    cert = separate(a, b, first, second, max_base=max_base,
-                    level_override=level_override, max_level=max_level)
-    cert.two_valued = True
-    return cert
-
-
 @closed_value_scope
 def verify(cert: SeparationCertificate) -> bool:
     """Replay a certificate using normalization only.  The instantiated
@@ -182,7 +193,8 @@ def verify(cert: SeparationCertificate) -> bool:
     must be instantiated at the numeral type of the stated level over the
     target type.  ``base``, ``model_args``, ``relabeling`` and
     ``kappa_values`` record where the certificate came from and are not
-    checked."""
+    checked.  This is the only check of a separation: ``separate`` and
+    ``separate_two`` run it on what they build before they return it."""
     sub: dict[str, Ty] = {}
     if not (is_type_instance(cert.a_source, cert.a_prime, sub)
             and is_type_instance(cert.b_source, cert.b_prime, sub)):

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import re
 import sys
+from functools import partial
 
 from .errors import (
     IllTyped,
@@ -428,16 +429,17 @@ EMPTY = Context()
 # ---------------------------------------------------------------------------
 # Traversals
 
-def subterms(t: Term):
+def subterms(t: Term, skip=None):
     """Each distinct node of ``t`` once, in left-to-right preorder: a node
     comes before its children, a function before its argument and a
-    pair's first component before its second.  Iterative, so depth is no
-    limit."""
+    pair's first component before its second.  A node for which
+    ``skip(u)`` holds is left out with everything below it.  Iterative,
+    so depth is no limit."""
     seen = set()
     stack = [t]
     while stack:
         u = stack.pop()
-        if u.uid in seen:
+        if u.uid in seen or (skip is not None and skip(u)):
             continue
         seen.add(u.uid)
         yield u
@@ -508,7 +510,7 @@ def free_vars(t: Term) -> dict[str, Ty]:
     out: dict[str, Ty] = {}
     if not t.named:
         return out
-    for u in subterms(t):
+    for u in subterms(t, skip=lambda u: not u.named):
         if type(u) is Free and out.setdefault(u.name, u.ty) is not u.ty:
             raise IllTyped(f"free variable '{u.name}' used at two types")
     return out
@@ -769,7 +771,7 @@ def _parse_type_atom(toks: _Tokens, aliases) -> Ty:
     raise ParseError(f"unexpected '{tok}' in type", toks.pos)
 
 
-@not_too_deep
+@partial(not_too_deep, stage="parser")
 def parse_type(text: str, aliases: dict[str, Ty] | None = None) -> Ty:
     toks = _Tokens(text)
     ty = _parse_type(toks, aliases)
@@ -833,7 +835,7 @@ def _parse_atom(toks: _Tokens, aliases) -> SNode:
     raise ParseError(f"unexpected '{tok}'", toks.pos)
 
 
-@not_too_deep
+@partial(not_too_deep, stage="parser")
 def parse(text: str, aliases: dict[str, Ty] | None = None) -> SNode:
     """Parse surface text into an untyped tree; free variables are kept
     by name and acquire types only at elaboration."""
@@ -844,7 +846,7 @@ def parse(text: str, aliases: dict[str, Ty] | None = None) -> SNode:
     return node
 
 
-@not_too_deep
+@partial(not_too_deep, stage="parser")
 def elaborate(node: SNode, ctx: Context = EMPTY) -> Term:
     """Type and convert a surface tree into a nameless interned term."""
     bound: dict = {}  # name -> (binder level, type) of its innermost binder

@@ -64,6 +64,20 @@ def run_in_child(code: str, timeout: float = 60) -> str:
     return proc.stdout
 
 
+def log_calls(monkeypatch, *targets):
+    """Route each ``(module, name)`` through a wrapper that appends
+    ``"module.name"`` to the returned list before it calls the original."""
+    calls = []
+    for module, name in targets:
+        def wrapper(*args, real=getattr(module, name),
+                    tag=f"{module.__name__.rsplit('.', 1)[1]}.{name}"):
+            calls.append(tag)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

@@ -4,8 +4,10 @@ import pytest
 
 from betaeta import ccc as C
 from betaeta import syntax as S
-from betaeta.errors import EqualArrows, IllFormed, TypeMismatch
+from betaeta.errors import BadCertificate, EqualArrows, IllFormed, TypeMismatch
 from betaeta.normalize import decide_eq
+
+from conftest import log_calls
 
 p, q, r = S.atom("p"), S.atom("q"), S.atom("r")
 
@@ -180,3 +182,30 @@ def test_replay_collapse_rejects_a_tampered_level():
     for level in ('2', '1'):
         tampered = cli.parse_certificate(text.replace('"level": 0,', f'"level": {level},'))
         assert not C.replay_collapse(tampered)
+    with pytest.raises(BadCertificate, match="'level' must be int"):
+        cli.parse_certificate(text.replace('"level": 0,', '"level": "0",'))
+
+
+def test_replay_collapse_requires_the_translations_as_sources():
+    # the same arrows over the atom q: each instantiated side is still a
+    # type-instance of the translation over p, and the separation replays
+    from betaeta import products as P
+    cert = C.collapse(C.AProj(1, p, p), C.AProj(2, p, p))
+    cert.separation = P.separate_prod(C.to_lambda(C.AProj(1, q, q)),
+                                      C.to_lambda(C.AProj(2, q, q)))
+    assert P.verify_product(cert.separation)
+    assert not C.replay_collapse(cert)
+
+
+def test_collapse_decides_its_pair_once(monkeypatch):
+    # decide_ccc_eq is the one decision on the pair; the separation is
+    # built without a decision of its own or a replay, and replay_collapse
+    # is the one check
+    from betaeta import products as P
+    from betaeta import separator as Sep
+    calls = log_calls(monkeypatch, (C, "decide_eq"), (C, "replay_collapse"), (P, "decide_eq"),
+                      (P, "verify_product"), (Sep, "decide_eq"), (Sep, "verify"))
+    C.collapse(C.AProj(1, p, p), C.AProj(2, p, p))
+    assert calls == ["ccc.decide_eq", "products.decide_eq", "ccc.replay_collapse",
+                     "products.verify_product"] + ["products.decide_eq"] * 2 + [
+                     "ccc.decide_eq"] * 2

@@ -339,6 +339,38 @@ def test_one_term_is_a_parse_error(capsys, argv, message):
     assert (code, out) == (cli.EXIT_PARSE, "") and err.startswith(f"parse error: {message}")
 
 
+ONE_TWO = ("\\x:p->p. \\y:p. x y", "\\x:p->p. \\y:p. x (x y)")
+
+
+def test_max_base_from_the_environment(capsys, monkeypatch):
+    monkeypatch.setenv("BETAETA_MAX_BASE", "x")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["separate", *ONE_TWO])
+    assert exc.value.code == 2
+    assert "argument --max-base: invalid int value: 'x'" in capsys.readouterr().err
+    # a command without the option does not read the variable
+    assert run(capsys, "eq", "k", "k") == (0, "equal\n", "")
+
+
+def test_max_level_from_the_environment(capsys, monkeypatch):
+    monkeypatch.setenv("BETAETA_MAX_LEVEL", "x")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ccc", "collapse", "p1[p, p]", "p2[p, p]"])
+    assert exc.value.code == 2
+    assert "argument --max-level: invalid int value: 'x'" in capsys.readouterr().err
+    monkeypatch.setenv("BETAETA_MAX_LEVEL", "7")
+    assert run(capsys, "separate", *ONE_TWO) == (
+        cli.EXIT_BUDGET, "", "required level 8 exceeds --max-level 7\n")
+
+
+def test_mem_budget_from_the_environment(capsys, monkeypatch):
+    monkeypatch.setenv("BETAETA_MEM_BUDGET", "1e6")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eq", "k", "k"])
+    assert exc.value.code == 2
+    assert "argument --mem-budget: invalid int value: '1e6'" in capsys.readouterr().err
+
+
 def test_deep_term_exits_with_budget_code(tmp_path):
     # a deep recursion could take the test process down, so run a child
     depth = 60_000
@@ -351,7 +383,7 @@ def test_deep_term_exits_with_budget_code(tmp_path):
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == cli.EXIT_BUDGET
     assert proc.stdout == ""
-    assert proc.stderr.strip() == "budget: term too deep for the recursive evaluator"
+    assert proc.stderr.strip() == "budget: term too deep for the recursive parser"
 
 
 # sha256 of the canonical bytes; any change to alias-table order, binder

@@ -421,6 +421,18 @@ def test_distinguish_evaluates_nothing_for_one_node(evaluated):
         M.distinguish(*[S.parse_term("\\x:p*p. x")] * 2, 2)
 
 
+def test_distinguish_finds_nothing_on_an_eta_expanded_copy(evaluated, rng):
+    # a search term and its one-step eta expansion are two nodes, so the
+    # search takes its exhaustive path at base 2 and base 3
+    for ty in PRODUCT_FREE_ROSTER:
+        t = gen_closed_term(ty, rng)
+        copy = S.lams(ty.dom, lambda x: S.app(t, x()))
+        assert copy is not t and decide_eq(copy, t)
+        evaluated.clear()
+        assert M.distinguish(t, copy, 3) is None
+        assert sorted(set(evaluated)) == [2, 3]
+
+
 def test_distinguish_tuple_cap():
     # the worked pair separates at base 2, on one of 16 arguments
     a, b = worked_pair()

@@ -5,11 +5,11 @@ import pytest
 
 from betaeta import products as P
 from betaeta import syntax as S
-from betaeta.errors import EqualTerms, IllTyped, IndexOutOfRange, Overflow
+from betaeta.errors import BadCertificate, EqualTerms, IllTyped, IndexOutOfRange, Overflow
 from betaeta.normalize import decide_eq
 from betaeta.numerals import church
 
-from conftest import random_mixed_type, run_in_child
+from conftest import log_calls, random_mixed_type, run_in_child
 
 p, q, r = S.atom("p"), S.atom("q"), S.atom("r")
 T = S.TERMINAL
@@ -244,6 +244,30 @@ def test_verify_product_detects_component_tampering():
     assert not ok
 
 
+def test_a_broken_projector_stops_separate_prod(monkeypatch):
+    # the build never projects, so only the replay meets a projector that
+    # picks the other of two components of the same type
+    real = P.projector
+    monkeypatch.setattr(P, "projector", lambda n, i, ty: real(n, n + 1 - i, ty))
+    a = S.parse_term("\\x:p*p. <p1 x, p2 x>")
+    b = S.parse_term("\\x:p*p. <p2 x, p1 x>")
+    with pytest.raises(AssertionError, match="^verify_product rejected"):
+        P.separate_prod(a, b)
+
+
+def test_separate_prod_decides_nothing_twice(monkeypatch):
+    # the pair once, then the components until one differs; the inner
+    # build neither decides that component again nor replays, and
+    # verify_product is the one check
+    from betaeta import separator as Sep
+    calls = log_calls(monkeypatch, (P, "decide_eq"), (P, "verify_product"),
+                      (Sep, "decide_eq"), (Sep, "verify"))
+    P.separate_prod(S.parse_term("\\x:p*p. <p1 x, p2 x>"),
+                    S.parse_term("\\x:p*p. <p2 x, p1 x>"))
+    assert calls == ["products.decide_eq"] * 2 + ["products.verify_product"] + [
+        "products.decide_eq"] * 2
+
+
 def test_verify_product_rejects_equal_sources():
     a = S.parse_term("\\x:p*p. x")
     b = S.parse_term("\\x:p*p. <p2 x, p1 x>")
@@ -267,9 +291,11 @@ def test_verify_product_rejects_a_tampered_level():
     text = cli.serialize_certificate(P.separate_prod(a, b))
     assert '"level": 0,' in text
     assert P.verify_product(cli.parse_certificate(text))
-    for level in ('1', '2', '"0"', '-1'):
+    for level in ('1', '2', '-1'):
         tampered = cli.parse_certificate(text.replace('"level": 0,', f'"level": {level},'))
         assert not P.verify_product(tampered)
+    with pytest.raises(BadCertificate, match="'level' must be int, not \"0\""):
+        cli.parse_certificate(text.replace('"level": 0,', '"level": "0",'))
 
 
 # sha256 of the built terms, printed through one shared alias table: the

@@ -3,9 +3,11 @@ import pytest
 from betaeta import numerals as N
 from betaeta import separator as Sep
 from betaeta import syntax as S
-from betaeta.errors import EqualTerms, IllTyped, LevelAboveMax, TypeMismatch
+from betaeta.errors import BadCertificate, EqualTerms, IllTyped, LevelAboveMax, TypeMismatch
 from betaeta.normalize import decide_eq
 from betaeta.numerals import church
+
+from conftest import log_calls
 
 p = S.atom("p")
 
@@ -151,20 +153,31 @@ def test_verify_reports_budget_exhaustion_distinctly():
     assert Sep.verify(cert)
 
 
-def test_level_override_must_cover_minimum():
-    a, b = worked_pair()
-    with pytest.raises(ValueError):
-        Sep.separate_two(a, b, level_override=6)
-    cert = Sep.separate_two(church(1, 0), church(2, 0), level_override=10)
-    assert cert.level == 10
-    assert Sep.verify(cert)
-
-
 def test_max_level_bounds_the_chosen_level():
     one, two = church(1, 0), church(2, 0)
     assert Sep.separate_two(one, two, max_level=8).level == 8
-    with pytest.raises(LevelAboveMax, match="^required level 10 exceeds --max-level 9$"):
-        Sep.separate_two(one, two, level_override=10, max_level=9)
+    with pytest.raises(LevelAboveMax, match="^required level 8 exceeds --max-level 7$"):
+        Sep.separate_two(one, two, max_level=7)
+
+
+def test_separate_returns_only_what_verify_accepts(monkeypatch):
+    # instances two levels above the stated one: the build goes through,
+    # and the replay that ends each producer refuses it
+    real = Sep.numeral_type_over
+    monkeypatch.setattr(Sep, "numeral_type_over", lambda level, target: real(level + 2, target))
+    one, two = church(1, 0), church(2, 0)
+    with pytest.raises(AssertionError, match="^verify rejected the certificate just built$"):
+        Sep.separate_two(one, two)
+    with pytest.raises(AssertionError, match="^verify rejected"):
+        Sep.separate(one, two, S.free("c", p), S.free("d", p))
+
+
+def test_separate_decides_the_pair_once_then_replays(monkeypatch):
+    # one decision refuses an equal pair; every other decision is the
+    # replay's: two targets and two projections
+    calls = log_calls(monkeypatch, (Sep, "decide_eq"), (Sep, "verify"))
+    Sep.separate_two(church(1, 0), church(2, 0))
+    assert calls == ["separator.decide_eq", "separator.verify"] + ["separator.decide_eq"] * 4
 
 
 def _one_two_certificate():
@@ -310,9 +323,11 @@ def test_verify_rejects_a_tampered_level():
     from betaeta import cli
     text = cli.serialize_certificate(_one_two_certificate())
     assert '"level": 8,' in text
-    for level in ('9', '6', '"8"', '-1'):
+    for level in ('9', '6', '-1'):
         tampered = cli.parse_certificate(text.replace('"level": 8,', f'"level": {level},'))
         assert not Sep.verify(tampered)
+    with pytest.raises(BadCertificate, match="'level' must be int, not \"8\""):
+        cli.parse_certificate(text.replace('"level": 8,', '"level": "8",'))
 
 
 def test_match_type_instance_on_shared_types():

@@ -376,5 +376,5 @@ def test_a_text_too_deep_raises_the_documented_error():
         "    except TermTooDeep as exc:\n"
         "        print(exc)\n"
         "print(S.show_term(S.parse_term('\\\\f:p->p. \\\\x:p. f (f x)')))\n")
-    assert out.splitlines() == ["term too deep for the recursive evaluator"] * 4 + [
+    assert out.splitlines() == ["term too deep for the recursive parser"] * 4 + [
         "\\x1:p -> p. \\x2:p. x1 (x1 x2)"]
