@@ -207,10 +207,6 @@ def materialize(v) -> Functional:
     return from_table(v.model, v.ty, digits)
 
 
-def m_apply(f, a):
-    return f(a)
-
-
 # ---------------------------------------------------------------------------
 # Evaluation
 
@@ -317,8 +313,7 @@ def transport(phi: Functional, perm: list[int], inv: list[int]) -> Functional:
     return from_table(model, phi.ty, digits)
 
 
-def distinguish(a: Term, b: Term, max_base: int,
-                tuple_cap: int = TUPLE_CAP) -> Distinguished | None:
+def distinguish(a: Term, b: Term, max_base: int) -> Distinguished | None:
     """Search the hierarchies of base 2..max_base for argument elements
     on which the values of ``a`` and ``b`` differ.  The witness comes
     back relabeled so the two observed base values are 0 (for a) and 1
@@ -328,7 +323,7 @@ def distinguish(a: Term, b: Term, max_base: int,
     tried in lexicographic order of their codes, the first argument
     slowest, and the first that tells the terms apart is the witness; a
     certificate states it as ``model_args``, so the order is part of the
-    certificate format.  A base whose tuples exceed ``tuple_cap`` raises
+    certificate format.  A base whose tuples exceed ``TUPLE_CAP`` raises
     Overflow before either term is evaluated there.  A pair of one
     interned node is evaluated at no base, and an equal pair of two nodes
     gets the full search: the search does not consult normalization."""
@@ -344,7 +339,7 @@ def distinguish(a: Term, b: Term, max_base: int,
         model = PModel(base)
         sizes = [model.card(ty) for ty in arg_tys]
         total = math.prod(sizes)
-        if total > tuple_cap:
+        if total > TUPLE_CAP:
             raise Overflow(f"argument search space of {total} tuples exceeds the cap")
         if a is b:  # one interned node: no model tells it from itself
             continue
@@ -406,7 +401,7 @@ def _first_difference(va, vb, model, arg_tys, sizes):
 def _check_relabeled(va, vb, args):
     for v, want in ((va, 0), (vb, 1)):
         for arg in args:
-            v = m_apply(v, arg)
+            v = v(arg)
         if materialize(v).code != want:
             raise AssertionError("relabeled witness failed to re-evaluate")
 
@@ -457,7 +452,7 @@ def branch_codes(phi: Functional) -> list[int]:
             d = psi
             for g in gammas:
                 d = d(g)
-            n = _mul_capped(n, _pow_capped(nth_prime(t_idx), d.code))
+            n = _capped(n * _capped(nth_prime(t_idx) ** d.code))
         codes.append(n)
     if len(set(codes)) != len(codes):
         raise AssertionError("branch codes must be pairwise distinct")
@@ -470,18 +465,10 @@ def _probe_tuples(model: PModel, b1: Ty) -> list[tuple]:
     return list(itertools.product(*(list(model.enum(t)) for t in split_arrows(b1)[0])))
 
 
-def _pow_capped(base, e):
-    out = base ** e
-    if out > CARD_CAP:
+def _capped(n: int) -> int:
+    if n > CARD_CAP:
         raise Overflow("branch code exceeds the cap")
-    return out
-
-
-def _mul_capped(a, b):
-    out = a * b
-    if out > CARD_CAP:
-        raise Overflow("branch code exceeds the cap")
-    return out
+    return n
 
 
 _KAPPA_MEMO: dict = {}

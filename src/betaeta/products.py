@@ -33,35 +33,28 @@ from .syntax import (
 MEASURE_BIT_BUDGET = 1 << 20
 
 
-def measure(ty: Ty, atom_weight: int = 2, bit_budget: int = MEASURE_BIT_BUDGET) -> int:
+def measure(ty: Ty, atom_weight: int = 2) -> int:
     """Exponential complexity of a type: atoms and the terminal type
     weigh ``atom_weight`` (at least 2), a product weighs (left+1)*right,
-    an arrow weighs cod**dom.  Every reduction strictly decreases it."""
+    an arrow weighs cod**dom.  Every reduction strictly decreases it.
+    A weight past ``MEASURE_BIT_BUDGET`` bits raises Overflow."""
     if atom_weight < 2:
         raise ValueError("the atom weight must be at least 2")
-
-    memo: dict[int, int] = {}
-
-    def go(t):
-        hit = memo.get(t.uid)
-        if hit is not None:
-            return hit
+    weight: dict[int, int] = {}
+    for t in S.subtypes(ty):  # children first
         if isinstance(t, (TyAtom, TyTerminal)):
             out = atom_weight
         elif isinstance(t, TyProd):
-            out = (go(t.left) + 1) * go(t.right)
+            out = (weight[t.left.uid] + 1) * weight[t.right.uid]
         else:
-            base = go(t.cod)
-            ex = go(t.dom)
-            if base.bit_length() * ex > bit_budget:
+            base, ex = weight[t.cod.uid], weight[t.dom.uid]
+            if base.bit_length() * ex > MEASURE_BIT_BUDGET:
                 raise Overflow("type measure exceeds the bit budget")
             out = base ** ex
-        if out.bit_length() > bit_budget:
+        if out.bit_length() > MEASURE_BIT_BUDGET:
             raise Overflow("type measure exceeds the bit budget")
-        memo[t.uid] = out
-        return out
-
-    return go(ty)
+        weight[t.uid] = out
+    return weight[ty.uid]
 
 
 def _rule_at(ty: Ty) -> str | None:
@@ -446,13 +439,11 @@ def verify_product(cert: ProductCertificate) -> bool:
     projection equalities by normalization.  The instantiated terms must
     be type-instances of the sources under one atom substitution, which
     sends every atom to the numeral type of the stated level over the
-    inner target type."""
-    sub: dict[str, Ty] = {}
-    if not (Sep.is_type_instance(cert.a_source, cert.a_prime, sub)
-            and Sep.is_type_instance(cert.b_source, cert.b_prime, sub)):
-        return False
-    if not all(Sep.is_numeral_type_over(ty, cert.level, cert.inner.target_c.ty)
-               for ty in sub.values()):
+    inner target type.  Of the inner certificate only ``level``,
+    ``head_args`` and the type of ``target_c`` are read; its other
+    fields, ``a_source`` and ``b_source`` among them, record where it
+    came from and are not replayed."""
+    if Sep.instance_sub(cert, cert.inner.target_c.ty) is None:
         return False
     p = atom("p")
     x = S.free("x", prod(p, p))

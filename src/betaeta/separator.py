@@ -195,13 +195,8 @@ def verify(cert: SeparationCertificate) -> bool:
     ``kappa_values`` record where the certificate came from and are not
     checked.  This is the only check of a separation: ``separate`` and
     ``separate_two`` run it on what they build before they return it."""
-    sub: dict[str, Ty] = {}
-    if not (is_type_instance(cert.a_source, cert.a_prime, sub)
-            and is_type_instance(cert.b_source, cert.b_prime, sub)):
-        return False
-    atoms = S.term_atoms(cert.a_source) | S.term_atoms(cert.b_source)
-    if not all(is_numeral_type_over(sub.get(name), cert.level, cert.target_c.ty)
-               for name in atoms):
+    sub = instance_sub(cert, cert.target_c.ty)
+    if sub is None:
         return False
     sources = _ordered_free_union(cert.a_source, cert.b_source)
     if cert.bound_vars != [(name, subst_type(ty, sub)) for name, ty in sources]:
@@ -263,27 +258,23 @@ def match_type_instance(general: Ty, instance: Ty, sub: dict[str, Ty]) -> bool:
     return go(general, instance)
 
 
-def is_type_instance(general: Term, instance: Term, sub: dict[str, Ty] | None = None) -> bool:
-    """Whether ``instance`` is a type-instance of ``general``: same term
-    skeleton, types related by one atom substitution."""
-    if sub is None:
-        sub = {}
-
-    def go(g, t):
-        if type(g) is not type(t):
-            return False
-        if isinstance(g, S.Var):
-            return g.index == t.index and match_type_instance(g.ty, t.ty, sub)
-        if isinstance(g, S.Free):
-            return g.name == t.name and match_type_instance(g.ty, t.ty, sub)
-        if isinstance(g, S.Lam):
-            return match_type_instance(g.binder, t.binder, sub) and go(g.body, t.body)
-        if isinstance(g, S.App):
-            return go(g.fun, t.fun) and go(g.arg, t.arg)
-        if isinstance(g, S.Pair):
-            return go(g.fst, t.fst) and go(g.snd, t.snd)
-        if isinstance(g, (S.Proj1, S.Proj2)):
-            return go(g.arg, t.arg)
-        return True
-
-    return go(general, instance)
+def instance_sub(cert, target: Ty) -> dict[str, Ty] | None:
+    """The atom substitution under which ``cert.a_prime`` and
+    ``cert.b_prime`` are the images of ``cert.a_source`` and
+    ``cert.b_source``, or None when there is none.  It sends every atom of
+    the sources to one type, the numeral type of ``cert.level`` over
+    ``target``, found by matching the types of the a-side.  Terms are
+    interned, so each image is checked by identity."""
+    found: dict[str, Ty] = {}
+    if not match_type_instance(cert.a_source.ty, cert.a_prime.ty, found):
+        return None
+    atoms = S.term_atoms(cert.a_source) | S.term_atoms(cert.b_source)
+    images = set(found.values())
+    if len(images) != (1 if atoms else 0) or not all(
+            is_numeral_type_over(image, cert.level, target) for image in images):
+        return None
+    sub = {name: image for image in images for name in atoms}
+    if (cert.a_prime is not S.substitute_types(cert.a_source, sub)
+            or cert.b_prime is not S.substitute_types(cert.b_source, sub)):
+        return None
+    return sub

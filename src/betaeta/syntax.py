@@ -521,11 +521,11 @@ def is_closed(t: Term) -> bool:
     return t.scope == 0 and not t.named
 
 
-def shift(t: Term, by: int, cutoff: int = 0) -> Term:
-    """Add ``by`` to every de Bruijn index >= cutoff."""
+def shift(t: Term, by: int) -> Term:
+    """Add ``by`` to every loose de Bruijn index."""
     if by == 0:
         return t
-    return map_term(t, lambda u, d: var(u.index + by, u.ty), depth=cutoff,
+    return map_term(t, lambda u, d: var(u.index + by, u.ty), depth=0,
                     keep=lambda u, d: u.scope <= d)  # no index at or above d
 
 
@@ -947,7 +947,7 @@ def show_term(t: Term, type_names: dict[int, str] | None = None) -> str:
     return go(t, (), 0)
 
 
-def type_alias_table(roots: list[Term | Ty], prefix: str = "ty") -> tuple[list[tuple[str, str]], dict[int, str]]:
+def type_alias_table(roots: list[Term | Ty]) -> tuple[list[tuple[str, str]], dict[int, str]]:
     """Build a shared-alias table for every compound type annotating the
     given terms (or listed directly).  Returns the definition list, each
     rendered one level deep, and the uid-to-name map used when printing.
@@ -965,7 +965,7 @@ def type_alias_table(roots: list[Term | Ty], prefix: str = "ty") -> tuple[list[t
     nodes = list(subtypes(*annotations))
     order = [ty for ty in nodes if type(ty) in (TyArrow, TyProd)]
     atom_names = {ty.name for ty in nodes if type(ty) is TyAtom}
-
+    prefix = "ty"
     while any(f"{prefix}{i}" in atom_names for i in range(len(order))):
         prefix += "_"
 
@@ -973,12 +973,7 @@ def type_alias_table(roots: list[Term | Ty], prefix: str = "ty") -> tuple[list[t
     defs: list[tuple[str, str]] = []
     for i, ty in enumerate(order):
         name = f"{prefix}{i}"
-        if isinstance(ty, TyArrow):
-            lhs, rhs = ty.dom, ty.cod
-            body = f"{show_type(lhs, names, 1)} -> {show_type(rhs, names, 0)}"
-        else:
-            body = f"{show_type(ty.left, names, 1)} * {show_type(ty.right, names, 2)}"
-        defs.append((name, body))
+        defs.append((name, show_type(ty, names)))  # before ``ty`` has a name
         names[ty.uid] = name
     return defs, names
 

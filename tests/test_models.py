@@ -98,8 +98,8 @@ def test_worked_example_values():
     a, b = worked_pair()
     m = M.PModel(2)
     phi = M.from_table(m, ppp, [1, 0, 0, 0])  # 1 on the constant-zero branch
-    assert M.materialize(M.m_apply(M.eval_term(a, m), phi)).code == 0
-    assert M.materialize(M.m_apply(M.eval_term(b, m), phi)).code == 1
+    assert M.materialize(M.eval_term(a, m)(phi)).code == 0
+    assert M.materialize(M.eval_term(b, m)(phi)).code == 1
 
 
 def test_distinguish_worked_example():
@@ -433,12 +433,14 @@ def test_distinguish_finds_nothing_on_an_eta_expanded_copy(evaluated, rng):
         assert sorted(set(evaluated)) == [2, 3]
 
 
-def test_distinguish_tuple_cap():
+def test_distinguish_tuple_cap(monkeypatch):
     # the worked pair separates at base 2, on one of 16 arguments
     a, b = worked_pair()
-    assert M.distinguish(a, b, 2, tuple_cap=16).base == 2
+    monkeypatch.setattr(M, "TUPLE_CAP", 16)
+    assert M.distinguish(a, b, 2).base == 2
+    monkeypatch.setattr(M, "TUPLE_CAP", 15)
     with pytest.raises(Overflow, match="16 tuples"):
-        M.distinguish(a, b, 2, tuple_cap=15)
+        M.distinguish(a, b, 2)
 
 
 def test_type_order_walks_a_shared_type_once_per_node():

@@ -29,12 +29,13 @@ def test_measure_reference_values():
     assert P.measure(S.prod(p, T)) == 6
 
 
-def test_measure_overflow():
+def test_measure_overflow(monkeypatch):
     deep = p
     for _ in range(8):
         deep = S.arrow(deep, deep)
+    monkeypatch.setattr(P, "MEASURE_BIT_BUDGET", 1 << 10)
     with pytest.raises(Overflow):
-        P.measure(deep, bit_budget=1 << 10)
+        P.measure(deep)
 
 
 def test_type_nf_reference_rows():

@@ -106,9 +106,26 @@ def test_verify_rejects_tampered_head_argument():
 def test_certificate_sides_are_type_instances():
     a, b = worked_pair()
     cert = Sep.separate_two(a, b)
-    assert Sep.is_type_instance(a, cert.a_prime)
-    assert Sep.is_type_instance(b, cert.b_prime)
-    assert not Sep.is_type_instance(a, cert.b_prime)
+    sub = {"p": Sep.numeral_type_over(cert.level, cert.target_c.ty)}
+    assert cert.a_prime is S.substitute_types(a, sub)
+    assert cert.b_prime is S.substitute_types(b, sub)
+    assert cert.b_prime is not S.substitute_types(a, sub)
+    assert Sep.instance_sub(cert, cert.target_c.ty) == sub
+
+
+def test_verify_rejects_an_inner_atom_sent_to_another_tower():
+    # q occurs only inside a, so the matched types of a and a_prime
+    # cannot show where it went; the identity check on the whole term does
+    a = S.parse_term("(\\g:q->q. \\s:p->p. \\z:p. s z) \\y:q. y")
+    cert = Sep.separate_two(a, church(2, 0))
+    assert Sep.verify(cert)
+    instance = Sep.numeral_type_over(cert.level, cert.target_c.ty)
+    other = Sep.numeral_type_over(cert.level + 2, cert.target_c.ty)
+    cert.a_prime = S.substitute_types(a, {"p": instance, "q": other})
+    # same skeleton and same type as the honest a_prime, and it still
+    # reduces to the same numeral
+    assert cert.a_prime.ty is S.substitute_types(a, {"p": instance}).ty
+    assert not Sep.verify(cert)
 
 
 def test_intermediate_stage_reaches_numerals():
@@ -135,8 +152,9 @@ def test_maximality_derives_any_equation():
     # lhs = e and rhs = f are certified; the middle step lhs = rhs is one
     # instance of the added axiom, so e = f follows in the extension
     assert decide_eq(lhs, e) and decide_eq(rhs, f)
-    assert Sep.is_type_instance(cert.a_source, cert.a_prime)
-    assert Sep.is_type_instance(cert.b_source, cert.b_prime)
+    sub = {"p": Sep.numeral_type_over(cert.level, cert.target_c.ty)}
+    assert cert.a_prime is S.substitute_types(cert.a_source, sub)
+    assert cert.b_prime is S.substitute_types(cert.b_source, sub)
 
 
 def test_verify_reports_budget_exhaustion_distinctly():
