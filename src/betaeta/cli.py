@@ -240,11 +240,10 @@ def verify_certificate(cert) -> bool:
 # ---------------------------------------------------------------------------
 # Argument helpers
 
-def _parse_ctx(text: str | None) -> S.Context:
+def _parse_ctx(texts: list[str] | None) -> S.Context:
+    """One context from the entries of every ``--ctx`` given."""
     ctx = S.Context()
-    if not text:
-        return ctx
-    for entry in text.split(","):
+    for entry in ",".join(texts or ()).split(","):
         entry = entry.strip()
         if not entry:
             continue
@@ -253,6 +252,13 @@ def _parse_ctx(text: str | None) -> S.Context:
             raise ParseError(f"context entry '{entry}' needs name:type", 0)
         ctx.add(name.strip(), S.parse_type(tytext.strip()))
     return ctx
+
+
+def _positive_int(text: str) -> int:
+    """An option value that must be an integer of at least 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"invalid positive int value: '{text}'")
+    return int(text)
 
 
 def _read_pair_file(path: str) -> tuple[str, str]:
@@ -275,7 +281,7 @@ def _diag(text: str):
 def _emit_term(term, label: str = ""):
     """Print a term, switching to a shared type-alias preamble once the
     annotations get big enough that inline rendering would blow up."""
-    if S._max_annotation_nodes(term) > 24:
+    if not S.fits_inline(term):
         defs, names = S.type_alias_table([term])
         for name, body in defs:
             _emit(f"type {name} = {body}")
@@ -360,7 +366,7 @@ def cmd_verify(args) -> int:
 
 def cmd_type_nf(args) -> int:
     ty = S.parse_type(args.type)
-    trace = P.type_nf(ty, strategy=args.strategy, atom_weight=args.atom_weight)
+    trace = P.type_nf(ty, strategy=args.strategy)
     _emit(S.show_type(trace.output))
     if args.trace:
         for step in trace.steps:
@@ -451,13 +457,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("normalize", help="print a normal form")
     p.add_argument("term")
     p.add_argument("--long", action="store_true")
-    p.add_argument("--ctx", help="free-variable context, e.g. 'f:p->p, y:p'")
+    p.add_argument("--ctx", action="append",
+                   help="free-variable context, e.g. 'f:p->p, y:p'; may be repeated")
     p.set_defaults(fn=cmd_normalize)
 
     p = sub.add_parser("eq", help="decide provable equality")
     p.add_argument("a", nargs="?")
     p.add_argument("b", nargs="?")
-    p.add_argument("--ctx")
+    p.add_argument("--ctx", action="append")
     p.add_argument("--pair-file", help="file with two terms separated by a --- line")
     p.set_defaults(fn=cmd_eq)
 
@@ -470,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="closed contexts with free target slots")
     p.add_argument("--product", action="store_true",
                    help="separation through the product normal form")
-    p.add_argument("--ctx")
+    p.add_argument("--ctx", action="append")
     p.add_argument("--pair-file")
     common_budgets(p)
     p.set_defaults(fn=cmd_separate)
@@ -483,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("type")
     p.add_argument("--trace", action="store_true")
     p.add_argument("--strategy", choices=("innermost", "outermost"), default="innermost")
-    p.add_argument("--atom-weight", type=int, default=2)
     p.set_defaults(fn=cmd_type_nf)
 
     p = sub.add_parser("iso", help="isomorphism with the product normal form")
@@ -507,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("check", "collapse"))
     p.add_argument("f", nargs="?")
     p.add_argument("g", nargs="?")
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=_positive_int, default=20)
     p.add_argument("--seed", type=int, default=0)
     common_budgets(p)
     p.set_defaults(fn=cmd_ccc)

@@ -36,7 +36,9 @@ import math
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .errors import IllTyped, LevelTooSmall, Overflow, TypeMismatch, UnboundVariable
+from .errors import (
+    IllTyped, LevelTooSmall, Overflow, SideConditionViolated, TypeMismatch, UnboundVariable,
+)
 from . import numerals as N
 from . import syntax as S
 from .normalize import decide_eq
@@ -75,7 +77,7 @@ class PModel:
 
     def __init__(self, base: int):
         if base < 2:
-            raise ValueError("model base must be at least 2")
+            raise SideConditionViolated("model base must be at least 2")
         self.base = base
         self._card: dict[int, int] = {}
         # per type uid: its elements by code, each None until first used;
@@ -103,7 +105,7 @@ class PModel:
 
     def functional(self, ty: Ty, code: int) -> "Functional":
         if not 0 <= code < self.card(ty):
-            raise ValueError(f"code {code} out of range for {S.show_type(ty)}")
+            raise SideConditionViolated(f"code {code} out of range for {S.show_type(ty)}")
         return self.element(ty, code)
 
     def element(self, ty: Ty, code: int) -> "Functional":
@@ -522,6 +524,8 @@ def define_functional(phi: Functional, i: int) -> Term:
     chain of conditionals compares the probe against each branch code
     and returns the defining term of the corresponding output.
     """
+    if i < 0:
+        raise SideConditionViolated("level must be a natural number")
     model = phi.model
     if isinstance(phi.ty, TyAtom):
         return N.church(phi.code, i)

@@ -166,28 +166,28 @@ class TypeNFTrace:
     output: Ty
 
 
-def _measure_opt(ty: Ty, weight: int) -> int | None:
+def _measure_opt(ty: Ty) -> int | None:
     try:
-        return measure(ty, weight)
+        return measure(ty)
     except Overflow:
         return None
 
 
-def type_nf(ty: Ty, strategy: str = "innermost", atom_weight: int = 2) -> TypeNFTrace:
+def type_nf(ty: Ty, strategy: str = "innermost") -> TypeNFTrace:
     """Reduce a type to its unique product normal form, recording each
     rewrite with the whole-type measure before and after."""
     if strategy not in ("innermost", "outermost"):
         raise ValueError(f"unknown strategy '{strategy}'")
     steps = []
     current = ty
-    m_cur = _measure_opt(current, atom_weight)
+    m_cur = _measure_opt(current)
     while True:
         found = _find_redex(current, strategy == "innermost")
         if found is None:
             break
         path, rule = found
         nxt = _apply_at(current, path, rule)
-        m_nxt = _measure_opt(nxt, atom_weight)
+        m_nxt = _measure_opt(nxt)
         steps.append(TypeStep(path, rule, m_cur, m_nxt))
         current, m_cur = nxt, m_nxt
     return TypeNFTrace(ty, steps, current)
@@ -417,14 +417,12 @@ def _build(a: Term, b: Term, max_base: int, max_level: int | None) -> ProductCer
     iso = build_iso(a.ty)
     idx, parts_a, parts_b = _differing_parts(a, b, iso)
     inner = Sep._build_two(parts_a[idx - 1], parts_b[idx - 1], max_base, max_level)
-    sub = Sep.numeral_type_over(inner.level, inner.target_c.ty)
-    names = S.term_atoms(a) | S.term_atoms(b) | S.term_atoms(iso.forward)
-    mapping = {name: sub for name in names}
+    sub = Sep.instance_sub(inner.level, inner.target_c.ty, a, b)
+    a_prime, b_prime, _ = Sep.instantiate(sub, a, b)
     return ProductCertificate(
         a_source=a, b_source=b,
-        a_prime=S.substitute_types(a, mapping),
-        b_prime=S.substitute_types(b, mapping),
-        iso_forward=S.substitute_types(iso.forward, mapping),
+        a_prime=a_prime, b_prime=b_prime,
+        iso_forward=S.substitute_types(iso.forward, sub),
         component=idx,
         n_components=len(parts_a),
         inner=inner,
@@ -436,14 +434,20 @@ def verify_product(cert: ProductCertificate) -> bool:
     """Replay: project the chosen component of the instantiated terms
     through the instantiated isomorphism, apply the inner head arguments
     and the two projections of a fresh pair variable, and check both
-    projection equalities by normalization.  The instantiated terms must
-    be type-instances of the sources under one atom substitution, which
-    sends every atom to the numeral type of the stated level over the
-    inner target type.  Of the inner certificate only ``level``,
-    ``head_args`` and the type of ``target_c`` are read; its other
-    fields, ``a_source`` and ``b_source`` among them, record where it
-    came from and are not replayed."""
-    if Sep.instance_sub(cert, cert.inner.target_c.ty) is None:
+    projection equalities by normalization.  As in ``separator.verify``,
+    the instance rule ``instance_sub`` is recomputed from the stated
+    level and the inner target type, ``a_prime`` and ``b_prime`` must be
+    the images of the sources under it, by interned identity, and a level
+    that is not a natural number below the node count of the type of
+    ``a_prime`` is refused before any tower is built.  Of the inner
+    certificate only ``level``, ``head_args`` and the type of
+    ``target_c`` are read; its other fields, ``a_source`` and
+    ``b_source`` among them, record where it came from and are not
+    replayed."""
+    if not Sep.level_fits(cert):
+        return False
+    sub = Sep.instance_sub(cert.level, cert.inner.target_c.ty, cert.a_source, cert.b_source)
+    if (cert.a_prime, cert.b_prime) != Sep.instantiate(sub, cert.a_source, cert.b_source)[:2]:
         return False
     p = atom("p")
     x = S.free("x", prod(p, p))

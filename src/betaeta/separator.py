@@ -61,6 +61,32 @@ def _ordered_free_union(a: Term, b: Term) -> list[tuple[str, Ty]]:
     return out
 
 
+def instance_sub(level: int, target: Ty, *sources: Term) -> dict[str, Ty]:
+    """The one instance rule of every certificate (after Statman 1982):
+    each atom of ``sources`` goes to the numeral type of ``level`` over
+    ``target``.  Producers instantiate with it, and verifiers recompute
+    it from the stated level and target instead of searching for it."""
+    instance = numeral_type(level, target)
+    return {name: instance for source in sources for name in S.term_atoms(source)}
+
+
+def instantiate(sub: dict[str, Ty], a: Term, b: Term):
+    """The images of ``a`` and ``b`` under ``sub``, and their free
+    variables in order of first occurrence at their image types: the
+    ``a_prime``, ``b_prime`` and ``bound_vars`` of a certificate."""
+    bound = [(name, subst_type(ty, sub)) for name, ty in _ordered_free_union(a, b)]
+    return S.substitute_types(a, sub), S.substitute_types(b, sub), bound
+
+
+def level_fits(cert) -> bool:
+    """Whether the stated level is a natural number below the node count
+    of the type of ``cert.a_prime``.  An honest a-side type contains the
+    whole numeral type of its level, which has more nodes than that, so
+    a verifier refuses a false level before it builds any tower."""
+    level = cert.level
+    return type(level) is int and 0 <= level < S.type_node_count(cert.a_prime.ty)
+
+
 def _even_at_least(n: int) -> int:
     return n if n % 2 == 0 else n + 1
 
@@ -124,8 +150,7 @@ def _build_two(a: Term, b: Term, max_base: int, max_level: int | None) -> Separa
 def _build(a: Term, b: Term, c: Term, d: Term, max_base: int,
            max_level: int | None) -> SeparationCertificate:
     p = atom("p")
-    all_atoms = S.term_atoms(a) | S.term_atoms(b)
-    collapse = {name: p for name in all_atoms}
+    collapse = {name: p for name in S.term_atoms(a) | S.term_atoms(b)}
     a1 = S.substitute_types(a, collapse)
     b1 = S.substitute_types(b, collapse)
 
@@ -149,16 +174,10 @@ def _build(a: Term, b: Term, c: Term, d: Term, max_base: int,
         lowerings.extend(N.lowering_pair(j))
 
     target_ty = c.ty
-    instance = numeral_type_over(level, target_ty)
-    final_sub = {name: instance for name in all_atoms}
+    a_prime, b_prime, bound = instantiate(instance_sub(level, target_ty, a, b), a, b)
+    # the definers and lowerings are already at numeral level and only
+    # trade their atom for the target
     at_target = {"p": target_ty}
-
-    a_prime = S.substitute_types(a, final_sub)
-    b_prime = S.substitute_types(b, final_sub)
-    # bound variable types are still at the collapsed base level, so they
-    # take the composite substitution; the definers and lowerings are
-    # already at numeral level and only trade their atom for the target
-    bound_inst = [(name, subst_type(ty, {"p": instance})) for name, ty in bound]
     head_args = [S.substitute_types(h, at_target) for h in definers + lowerings]
     head_args.append(S.lam(target_ty, d))
     head_args.append(c)
@@ -170,7 +189,7 @@ def _build(a: Term, b: Term, c: Term, d: Term, max_base: int,
     return SeparationCertificate(
         a_source=a, b_source=b,
         a_prime=a_prime, b_prime=b_prime,
-        bound_vars=bound_inst,
+        bound_vars=bound,
         head_args=head_args,
         target_c=c, target_d=d,
         target_ctx=target_ctx,
@@ -184,22 +203,24 @@ def _build(a: Term, b: Term, c: Term, d: Term, max_base: int,
 
 @closed_value_scope
 def verify(cert: SeparationCertificate) -> bool:
-    """Replay a certificate using normalization only.  The instantiated
-    sides must be type-instances of the sources under one atom
-    substitution, and the bound variables the sources' free variables in
-    order of first occurrence under that substitution; both applied sides
-    must equal their targets; a two-valued certificate must additionally
-    project correctly on fresh slot variables.  Every atom of the sources
-    must be instantiated at the numeral type of the stated level over the
-    target type.  ``base``, ``model_args``, ``relabeling`` and
-    ``kappa_values`` record where the certificate came from and are not
-    checked.  This is the only check of a separation: ``separate`` and
-    ``separate_two`` run it on what they build before they return it."""
-    sub = instance_sub(cert, cert.target_c.ty)
-    if sub is None:
+    """Replay a certificate using normalization only.  The instance rule
+    ``instance_sub`` is recomputed from the stated level and the target
+    type: ``a_prime``, ``b_prime`` and ``bound_vars`` must be the images
+    under it of the sources and of their free variables in order of
+    first occurrence, compared by interned identity.  A level that is not
+    a natural number below the node count of the type of ``a_prime`` is
+    refused before any tower is built.  Both applied sides must equal
+    their targets; a two-valued certificate must additionally project
+    correctly on fresh slot variables.  ``base``, ``model_args``,
+    ``relabeling`` and ``kappa_values`` record where the certificate came
+    from and are not checked.  This is the only check of a separation:
+    ``separate`` and ``separate_two`` run it on what they build before
+    they return it."""
+    if not level_fits(cert):
         return False
-    sources = _ordered_free_union(cert.a_source, cert.b_source)
-    if cert.bound_vars != [(name, subst_type(ty, sub)) for name, ty in sources]:
+    sub = instance_sub(cert.level, cert.target_c.ty, cert.a_source, cert.b_source)
+    if (cert.a_prime, cert.b_prime, cert.bound_vars) != instantiate(
+            sub, cert.a_source, cert.b_source):
         return False
     try:
         lhs_a = cert.applied("a")
@@ -215,66 +236,3 @@ def verify(cert: SeparationCertificate) -> bool:
         return True
     except (TypeMismatch, S.UnboundVariable):
         raise IllTyped("malformed certificate")
-
-
-def numeral_type_over(level: int, target: Ty) -> Ty:
-    """The numeral type of ``level`` over ``target``: the type at which a
-    certificate instantiates every atom of its sources."""
-    return numeral_type(level, target)
-
-
-def is_numeral_type_over(ty, level, target: Ty) -> bool:
-    """Whether ``ty`` is ``numeral_type_over(level, target)``, decided by
-    peeling it, so that a stated level far above the real one costs no
-    more than the real one."""
-    if type(level) is not int or level < 0:
-        return False
-    for _ in range(level + 2):
-        if type(ty) is not S.TyArrow or ty.dom is not ty.cod:
-            return False
-        ty = ty.cod
-    return ty is target
-
-
-def match_type_instance(general: Ty, instance: Ty, sub: dict[str, Ty]) -> bool:
-    """Whether ``instance`` is obtained from ``general`` by a (consistent)
-    substitution of types for atoms, extending ``sub`` in place.  Each
-    distinct node pair is matched once (a failure ends the match), so a
-    shared type costs its distinct nodes, not its unfolded tree."""
-    seen = set()
-
-    def go(g, t):
-        if (g.uid, t.uid) in seen:
-            return True
-        seen.add((g.uid, t.uid))
-        if isinstance(g, S.TyAtom):
-            return sub.setdefault(g.name, t) is t
-        if isinstance(g, S.TyTerminal):
-            return g is t
-        if isinstance(g, S.TyArrow):
-            return isinstance(t, S.TyArrow) and go(g.dom, t.dom) and go(g.cod, t.cod)
-        return isinstance(t, S.TyProd) and go(g.left, t.left) and go(g.right, t.right)
-
-    return go(general, instance)
-
-
-def instance_sub(cert, target: Ty) -> dict[str, Ty] | None:
-    """The atom substitution under which ``cert.a_prime`` and
-    ``cert.b_prime`` are the images of ``cert.a_source`` and
-    ``cert.b_source``, or None when there is none.  It sends every atom of
-    the sources to one type, the numeral type of ``cert.level`` over
-    ``target``, found by matching the types of the a-side.  Terms are
-    interned, so each image is checked by identity."""
-    found: dict[str, Ty] = {}
-    if not match_type_instance(cert.a_source.ty, cert.a_prime.ty, found):
-        return None
-    atoms = S.term_atoms(cert.a_source) | S.term_atoms(cert.b_source)
-    images = set(found.values())
-    if len(images) != (1 if atoms else 0) or not all(
-            is_numeral_type_over(image, cert.level, target) for image in images):
-        return None
-    sub = {name: image for image in images for name in atoms}
-    if (cert.a_prime is not S.substitute_types(cert.a_source, sub)
-            or cert.b_prime is not S.substitute_types(cert.b_source, sub)):
-        return None
-    return sub

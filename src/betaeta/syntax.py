@@ -51,7 +51,7 @@ class Ty:
     __slots__ = ("uid",)
 
     def __repr__(self):
-        if type_node_count(self) > 64:
+        if not fits_inline(self):
             return f"<type #{self.uid}, {type_node_count(self)} shared nodes>"
         return show_type(self)
 
@@ -173,6 +173,32 @@ def type_node_count(ty: Ty) -> int:
     return sum(1 for _ in subtypes(ty))
 
 
+# the most type nodes, written out as trees, that a type or a term prints
+# inline; past it a term prints with a type-alias table
+INLINE_NODES = 1024
+
+
+def fits_inline(root: Ty | Term) -> bool:
+    """Whether ``root`` prints inline in bounded text: a type, or the
+    types of a term's subterms, written out as trees take at most
+    ``INLINE_NODES`` nodes in all.  Each distinct node is visited once
+    and its tree size stops just past the cap, so a shared tower costs
+    its distinct nodes, not its unfolded tree."""
+    roots = {root} if isinstance(root, Ty) else {u.ty for u in subterms(root)}
+    cap = INLINE_NODES + 1
+    size: dict[int, int] = {}
+    for t in subtypes(*roots):  # children first
+        cls = type(t)
+        if cls is TyArrow:
+            n = 1 + size[t.dom.uid] + size[t.cod.uid]
+        elif cls is TyProd:
+            n = 1 + size[t.left.uid] + size[t.right.uid]
+        else:
+            n = 1
+        size[t.uid] = min(n, cap)
+    return sum(size[t.uid] for t in roots) <= INLINE_NODES
+
+
 def type_atoms(ty: Ty) -> set[str]:
     return {t.name for t in subtypes(ty) if type(t) is TyAtom}
 
@@ -218,7 +244,7 @@ class Term:
     __slots__ = ("uid", "ty", "scope", "named")
 
     def __repr__(self):
-        if _max_annotation_nodes(self) > 64:
+        if not fits_inline(self):
             return f"<term #{self.uid} : type #{self.ty.uid}>"
         return show_term(self)
 
@@ -497,12 +523,6 @@ def map_term(t: Term, leaf, binder=None, depth: int | None = None,
         return out
 
     return go(t, depth or 0)
-
-
-def _max_annotation_nodes(t: Term) -> int:
-    """Largest shared node count over the annotation types in ``t``;
-    used to keep reprs of tower-typed terms from rendering inline."""
-    return max(type_node_count(u.ty) for u in subterms(t))
 
 
 def free_vars(t: Term) -> dict[str, Ty]:

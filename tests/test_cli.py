@@ -125,7 +125,7 @@ def test_open_pair_serialization_keeps_source_types():
     assert decoded.a_source is a
     assert decoded.b_source is b
     assert Sep.verify(decoded)
-    sub = {"p": Sep.numeral_type_over(decoded.level, decoded.target_c.ty)}
+    sub = {"p": S.numeral_type(decoded.level, decoded.target_c.ty)}
     assert decoded.a_prime is S.substitute_types(decoded.a_source, sub)
 
 
@@ -188,8 +188,8 @@ def _alias_tower_certificate(n: int) -> str:
 
 
 def test_verify_matches_a_shared_source_type_once_per_node(tmp_path):
-    # a type-instance match that walks the shared type as a tree never
-    # ends here, so run it in a child with a timeout
+    # a verifier that walks the shared source type as a tree never ends
+    # here, so run it in a child with a timeout
     cert_file = tmp_path / "tower.json"
     cert_file.write_text(_alias_tower_certificate(40))
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -262,6 +262,42 @@ def test_combinator_side_condition_exit(capsys):
     assert code == cli.EXIT_TYPE
 
 
+def test_combinator_output_stays_small_at_a_high_level(capsys):
+    # the binder types of cond(18) write out as about 2**21 nodes each
+    code, out, err = run(capsys, "combinator", "--kind", "Cond", "--level", "18")
+    assert (code, err) == (0, "")
+    assert out.startswith("type ty0 = p -> p\n") and len(out) < 64 * 1024
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("define", "--model", "1", "--type", "p", "--functional", "0", "--level", "0"),
+     "model base must be at least 2"),
+    (("define", "--model", "2", "--type", "(p->p)->p", "--functional", "99", "--level", "20"),
+     "code 99 out of range for (p -> p) -> p"),
+    (("define", "--model", "2", "--type", "p->p", "--functional", "0", "--level", "-1"),
+     "level must be a natural number"),
+    (("define", "--model", "2", "--type", "p", "--functional", "0", "--level", "-1"),
+     "level must be a natural number"),
+])
+def test_define_refuses_a_bad_model_code_or_level(capsys, argv, message):
+    assert run(capsys, *argv) == (cli.EXIT_TYPE, "", f"type error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("type-nf", "p*q", "--atom-weight", "1"),
+    ("ccc", "check", "--samples", "0"),
+    ("ccc", "check", "--samples", "-1"),
+])
+def test_usage_errors_exit_2(capsys, argv):
+    # the option is gone, or its value is not a positive integer: a check
+    # of no samples would pass without checking anything
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: betaeta ")
+
+
 def test_ccc_check_command(capsys):
     code, out, _ = run(capsys, "ccc", "check", "--samples", "2")
     assert code == 0 and "pass" in out and "FAIL" not in out
@@ -316,6 +352,19 @@ def test_separate_flag_between_the_terms(capsys):
 
 def test_eq_context_between_the_terms(capsys):
     assert run(capsys, "eq", "f", "--ctx", "f:p->p", r"\x:p. f x") == (0, "equal\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("normalize", r"\x:p. c"),
+    ("eq", "c", "d"),
+    ("separate", *TWO, "c", "d"),
+])
+def test_repeated_context_options_make_one_context(capsys, argv):
+    joined = run(capsys, *argv, "--ctx", "c:p, d:p")
+    assert joined[0] in (0, cli.EXIT_FAIL) and joined[2] == ""
+    assert run(capsys, *argv, "--ctx", "c:p", "--ctx", "d:p") == joined
+    code, out, err = run(capsys, *argv, "--ctx", "c:p", "--ctx", "c:p, d:p")
+    assert (code, out) == (cli.EXIT_TYPE, "") and "duplicate context entry for 'c'" in err
 
 
 def test_separate_pair_file_with_targets(tmp_path, capsys):

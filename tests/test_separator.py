@@ -7,7 +7,7 @@ from betaeta.errors import BadCertificate, EqualTerms, IllTyped, LevelAboveMax, 
 from betaeta.normalize import decide_eq
 from betaeta.numerals import church
 
-from conftest import log_calls
+from conftest import log_calls, run_in_child
 
 p = S.atom("p")
 
@@ -106,21 +106,21 @@ def test_verify_rejects_tampered_head_argument():
 def test_certificate_sides_are_type_instances():
     a, b = worked_pair()
     cert = Sep.separate_two(a, b)
-    sub = {"p": Sep.numeral_type_over(cert.level, cert.target_c.ty)}
+    sub = {"p": S.numeral_type(cert.level, cert.target_c.ty)}
     assert cert.a_prime is S.substitute_types(a, sub)
     assert cert.b_prime is S.substitute_types(b, sub)
     assert cert.b_prime is not S.substitute_types(a, sub)
-    assert Sep.instance_sub(cert, cert.target_c.ty) == sub
+    assert Sep.instance_sub(cert.level, cert.target_c.ty, a, b) == sub
 
 
 def test_verify_rejects_an_inner_atom_sent_to_another_tower():
-    # q occurs only inside a, so the matched types of a and a_prime
-    # cannot show where it went; the identity check on the whole term does
+    # q occurs only inside a, so the types of a and a_prime cannot show
+    # where it went; the identity check on the whole term does
     a = S.parse_term("(\\g:q->q. \\s:p->p. \\z:p. s z) \\y:q. y")
     cert = Sep.separate_two(a, church(2, 0))
     assert Sep.verify(cert)
-    instance = Sep.numeral_type_over(cert.level, cert.target_c.ty)
-    other = Sep.numeral_type_over(cert.level + 2, cert.target_c.ty)
+    instance = S.numeral_type(cert.level, cert.target_c.ty)
+    other = S.numeral_type(cert.level + 2, cert.target_c.ty)
     cert.a_prime = S.substitute_types(a, {"p": instance, "q": other})
     # same skeleton and same type as the honest a_prime, and it still
     # reduces to the same numeral
@@ -152,7 +152,7 @@ def test_maximality_derives_any_equation():
     # lhs = e and rhs = f are certified; the middle step lhs = rhs is one
     # instance of the added axiom, so e = f follows in the extension
     assert decide_eq(lhs, e) and decide_eq(rhs, f)
-    sub = {"p": Sep.numeral_type_over(cert.level, cert.target_c.ty)}
+    sub = {"p": S.numeral_type(cert.level, cert.target_c.ty)}
     assert cert.a_prime is S.substitute_types(cert.a_source, sub)
     assert cert.b_prime is S.substitute_types(cert.b_source, sub)
 
@@ -179,10 +179,14 @@ def test_max_level_bounds_the_chosen_level():
 
 
 def test_separate_returns_only_what_verify_accepts(monkeypatch):
-    # instances two levels above the stated one: the build goes through,
-    # and the replay that ends each producer refuses it
-    real = Sep.numeral_type_over
-    monkeypatch.setattr(Sep, "numeral_type_over", lambda level, target: real(level + 2, target))
+    # defining terms of the next element of each type: the build goes
+    # through, and the replay that ends each producer refuses it.  The
+    # mutant is the producer's own, since a change to the instance rule
+    # would move the replay along with the build
+    from betaeta import models as M
+    real = M.define_functional
+    monkeypatch.setattr(M, "define_functional", lambda phi, i: real(
+        phi.model.element(phi.ty, (phi.code + 1) % phi.model.card(phi.ty)), i))
     one, two = church(1, 0), church(2, 0)
     with pytest.raises(AssertionError, match="^verify rejected the certificate just built$"):
         Sep.separate_two(one, two)
@@ -348,19 +352,20 @@ def test_verify_rejects_a_tampered_level():
         cli.parse_certificate(text.replace('"level": 8,', '"level": "8",'))
 
 
-def test_match_type_instance_on_shared_types():
-    # towers of about 2**61 tree nodes, shared as 61: one match per node pair
-    q, r = S.atom("q"), S.atom("r")
-    target = S.arrow(q, q)
-    sub = {}
-    assert Sep.match_type_instance(S.tower_type(60), S.tower_type(60, target), sub)
-    assert sub == {"p": target}
-    # a clash met only after the shared part is matched still fails
-    sub = {}
-    assert not Sep.match_type_instance(S.arrow(S.tower_type(60), p),
-                                       S.arrow(S.tower_type(60, q), r), sub)
-    assert sub == {"p": q}
-    assert not Sep.match_type_instance(S.tower_type(60), S.tower_type(59, q), {})
+def test_a_level_far_above_the_type_is_refused_promptly():
+    # a tower of 10**9 levels is never built: both verifiers refuse a
+    # level past the node count of the a-side's type first
+    out = run_in_child(
+        "import time\n"
+        "from betaeta import products as P, separator as Sep, syntax as S\n"
+        "from betaeta.numerals import church\n"
+        "sep = Sep.separate_two(church(1, 0), church(2, 0))\n"
+        "prod = P.separate_prod(S.parse_term('\\\\x:p*p. <p1 x, p2 x>'),\n"
+        "                       S.parse_term('\\\\x:p*p. <p2 x, p1 x>'))\n"
+        "sep.level = prod.inner.level = 10 ** 9\n"
+        "t0 = time.perf_counter()\n"
+        "print(Sep.verify(sep), P.verify_product(prod), time.perf_counter() - t0 < 1)\n")
+    assert out == "False False True\n"
 
 
 def test_high_level_numerals_overflow_promptly():

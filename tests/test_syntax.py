@@ -27,6 +27,20 @@ def test_tower_sharing_is_linear():
     assert S.type_node_count(S.tower_type(64)) == 65
 
 
+def test_repr_is_bounded_by_the_unfolded_size():
+    # tower_type(9) writes out as 1023 nodes and tower_type(10) as 2047;
+    # numeral_type(18) is 21 shared nodes but about 2**21 written out
+    assert repr(S.tower_type(9)) == S.show_type(S.tower_type(9))
+    assert repr(S.tower_type(10)) == f"<type #{S.tower_type(10).uid}, 11 shared nodes>"
+    big = S.numeral_type(18)
+    assert repr(big) == f"<type #{big.uid}, 21 shared nodes>"
+    small = S.parse_term("\\x:p->p. \\y:p. x y")
+    assert repr(small) == S.show_term(small)
+    # a term whose one binder writes out to 2047 nodes
+    wide = S.lams(S.tower_type(10), lambda x: x())
+    assert repr(wide) == f"<term #{wide.uid} : type #{wide.ty.uid}>"
+
+
 def test_numeral_type_unfolds():
     pp = S.arrow(p, p)
     assert S.numeral_type(0) is S.arrow(pp, pp)
