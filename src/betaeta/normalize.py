@@ -13,10 +13,19 @@ obtained from the long form by a maximal eta-contraction pass.  A plain
 beta normal form (no eta in either direction) is available as a
 diagnostic to exhibit equalities whose proofs genuinely need eta.
 
+Evaluation is call-by-need.  An argument that is itself an application
+with a free de Bruijn index becomes a ``Thunk``: its environment and its
+code, evaluated at most once, where a value's shape is first needed (in
+function position, under a projection, in ``values_equal``, in either
+readback, and as the result of ``eval_term`` or of a closed node).  So a
+numeral conditional of a separating context evaluates only the branch it
+keeps.  Every other argument (a variable, a lambda, a closed term) is
+evaluated where it stands.
+
 Each interned term node is compiled once, on first evaluation, into a
 Python closure that evaluates it in an environment tuple: a variable is
 an ``itemgetter``, and an application applies its function in place.
-Lambda bodies and closed nodes are the entry points.
+Lambda bodies, closed nodes and delayed arguments are the entry points.
 
 Terms are hash-consed, so a closed subterm (``scope`` 0: no free de
 Bruijn index) has one value whatever environment it meets; it is
@@ -24,31 +33,42 @@ computed once, in the empty environment, into a table keyed by uid.
 The result of applying a closure to an argument is kept in a second
 table keyed by one int made of the two values' serial numbers, which
 come from a process-wide counter that is never reset (the ``Free``
-neutrals compiled into the code outlive every scope).  The table holds
-only results, so a closure or argument that nothing else needs is freed
-as soon as it is dropped; a hit needs the same two values again.  Both
+neutrals compiled into the code outlive every scope).  A thunk has a
+serial of its own until it is forced and its value's serial after, so
+a forced thunk meets the entries of its value; an unforced one meets
+none, so distinct arguments that share a value are each applied anew.
+The table holds only
+results, so a closure or argument that nothing else needs is freed as
+soon as it is dropped; a hit needs the same two values again.  Both
 tables belong to the outermost normalization scope: one entry call
 (``decide_eq``, ``long_nf``, ``beta_nf``) or one certificate check
 (``closed_value_scope`` on ``verify``, ``verify_product`` and
 ``replay_collapse``).  That scope empties them when it opens and when it
 closes, also by an exception, so nothing is carried from ``separate``
-into ``verify``.  Values point only at values built before them, so when
-a scope closes reference counting frees them all and the cyclic
-collector finds nothing to free.
+into ``verify``.
 
-So the outermost scope pauses the cyclic collector, which could free
-nothing there, and re-enables it as it closes, only if it was enabled
-at open.  ``test_verify_leaves_no_cyclic_garbage`` pins the invariant.
+Values point only at values built before them.  A thunk is the one
+object that gains a reference later, to its value; but that value is
+computed from the thunk's own environment, which is older than the
+thunk and cannot reach it, and forcing drops the environment.  So no
+reference cycle forms, and when a scope closes reference counting frees
+everything it built.  The outermost scope therefore pauses the cyclic
+collector, which could free nothing there, and re-enables it as it
+closes, only if it was enabled at open.
+``test_verify_leaves_no_cyclic_garbage`` pins the invariant.
 
 The step budget is per entry call.  A step is one term node evaluated,
 one application, one readback node or one comparison node.  Running a
 term or a lambda body counts the steps of its spine (the nodes it
-evaluates short of lambda bodies and closed children) in one go, and a
-closed node counts one step when its value is in the table and its own
-spine when it is not.  So the count is exact, the same as counting node
-by node, and a budget trips exactly when the total of a call exceeds it.
-A call that outruns Python's recursion limit raises ``TermTooDeep``, a
-``ResourceExhausted``, instead of a raw ``RecursionError``.
+evaluates short of lambda bodies, closed children and delayed
+arguments) in one go, and a closed node counts one step when its value
+is in the table and its own spine when it is not.  A delayed argument
+counts its spine when it is forced, and nothing if it never is.  So the
+count is exact for the nodes actually evaluated, the same as counting
+node by node, and a budget trips exactly when the total of a call
+exceeds it.  A call that outruns Python's recursion limit raises
+``TermTooDeep``, a ``ResourceExhausted``, instead of a raw
+``RecursionError``.
 """
 
 from __future__ import annotations
@@ -142,6 +162,35 @@ class VClosure:
         self.sid = next(_SERIAL)
 
 
+class Thunk:
+    # a delayed argument: ``code`` run on ``env`` once, where the value's
+    # shape is needed; forcing keeps the value, drops env and code and
+    # takes the value's serial, so the application table sees the value
+    __slots__ = ("env", "code", "value", "sid")
+
+    def __init__(self, env, code):
+        self.env = env
+        self.code = code
+        self.value = None
+        self.sid = next(_SERIAL)
+
+
+def _force(t):
+    v = t.value
+    if v is None:
+        run, steps = t.code  # the delayed spine is counted now
+        _WORK[0] += steps
+        if _WORK[0] > _WORK_LIMIT[0]:
+            _exhausted()
+        v = run(t.env)
+        if type(v) is Thunk:
+            v = _force(v)
+        t.value = v
+        t.env = t.code = None
+        t.sid = v.sid
+    return v
+
+
 class VPair:
     __slots__ = ("fst", "snd", "sid")
 
@@ -219,8 +268,11 @@ def _compile(t: Term):
     elif cls is Lam:
         out = _lam(t.binder, _compile(t.body)), 1
     elif cls is App:
-        (fun, m), (arg, n) = _compile(t.fun), _compile(t.arg)
-        out = _app(fun, arg), m + n + 2  # the node and its application
+        (fun, m), code = _compile(t.fun), _compile(t.arg)
+        if type(t.arg) is App and t.arg.scope:  # delayed: counted when forced
+            out = _app(fun, _delay(code)), m + 2  # the node and its application
+        else:
+            out = _app(fun, code[0]), m + code[1] + 2
     elif cls is Pair:
         (fst, m), (snd, n) = _compile(t.fst), _compile(t.snd)
         out = _pair(fst, snd), m + n + 1
@@ -245,7 +297,10 @@ def _closed(uid, run, steps):
         if _WORK[0] > _WORK_LIMIT[0]:
             _exhausted()
         if out is None:
-            out = _CLOSED[uid] = run(())
+            out = run(())
+            if type(out) is Thunk:
+                out = _force(out)
+            _CLOSED[uid] = out
         return out
     return closed
 
@@ -254,9 +309,15 @@ def _lam(binder, body):
     return lambda env: VClosure(env, binder, body)
 
 
+def _delay(code):
+    return lambda env: Thunk(env, code)
+
+
 def _app(fun, arg):
     def app(env):
         f = fun(env)
+        if type(f) is Thunk:
+            f = _force(f)
         a = arg(env)
         if type(f) is VClosure:  # the caller counted the application step
             key = f.sid << 64 | a.sid  # one int for the pair, and no value kept
@@ -285,7 +346,8 @@ def _proj(which, arg):
 def eval_term(t: Term, env: tuple):
     run, steps = _compile(t)
     _tick(steps)
-    return run(env)
+    v = run(env)
+    return _force(v) if type(v) is Thunk else v
 
 
 def apply_value(f, a):
@@ -298,6 +360,8 @@ _APPLY = _app(itemgetter(0), itemgetter(1))
 
 
 def do_proj(which, v):
+    if type(v) is Thunk:
+        v = _force(v)
     if type(v) is VPair:
         return v.fst if which == 1 else v.snd
     ty = v.ty
@@ -316,6 +380,8 @@ def readback(v, ty: Ty, depth: int) -> Term:
     tcls = type(ty)
     if tcls is TyTerminal:
         return UNIT
+    if type(v) is Thunk:
+        v = _force(v)
     if tcls is TyArrow:
         body = readback(apply_value(v, _fresh(depth, ty.dom)), ty.cod, depth + 1)
         return S.lam(ty.dom, body)
@@ -341,6 +407,8 @@ def readback_beta(v, depth: int) -> Term:
     """Beta-normal readback: no eta-expansion and no terminal rule, so a
     lambda stays a lambda and nothing else grows one."""
     _tick()
+    if type(v) is Thunk:
+        v = _force(v)
     cls = type(v)
     if cls is VClosure:
         fresh = _fresh(depth, v.binder)
@@ -367,13 +435,17 @@ def readback_beta(v, depth: int) -> Term:
 
 def values_equal(u, v, ty: Ty, depth: int) -> bool:
     _tick()
+    tcls = type(ty)
+    if tcls is TyTerminal:
+        return True
+    if type(u) is Thunk:
+        u = _force(u)
+    if type(v) is Thunk:
+        v = _force(v)
     if u is v:
         # One value object denotes one element; this shortcut is what keeps
         # comparison linear when both sides get probed with the same fresh
         # neutral at iterated arrow types.
-        return True
-    tcls = type(ty)
-    if tcls is TyTerminal:
         return True
     if tcls is TyArrow:
         fresh = _fresh(depth, ty.dom)

@@ -10,19 +10,32 @@ to renaming.  Levels index the iterated arrow tower: numerals at level
 ``syntax.lams``, which hands out de Bruijn indices directly, so a builder
 interns the nodes of its combinator and nothing else.  Builders are
 memoized, so each combinator is interned once per process however often
-it is asked for.
+it is asked for.  Every builder takes the level last and refuses a
+negative one with ``SideConditionViolated``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, wraps
 
 from .errors import LevelTooSmall, SideConditionViolated
 from .syntax import Term, app, apps, lams, numeral_type, tower_type
 
 
-@cache
+def _leveled(builder):
+    """``builder``, memoized, refusing a negative level (its last argument)."""
+    cached = cache(builder)
+
+    @wraps(builder)
+    def build(*args):
+        if args[-1] < 0:
+            raise SideConditionViolated("level must be a natural number")
+        return cached(*args)
+    return build
+
+
+@_leveled
 def church(n: int, i: int) -> Term:
     """The numeral for ``n`` at level ``i``: \\x. \\y. x^n(y)."""
     def body(x, y):
@@ -33,7 +46,7 @@ def church(n: int, i: int) -> Term:
     return lams(tower_type(i + 1), tower_type(i), body)
 
 
-@cache
+@_leveled
 def cond(i: int) -> Term:
     """Zero test: applied to a numeral and two branches, returns the
     first branch for 0 and the second otherwise."""
@@ -42,7 +55,7 @@ def cond(i: int) -> Term:
         x(), lams(t0, lambda w: apps(z(), u(), v())), apps(y(), u(), v())))
 
 
-@cache
+@_leveled
 def lower(i: int) -> Term:
     """Maps a level-(i+1) numeral to the same numeral at level i."""
     t1, t0 = tower_type(i + 1), tower_type(i)
@@ -50,45 +63,45 @@ def lower(i: int) -> Term:
         x(), lams(t1, t0, lambda z, u: app(y(), app(z(), u()))), lams(t0, lambda v: v())))
 
 
-@cache
+@_leveled
 def expo(i: int) -> Term:
     """Exponentiation: on level-(i+1) numerals n and m yields m^n at level i."""
     n = numeral_type(i + 1)
     return lams(n, n, lambda x, y: app(x(), app(lower(i), y())))
 
 
-@cache
+@_leveled
 def add(i: int) -> Term:
     n = numeral_type(i)
     return lams(n, n, tower_type(i + 1), tower_type(i),
                 lambda x, y, z, u: apps(x(), z(), apps(y(), z(), u())))
 
 
-@cache
+@_leveled
 def mul(i: int) -> Term:
     n = numeral_type(i)
     return lams(n, n, tower_type(i + 1), tower_type(i),
                 lambda x, y, z, u: apps(x(), app(y(), z()), u()))
 
 
-@cache
+@_leveled
 def pairing(i: int) -> Term:
     """Encodes two level-i numerals as one value of the next numeral type."""
     n = numeral_type(i)
     return lams(n, n, n, lambda x, y, z: apps(cond(i), z(), x(), y()))
 
 
-@cache
+@_leveled
 def proj_first(i: int) -> Term:
     return lams(numeral_type(i + 1), lambda u: app(u(), church(0, i)))
 
 
-@cache
+@_leveled
 def proj_second(i: int) -> Term:
     return lams(numeral_type(i + 1), lambda u: app(u(), church(1, i)))
 
 
-@cache
+@_leveled
 def step_pair(i: int) -> Term:
     """One predecessor step: maps an encoded pair (n, _) to (n+1, n)."""
     def body(x):
@@ -97,20 +110,20 @@ def step_pair(i: int) -> Term:
     return lams(numeral_type(i + 1), body)
 
 
-@cache
+@_leveled
 def fold_pairs(i: int) -> Term:
     """Iterates the pair step n times from (0, 0), giving (n, n-1)."""
     return lams(numeral_type(i + 3), lambda y: apps(
         y(), step_pair(i), apps(pairing(i), church(0, i), church(0, i))))
 
 
-@cache
+@_leveled
 def pred(i: int) -> Term:
     """Predecessor: a level-(i+3) numeral for n yields n-1 (0 for 0) at level i."""
     return lams(numeral_type(i + 3), lambda y: app(proj_second(i), app(fold_pairs(i), y())))
 
 
-@cache
+@_leveled
 def raise_one(i: int) -> Term:
     """Maps level-(i-1) numerals for 0 and 1 to level i.  Proving that the
     result equals the level-i numeral genuinely requires eta."""
@@ -121,7 +134,7 @@ def raise_one(i: int) -> Term:
         x(), lams(t0, lambda v: apps(y(), z(), u())), app(z(), u())))
 
 
-@cache
+@_leveled
 def check(k: int, i: int) -> Term:
     """Equality test against the constant ``k``: a level-i numeral for n
     maps to 0 if n = k and to 1 otherwise.  Requires i >= 3k because each
@@ -140,7 +153,7 @@ def check(k: int, i: int) -> Term:
     return lams(numeral_type(i), body)
 
 
-@cache
+@_leveled
 def lowering_pair(i: int) -> tuple[Term, Term]:
     """The two closed arguments that drop numerals for 0 and 1 from level
     ``i`` to level ``i - 2`` (no such contract holds for 2 and above)."""

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EqualTerms, IllTyped, IndexOutOfRange, Overflow, TypeMismatch
+from .errors import (
+    EqualTerms, IllTyped, IndexOutOfRange, Overflow, SideConditionViolated, TypeMismatch,
+)
 from . import separator as Sep
 from . import syntax as S
 from .normalize import closed_value_scope, decide_eq, long_nf
@@ -39,7 +41,7 @@ def measure(ty: Ty, atom_weight: int = 2) -> int:
     an arrow weighs cod**dom.  Every reduction strictly decreases it.
     A weight past ``MEASURE_BIT_BUDGET`` bits raises Overflow."""
     if atom_weight < 2:
-        raise ValueError("the atom weight must be at least 2")
+        raise SideConditionViolated("the atom weight must be at least 2")
     weight: dict[int, int] = {}
     for t in S.subtypes(ty):  # children first
         if isinstance(t, (TyAtom, TyTerminal)):
@@ -177,7 +179,7 @@ def type_nf(ty: Ty, strategy: str = "innermost") -> TypeNFTrace:
     """Reduce a type to its unique product normal form, recording each
     rewrite with the whole-type measure before and after."""
     if strategy not in ("innermost", "outermost"):
-        raise ValueError(f"unknown strategy '{strategy}'")
+        raise SideConditionViolated(f"unknown strategy '{strategy}'")
     steps = []
     current = ty
     m_cur = _measure_opt(current)

@@ -237,6 +237,32 @@ def test_step_count_is_exact():
         Nz.set_work_budget(500_000_000)
 
 
+def test_a_discarded_argument_costs_nothing():
+    # (\x:p. \y:p. x) z big under \z:p, with big = 27 (\v:p. v) z and 27
+    # computed as 3^3 by expo: the open argument big is delayed, and the
+    # constant function never forces it, so a budget that big alone
+    # exceeds is enough for decide_eq and long_nf
+    from betaeta.numerals import expo
+    power = S.apps(expo(0), church(3, 1), church(3, 1))
+
+    def big(z):
+        return S.apps(power, S.lams(p, lambda v: v()), z())
+
+    ident = S.lams(p, lambda z: z())
+    alone = S.lams(p, big)
+    dropped = S.lams(p, lambda z: S.apps(S.lams(p, p, lambda x, y: x()), z(), big(z)))
+    try:
+        Nz.set_work_budget(100)
+        with pytest.raises(ResourceExhausted):
+            Nz.decide_eq(alone, ident)
+        with pytest.raises(ResourceExhausted):
+            Nz.long_nf(alone)
+        assert Nz.decide_eq(dropped, ident)
+        assert Nz.long_nf(dropped).term is ident
+    finally:
+        Nz.set_work_budget(500_000_000)
+
+
 def test_a_term_too_deep_raises_the_documented_error():
     # f (f (... y)) nested 60,000 deep outruns the recursion limit; a child
     # runs it, since a deep recursion could take the test process down.

@@ -110,6 +110,19 @@ def test_lowering_pair_level_guard():
         N.lowering_pair(1)
 
 
+@pytest.mark.parametrize("build", [
+    lambda i: N.church(0, i), N.cond, N.lower, N.expo, N.add, N.mul, N.pairing,
+    N.proj_first, N.proj_second, N.step_pair, N.fold_pairs, N.pred, N.raise_one,
+    lambda i: N.check(0, i), N.lowering_pair,
+], ids=["church", "cond", "lower", "expo", "add", "mul", "pairing", "proj_first",
+        "proj_second", "step_pair", "fold_pairs", "pred", "raise_one", "check",
+        "lowering_pair"])
+def test_a_negative_level_is_refused(build):
+    # unchecked, church(0, -1) would be \x:p. \y:p. y, which is not a numeral
+    with pytest.raises(SideConditionViolated, match="natural number"):
+        build(-1)
+
+
 def test_combinator_dispatch_and_conditions():
     term = N.combinator(N.CombinatorKind("Check", 6, 2))
     assert decide_eq(S.app(term, N.church(2, 6)), N.church(0, 6))

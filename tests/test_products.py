@@ -5,7 +5,9 @@ import pytest
 
 from betaeta import products as P
 from betaeta import syntax as S
-from betaeta.errors import BadCertificate, EqualTerms, IllTyped, IndexOutOfRange, Overflow
+from betaeta.errors import (
+    BadCertificate, EqualTerms, IllTyped, IndexOutOfRange, Overflow, SideConditionViolated,
+)
 from betaeta.normalize import decide_eq
 from betaeta.numerals import church
 
@@ -19,8 +21,16 @@ def test_measure_base_cases():
     assert P.measure(p) == 2
     assert P.measure(T) == 2
     assert P.measure(p, atom_weight=3) == 3
-    with pytest.raises(ValueError):
-        P.measure(p, atom_weight=1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: P.measure(p, atom_weight=1),
+    lambda: P.type_nf(p, strategy="x"),
+], ids=["measure atom_weight=1", "type_nf strategy=x"])
+def test_a_bad_argument_raises_a_package_error(call):
+    # a BetaEtaError, which a library caller catching the package's errors sees
+    with pytest.raises(SideConditionViolated):
+        call()
 
 
 def test_measure_reference_values():

@@ -291,33 +291,48 @@ def test_verify_step_counts_are_exact(monkeypatch):
     cert = Sep.separate_two(a, b)
     calls = _decide_spy(monkeypatch)
     assert Sep.verify(cert)
-    assert [steps for _, steps in calls] == [53419, 27133, 11, 11]
+    assert [steps for _, steps in calls] == [15428, 5027, 11, 11]
     try:
-        Nz.set_work_budget(53419)  # the budget is per decide_eq call
+        Nz.set_work_budget(15428)  # the budget is per decide_eq call
         assert Sep.verify(cert)
-        Nz.set_work_budget(53418)
+        Nz.set_work_budget(15427)
         with pytest.raises(ResourceExhausted):
             Sep.verify(cert)
     finally:
         Nz.set_work_budget(500_000_000)
 
 
+def test_verify_of_a_depth_three_pair_replays_one_branch(monkeypatch):
+    # call-by-need: each numeral conditional of the level-20 context
+    # forces only the branch it keeps; normalizing every branch and every
+    # check test takes 597,991 steps
+    a = S.parse_term("\\x1:(p->p)->p. x1 \\x2:p. x2")
+    c3 = S.parse_term("\\x1:(p->p)->p. x1 \\x2:p. x1 \\x3:p. x1 \\x4:p. x3")
+    cert = Sep.separate_two(a, c3)
+    calls = _decide_spy(monkeypatch)
+    assert Sep.verify(cert)
+    steps = [steps for _, steps in calls]
+    assert steps == [2067, 50166, 11, 11]
+    assert sum(steps) <= 100_000
+
+
 def _leaves_no_cyclic_garbage(check):
-    # values only point at older values, so closing the scope frees them
-    # by reference counting alone; this is why a scope may pause the
-    # cyclic collector
+    # values only point at older values, and a delayed argument's value is
+    # computed from its own, older environment, which forcing drops; so
+    # closing the scope frees them by reference counting alone, and this
+    # is why a scope may pause the cyclic collector
     import gc
     from betaeta import normalize as Nz
 
-    def closures():
-        return sum(1 for o in gc.get_objects() if type(o) is Nz.VClosure)
+    def values():
+        return sum(1 for o in gc.get_objects() if type(o) in (Nz.VClosure, Nz.Thunk))
 
     gc.collect()
     gc.disable()
     try:
-        before = closures()
+        before = values()
         assert check()
-        assert closures() == before
+        assert values() == before
     finally:
         gc.enable()
 
