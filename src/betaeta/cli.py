@@ -99,17 +99,18 @@ def _fits(value, shape) -> bool:
 
 def _sep_from_payload(data: dict) -> Sep.SeparationCertificate:
     try:
-        aliases = S.parse_alias_table([tuple(x) for x in data["type_defs"]])
-        bound = [(n, S.parse_type(t, aliases)) for n, t in data["bound_vars"]]
-        tctx = [(n, S.parse_type(t, aliases)) for n, t in data["target_ctx"]]
-        sctx = S.Context((n, S.parse_type(t, aliases)) for n, t in data["source_ctx"])
+        aliases = S.parse_alias_table(_typed(data, "type_defs", [(str, str)]))
+        typed_names = lambda key: [(n, S.parse_type(t, aliases))
+                                   for n, t in _typed(data, key, [(str, str)])]
+        bound = typed_names("bound_vars")
+        tctx = typed_names("target_ctx")
+        sctx = S.Context(typed_names("source_ctx"))
         ctx = S.Context()
-        for n, t in list(bound) + list(tctx):
-            if n in ctx:
-                if ctx.lookup(n) is not t:
-                    raise BadCertificate(f"variable '{n}' bound at two types")
-                continue
-            ctx.add(n, t)
+        for n, t in bound + tctx:
+            if n not in ctx:
+                ctx.add(n, t)
+            elif ctx.lookup(n) is not t:
+                raise BadCertificate(f"variable '{n}' bound at two types")
         term = lambda text: S.parse_term(text, ctx, aliases)
         source = lambda text: S.parse_term(text, sctx, aliases)
         return Sep.SeparationCertificate(
@@ -118,7 +119,7 @@ def _sep_from_payload(data: dict) -> Sep.SeparationCertificate:
             a_prime=term(data["a_prime"]),
             b_prime=term(data["b_prime"]),
             bound_vars=bound,
-            head_args=[term(h) for h in data["head_args"]],
+            head_args=[term(h) for h in _typed(data, "head_args", [str])],
             target_c=term(data["target_c"]),
             target_d=term(data["target_d"]),
             target_ctx=S.Context(tctx),
@@ -152,7 +153,7 @@ def _prod_payload(cert: P.ProductCertificate) -> dict:
 
 def _prod_from_payload(data: dict) -> P.ProductCertificate:
     try:
-        aliases = S.parse_alias_table([tuple(x) for x in data["type_defs"]])
+        aliases = S.parse_alias_table(_typed(data, "type_defs", [(str, str)]))
         term = lambda text: S.parse_term(text, S.EMPTY, aliases)
         return P.ProductCertificate(
             a_source=term(data["a_source"]),

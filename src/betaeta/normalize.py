@@ -578,8 +578,7 @@ def decide_eq(a: Term, b: Term) -> bool:
     terminal equations).  Decided by comparing evaluated values in
     eta-long style without materializing the long forms."""
     if a.ty is not b.ty:
-        raise TypeMismatch(
-            f"cannot compare {S.show_type(a.ty)} with {S.show_type(b.ty)}")
+        raise TypeMismatch(f"cannot compare {a.ty!r} with {b.ty!r}")
     _no_loose_index(a, b)
     if a is b:
         return True

@@ -16,6 +16,9 @@ body each binder's index directly, so building interns no throwaway
 name.  Every term node carries its type, computed at construction;
 building an ill-typed application or projection raises immediately.
 
+Term text is read in one pass over its tokens, with an explicit stack,
+straight to interned nodes; type text by recursive descent.
+
 The interning tables are module-level and take no lock: the workbench
 runs in one thread, and callers that add threads must serialize their
 use of this module.
@@ -354,10 +357,10 @@ def app(fun: Term, arg: Term) -> App:
         return t
     fty = fun.ty
     if not isinstance(fty, TyArrow):
-        raise IllTyped(f"cannot apply a term of non-arrow type {show_type(fty)}")
+        raise IllTyped(f"cannot apply a term of non-arrow type {fty!r}")
     if fty.dom is not arg.ty:
         raise IllTyped(
-            f"argument type {show_type(arg.ty)} does not match domain {show_type(fty.dom)}")
+            f"argument type {arg.ty!r} does not match domain {fty.dom!r}")
     t = _new_term(App, key)
     t.fun = fun
     t.arg = arg
@@ -393,7 +396,7 @@ def _proj(cls, tag, arg):
         return t
     ty = arg.ty
     if not isinstance(ty, TyProd):
-        raise IllTyped(f"cannot project from non-product type {show_type(ty)}")
+        raise IllTyped(f"cannot project from non-product type {ty!r}")
     t = _new_term(cls, key)
     t.arg = arg
     t.ty = ty.left if cls is Proj1 else ty.right
@@ -435,8 +438,11 @@ class Context:
         self._index[name] = ty
         return self
 
-    def lookup(self, name: str) -> Ty | None:
-        return self._index.get(name)
+    def lookup(self, name: str) -> Ty:
+        ty = self._index.get(name)
+        if ty is None:
+            raise UnboundVariable(f"variable '{name}' is not bound in the context")
+        return ty
 
     def __contains__(self, name):
         return name in self._index
@@ -607,7 +613,7 @@ def substitute_term(a: Term, name: str, b: Term) -> Term:
             return u
         if u.ty is not b.ty:
             raise TypeMismatch(
-                f"substituting {show_type(b.ty)} for '{name}' : {show_type(u.ty)}")
+                f"substituting {b.ty!r} for '{name}' : {u.ty!r}")
         return b
 
     return map_term(a, leaf, keep=lambda u, d: not u.named)
@@ -639,42 +645,34 @@ def type_of(a: Term, ctx: Context = EMPTY) -> Ty:
     that each free variable is bound in ``ctx`` at its annotated type."""
 
     def go(u, binders):
-        if isinstance(u, Var):
+        cls = type(u)
+        if cls is Var:
             if u.index >= len(binders):
                 raise UnboundVariable(f"loose bound variable index {u.index}")
-            ty = binders[u.index]
-            if ty is not u.ty:
+            if binders[u.index] is not u.ty:
                 raise IllTyped("bound variable annotation disagrees with its binder")
-            return ty
-        if isinstance(u, Free):
+            return u.ty
+        if cls is Free:
             ty = ctx.lookup(u.name)
-            if ty is None:
-                raise UnboundVariable(f"variable '{u.name}' is not bound in the context")
             if ty is not u.ty:
                 raise IllTyped(
-                    f"'{u.name}' has type {show_type(ty)} in the context "
-                    f"but is annotated {show_type(u.ty)}")
+                    f"'{u.name}' has type {ty!r} in the context but is annotated {u.ty!r}")
             return ty
-        if isinstance(u, Lam):
+        if cls is Lam:
             return arrow(u.binder, go(u.body, (u.binder,) + binders))
-        if isinstance(u, App):
-            fty = go(u.fun, binders)
-            aty = go(u.arg, binders)
-            if not isinstance(fty, TyArrow) or fty.dom is not aty:
+        if cls is App:
+            fty, aty = go(u.fun, binders), go(u.arg, binders)
+            if type(fty) is not TyArrow or fty.dom is not aty:
                 raise IllTyped("application of mismatched types")
             return fty.cod
-        if isinstance(u, Pair):
+        if cls is Pair:
             return prod(go(u.fst, binders), go(u.snd, binders))
-        if isinstance(u, Proj1):
+        if cls is Proj1 or cls is Proj2:
             ty = go(u.arg, binders)
-            if not isinstance(ty, TyProd):
-                raise IllTyped("first projection from a non-product")
-            return ty.left
-        if isinstance(u, Proj2):
-            ty = go(u.arg, binders)
-            if not isinstance(ty, TyProd):
-                raise IllTyped("second projection from a non-product")
-            return ty.right
+            if type(ty) is not TyProd:
+                which = "first" if cls is Proj1 else "second"
+                raise IllTyped(f"{which} projection from a non-product")
+            return ty.left if cls is Proj1 else ty.right
         return TERMINAL
 
     ty = go(a, ())
@@ -685,17 +683,18 @@ def type_of(a: Term, ctx: Context = EMPTY) -> Ty:
 
 # ---------------------------------------------------------------------------
 # Surface syntax
-
-# A surface tree is made of tuples: ("var", name), ("lam", name, ty, body),
-# ("app", fun, arg), ("pair", fst, snd), ("proj", which, arg) and ("unit",).
-SNode = tuple
-
-_RESERVED = {"p1", "p2", "k"}
+#
+# A term is "\x:TY. TERM" or atoms applied in turn, the last of which may
+# be such a lambda, so a lambda in argument position reaches as far as it
+# can; an atom is "(TERM)", "<TERM, TERM>", "p1 ATOM", "p2 ATOM", "k" or a
+# name.  A type is "TY -> TY" (to the right), "TY * TY" (to the left, and
+# binding tighter), "(TY)", "T" or a name.
 
 # a token is "->", a name, or any other character that is not a space; a
 # name starts with a letter or "_" and goes on with letters, digits, "_"
 # and "'"
 _TOKEN = re.compile(r"->|[^\W\d][\w']*|\S")
+_ASCII_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_']*|->|\S")  # the same on ASCII, faster
 _SPACE = re.compile(r"\s*")
 
 
@@ -704,9 +703,9 @@ def _is_name(tok: str) -> bool:
 
 
 def _tokenize(text: str) -> list[str]:
+    if str.isascii(text):  # a TypeError for text that is no string
+        return _ASCII_TOKEN.findall(text)
     toks = _TOKEN.findall(text)
-    if text.isascii():
-        return toks
     # [^\W\d] also matches a numeric character that is no digit, such as
     # "²", and that starts no name: it is a token on its own
     out = []
@@ -724,8 +723,9 @@ class _Tokens:
     ``take`` it.  ``pos``, where the next token starts, is worked out only
     when asked for, which is when an error is raised."""
 
-    def __init__(self, text):
+    def __init__(self, text, aliases=None):
         self.text = text
+        self.aliases = aliases
         self.toks = _tokenize(text)
         self.toks.append(None)  # the end; never taken
         self.i = 0
@@ -800,113 +800,121 @@ def parse_type(text: str, aliases: dict[str, Ty] | None = None) -> Ty:
     return ty
 
 
-def _parse_term(toks: _Tokens, aliases) -> SNode:
-    if toks.peek() == "\\":
-        toks.i += 1
-        name = toks.take()
-        if not _is_name(name) or name in _RESERVED or name == "T":
-            raise ParseError(f"bad binder name '{name}'",
-                             toks.start(toks.i - 1) + len(name))
-        toks.take(":")
-        ty = _parse_type(toks, aliases)
-        toks.take(".")
-        return ("lam", name, ty, _parse_term(toks, aliases))
-    return _parse_appseq(toks, aliases)
-
-
-def _parse_appseq(toks: _Tokens, aliases) -> SNode:
-    node = _parse_atom(toks, aliases)
-    while True:
-        tok = toks.peek()
-        if tok == "\\":
-            # A lambda in argument position extends to the end of the input,
-            # mirroring the usual convention for trailing abstractions.
-            return ("app", node, _parse_term(toks, aliases))
-        if tok is None or not (tok == "(" or tok == "<" or _is_name(tok)):
-            return node
-        node = ("app", node, _parse_atom(toks, aliases))
-
-
-def _parse_atom(toks: _Tokens, aliases) -> SNode:
-    tok = toks.peek()
-    if tok is None:
-        raise ParseError("expected a term", toks.pos)
-    if tok == "(":
-        toks.i += 1
-        node = _parse_term(toks, aliases)
-        toks.take(")")
-        return node
-    if tok == "<":
-        toks.i += 1
-        fst = _parse_term(toks, aliases)
-        toks.take(",")
-        snd = _parse_term(toks, aliases)
-        toks.take(">")
-        return ("pair", fst, snd)
-    if tok == "p1" or tok == "p2":
-        toks.i += 1
-        return ("proj", 1 if tok == "p1" else 2, _parse_atom(toks, aliases))
-    if tok == "k":
-        toks.i += 1
-        return ("unit",)
-    if _is_name(tok):
-        toks.i += 1
-        return ("var", tok)
-    raise ParseError(f"unexpected '{tok}'", toks.pos)
+@partial(not_too_deep, stage="parser")
+def parse(text: str, aliases: dict[str, Ty] | None = None) -> _Tokens:
+    """Term text as tokens for ``elaborate``, with the type ``aliases``."""
+    return _Tokens(text, aliases)
 
 
 @partial(not_too_deep, stage="parser")
-def parse(text: str, aliases: dict[str, Ty] | None = None) -> SNode:
-    """Parse surface text into an untyped tree; free variables are kept
-    by name and acquire types only at elaboration."""
-    toks = _Tokens(text)
-    node = _parse_term(toks, aliases)
-    if toks.peek() is not None:
-        raise ParseError(f"trailing input '{toks.peek()}'", toks.pos)
-    return node
-
-
-@partial(not_too_deep, stage="parser")
-def elaborate(node: SNode, ctx: Context = EMPTY) -> Term:
-    """Type and convert a surface tree into a nameless interned term."""
-    bound: dict = {}  # name -> (binder level, type) of its innermost binder
-
-    def go(n, depth):
-        tag = n[0]
-        if tag == "app":
-            return app(go(n[1], depth), go(n[2], depth))
-        if tag == "var":
-            name = n[1]
-            hit = bound.get(name)
-            if hit is not None:
-                return var(depth - 1 - hit[0], hit[1])
-            ty = ctx.lookup(name)
-            if ty is None:
-                raise UnboundVariable(f"variable '{name}' is not bound in the context")
-            return free(name, ty)
-        if tag == "lam":
-            _, name, ty, body = n
-            outer = bound.get(name)
-            bound[name] = (depth, ty)
-            body = go(body, depth + 1)
-            if outer is None:
-                del bound[name]
-            else:
-                bound[name] = outer
-            return lam(ty, body)
-        if tag == "pair":
-            return pair(go(n[1], depth), go(n[2], depth))
-        if tag == "proj":
-            inner = go(n[2], depth)
-            return proj1(inner) if n[1] == 1 else proj2(inner)
-        return UNIT
-
-    return go(node, 0)
+def elaborate(toks: _Tokens, ctx: Context = EMPTY) -> Term:
+    """The nameless interned term of lexed text, typed against ``ctx``; a
+    syntax error anywhere in the text wins over a type error before it."""
+    try:
+        return _read_term(toks, ctx, True)
+    except (IllTyped, UnboundVariable, ResourceExhausted):
+        # read the text again without building: a syntax error is raised
+        # from there, and this error only when there is none
+        _read_term(toks, ctx, False)
+        raise
 
 
 def parse_term(text: str, ctx: Context = EMPTY,
                aliases: dict[str, Ty] | None = None) -> Term:
     return elaborate(parse(text, aliases), ctx)
+
+
+# every token of an ASCII text that is no name, and the end; on other text
+# a character that is no letter may also be a token on its own
+_NOT_NAMES = frozenset([c for c in map(chr, range(128)) if not _is_name(c)] + ["->", None])
+
+# The open frames of ``_read_term`` are lists [tag, the application read
+# so far in the frame, ...]; a lambda's frame adds its binder type and
+# name, and the second half of a pair its first component.  A frame that
+# waits for a closing token is tagged with it: ")" for a parenthesis, ","
+# and ">" for the halves of a pair, and None, the end, for the whole text.
+_LAM, _PROJ = "lam", "proj"
+
+
+def _read_term(toks: _Tokens, ctx: Context, build: bool) -> Term:
+    """The one pass of ``elaborate``: each open frame on a stack holds the
+    application read so far in it, and its node is interned as it closes."""
+    ts, aliases = toks.toks, toks.aliases or {}
+    names = set(ts) - _NOT_NAMES
+    if not toks.text.isascii():
+        names = {tok for tok in names if _is_name(tok)}
+    variables = names.difference(("p1", "p2", "k"))
+    mk_var, mk_free, lookup, mk_app, mk_lam, mk_pair, mk_proj1, mk_proj2 = (
+        (var, free, ctx.lookup, app, lam, pair, proj1, proj2) if build else (lambda *_: UNIT,) * 8)
+    bound: dict = {}  # name -> [(binder level, type)], its innermost binder last
+    depth = 0  # binders open
+    stack: list[list] = [[None, None]]
+    i = 0
+    while True:
+        # an atom comes next, or a lambda unless right after p1 or p2
+        tok = ts[i]
+        i += 1
+        if tok in variables:
+            hit = bound.get(tok)
+            a = mk_var(depth - 1 - hit[-1][0], hit[-1][1]) if hit else mk_free(tok, lookup(tok))
+        elif tok == "\\" and stack[-1][0] is not _PROJ:
+            name = ts[i]
+            if name in variables and name != "T" and ts[i + 1] == ":" and ts[i + 2] in names \
+                    and ts[i + 3] == ".":
+                ty = TERMINAL if ts[i + 2] == "T" else aliases.get(ts[i + 2]) or atom(ts[i + 2])
+                i += 4
+            else:  # an annotation that is no single name, or an error
+                toks.i = i
+                name = toks.take()
+                if name not in variables or name == "T":
+                    raise ParseError(f"bad binder name '{name}'", toks.start(i) + len(name))
+                toks.take(":")
+                ty = _parse_type(toks, aliases)
+                toks.take(".")
+                i = toks.i
+            stack.append([_LAM, None, ty, name])
+            bound.setdefault(name, []).append((depth, ty))
+            depth += 1
+            continue
+        elif tok == "(" or tok == "<":
+            stack.append([")" if tok == "(" else ",", None])
+            continue
+        elif tok == "p1" or tok == "p2":
+            stack.append([_PROJ, mk_proj1 if tok == "p1" else mk_proj2])
+            continue
+        elif tok == "k":
+            a = UNIT
+        else:
+            raise ParseError("expected a term" if tok is None else f"unexpected '{tok}'",
+                             toks.start(i - 1))
+        while True:  # the atom ``a`` is complete
+            while stack[-1][0] is _PROJ:
+                a = stack.pop()[1](a)
+            frame = stack[-1]
+            frame[1] = a if frame[1] is None else mk_app(frame[1], a)
+            tok = ts[i]
+            if tok in names or tok == "(" or tok == "\\" or tok == "<":
+                break
+            # the term in ``frame`` ends before ``tok``
+            if frame[0] is _LAM:
+                stack.pop()
+                bound[frame[3]].pop()
+                depth -= 1
+                a = mk_lam(frame[2], frame[1])  # the last atom of the term around it
+                continue
+            if tok != frame[0]:
+                if frame[0] is None:
+                    raise ParseError(f"trailing input '{tok}'", toks.start(i))
+                toks.i = i
+                toks.take(frame[0])
+            if tok is None:
+                return frame[1]
+            i += 1
+            if tok == ",":
+                stack[-1] = [">", None, frame[1]]
+                break
+            stack.pop()
+            a = frame[1] if tok == ")" else mk_pair(frame[2], frame[1])
 
 
 # ---------------------------------------------------------------------------
@@ -934,32 +942,34 @@ def show_term(t: Term, type_names: dict[int, str] | None = None) -> str:
 
     def binder_name(depth):
         n = depth + 1
-        name = f"x{n}"
-        while name in taken:
+        while f"x{n}" in taken:
             n += 1
-            name = f"x{n}"
-        return name
+        return f"x{n}"
+
+    binder_types: dict[Ty, str] = {}  # each distinct binder type, rendered once
 
     def go(u, env, prec):
         # prec 0 = top, 1 = left of an application, 2 = argument position
-        if isinstance(u, Var):
-            return env[u.index]
-        if isinstance(u, Free):
-            return u.name
-        if isinstance(u, Unit):
-            return "k"
-        if isinstance(u, Lam):
-            name = binder_name(len(env))
-            body = go(u.body, (name,) + env, 0)
-            s = f"\\{name}:{show_type(u.binder, type_names)}. {body}"
-            return f"({s})" if prec > 0 else s
-        if isinstance(u, App):
+        cls = type(u)
+        if cls is App:
             s = f"{go(u.fun, env, 1)} {go(u.arg, env, 2)}"
             return f"({s})" if prec > 1 else s
-        if isinstance(u, Pair):
+        if cls is Var:
+            return env[u.index]
+        if cls is Lam:
+            name = binder_name(len(env))
+            body = go(u.body, (name,) + env, 0)
+            ty = binder_types.get(u.binder) or binder_types.setdefault(
+                u.binder, show_type(u.binder, type_names))
+            s = f"\\{name}:{ty}. {body}"
+            return f"({s})" if prec > 0 else s
+        if cls is Free:
+            return u.name
+        if cls is Unit:
+            return "k"
+        if cls is Pair:
             return f"<{go(u.fst, env, 0)}, {go(u.snd, env, 0)}>"
-        which = "p1" if isinstance(u, Proj1) else "p2"
-        s = f"{which} {go(u.arg, env, 2)}"
+        s = f"{'p1' if cls is Proj1 else 'p2'} {go(u.arg, env, 2)}"
         return f"({s})" if prec > 1 else s
 
     # Depth-indexed naming: binder at nesting depth d gets x(d+1).  The env

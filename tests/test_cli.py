@@ -422,18 +422,25 @@ def test_mem_budget_from_the_environment(capsys, monkeypatch):
 
 
 def test_deep_term_exits_with_budget_code(tmp_path):
-    # a deep recursion could take the test process down, so run a child
-    depth = 60_000
-    deep = "\\f:p->p. \\x:p. " + "f (" * depth + "x" + ")" * depth
+    # a deep recursion could take the test process down, so run a child.
+    # Term text of any depth parses; comparing two terms that differ only
+    # 60,000 applications down outruns the recursive evaluator, and a type
+    # in 40,000 parentheses the recursive type parser
+    def deep(n):
+        return "\\f:p->p. \\x:p. " + "f (" * n + "x" + ")" * n
+
     pair_file = tmp_path / "deep.pair"
-    pair_file.write_text(deep + "\n---\n\\f:p->p. \\x:p. x\n")
+    pair_file.write_text(deep(60_000) + "\n---\n" + deep(59_999) + "\n")
+    deep_type = "(" * 40_000 + "p" + ")" * 40_000
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-m", "betaeta", "eq", "--pair-file", str(pair_file)],
-                          capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == cli.EXIT_BUDGET
-    assert proc.stdout == ""
-    assert proc.stderr.strip() == "budget: term too deep for the recursive parser"
+    for argv, stage in ((["eq", "--pair-file", str(pair_file)], "evaluator"),
+                        (["eq", "y", "y", "--ctx", f"y:{deep_type}"], "parser")):
+        proc = subprocess.run([sys.executable, "-m", "betaeta", *argv],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == cli.EXIT_BUDGET
+        assert proc.stdout == ""
+        assert proc.stderr.strip() == f"budget: term too deep for the recursive {stage}"
 
 
 # sha256 of the canonical bytes; any change to alias-table order, binder
@@ -495,6 +502,16 @@ def test_verify_rejects_a_component_field_that_is_not_an_int(tmp_path, capsys, f
         assert err.startswith("certificate: ") and f"'{field}' must be int" in err
 
 
+@pytest.mark.parametrize("field", ["f", "derived_rhs", "iso_forward"])
+def test_verify_rejects_a_text_field_that_is_not_a_string(tmp_path, capsys, field):
+    env = _collapse_envelope()
+    payload = env["payload"]["separation"] if field == "iso_forward" else env["payload"]
+    payload[field] = 5
+    code, out, err = _verify_envelope(tmp_path, capsys, env)
+    assert (code, out) == (cli.EXIT_FAIL, "")
+    assert err.startswith("certificate: malformed ")
+
+
 @pytest.mark.parametrize("value", [True, 1.0, "1", None, [1]])
 def test_verify_rejects_a_schema_that_is_not_an_int(tmp_path, capsys, value):
     env = _product_envelope()
@@ -522,8 +539,9 @@ def test_verify_rejects_a_tampered_schema_rule(tmp_path, capsys, value):
     assert _verify_envelope(tmp_path, capsys, env)[:2] == (cli.EXIT_FAIL, "fail\n")
 
 
-# each field the verifier does not replay is still decoded at its
-# documented JSON type, so a tampered one is refused, not carried along
+# each field is decoded at its documented JSON type, also one the
+# verifier does not replay, so a tampered one is refused, not carried
+# along, and a string is never read as a list of its characters
 @pytest.mark.parametrize("field, value, message", [
     ("base", "2", "'base' must be int"),
     ("base", True, "'base' must be int"),
@@ -531,6 +549,13 @@ def test_verify_rejects_a_tampered_schema_rule(tmp_path, capsys, value):
     ("model_args", [["p"]], "'model_args' must be [(str, int)]"),
     ("relabeling", {"a": 1}, "'relabeling' must be [int]"),
     ("kappa_values", "12", "'kappa_values' must be [int]"),
+    ("head_args", "k", "'head_args' must be [str]"),
+    ("type_defs", "ab", "'type_defs' must be [(str, str)]"),
+    ("bound_vars", [["x", 1]], "'bound_vars' must be [(str, str)]"),
+    ("source_ctx", ["xp"], "'source_ctx' must be [(str, str)]"),
+    ("target_ctx", "", "'target_ctx' must be [(str, str)]"),
+    ("a_source", 5, "malformed separation payload"),
+    ("target_c", None, "malformed separation payload"),
 ])
 def test_verify_rejects_a_source_field_of_the_wrong_type(tmp_path, capsys, field, value, message):
     cert = Sep.separate_two(church(1, 0), church(2, 0))
@@ -540,3 +565,18 @@ def test_verify_rejects_a_source_field_of_the_wrong_type(tmp_path, capsys, field
     code, out, err = _verify_envelope(tmp_path, capsys, env)
     assert (code, out) == (cli.EXIT_FAIL, "")
     assert err.startswith("certificate: ") and message in err
+
+
+def test_an_ill_typed_head_argument_is_reported_in_bounded_text(tmp_path, capsys):
+    # the defining head argument of the level-20 worked-pair certificate
+    # replaced by the unit: the domain it fails to match is a numeral type
+    # that takes some 200 MB written out, so the message names it by its
+    # shared nodes
+    a = S.parse_term("\\x:(p->p)->p. x \\y:p. x \\z:p. y")
+    b = S.parse_term("\\x:(p->p)->p. x \\y:p. x \\z:p. z")
+    env = json.loads(cli.serialize_certificate(Sep.separate_two(a, b)))
+    env["payload"]["head_args"][0] = "k"
+    code, out, err = _verify_envelope(tmp_path, capsys, env)
+    assert (code, out) == (cli.EXIT_TYPE, "")
+    assert err.startswith("type error: argument type T does not match domain <type #")
+    assert len(err.encode()) < 4096

@@ -369,26 +369,36 @@ def test_closed_terms_are_not_walked_for_names(monkeypatch):
 
 
 def test_a_text_too_deep_raises_the_documented_error():
-    # a term nested 60,000 deep, a type in 40,000 parentheses and a
-    # surface tree nested 150,000 deep all outrun the recursion limit; a
-    # child runs them, since a deep recursion could take the test process
-    # down.  Afterwards the parser works as before.
+    # the term parser keeps its open frames on a list, so a term nested
+    # 60,000 deep parses; the recursive type parser still stops at a type
+    # in 40,000 parentheses.  A child runs them, since a deep recursion
+    # could take the test process down.  Afterwards the parser works as
+    # before.
     out = run_in_child(
         "from betaeta import syntax as S\n"
         "from betaeta.errors import TermTooDeep\n"
         "n = 60_000\n"
         "term = '\\\\f:p->p. \\\\x:p. ' + 'f (' * n + 'x' + ')' * n\n"
-        "tree = ('var', 'y')\n"
-        "for _ in range(150_000):\n"
-        "    tree = ('app', ('var', 'f'), tree)\n"
-        "ctx = S.Context([('f', S.arrow(S.atom('p'), S.atom('p'))), ('y', S.atom('p'))])\n"
-        "for call in (lambda: S.parse_term(term), lambda: S.parse(term),\n"
-        "             lambda: S.parse_type('(' * 40_000 + 'p' + ')' * 40_000),\n"
-        "             lambda: S.elaborate(tree, ctx)):\n"
-        "    try:\n"
-        "        call()\n"
-        "    except TermTooDeep as exc:\n"
-        "        print(exc)\n"
+        "print(S.show_type(S.parse_term(term).ty))\n"
+        "try:\n"
+        "    S.parse_type('(' * 40_000 + 'p' + ')' * 40_000)\n"
+        "except TermTooDeep as exc:\n"
+        "    print(exc)\n"
         "print(S.show_term(S.parse_term('\\\\f:p->p. \\\\x:p. f (f x)')))\n")
-    assert out.splitlines() == ["term too deep for the recursive parser"] * 4 + [
-        "\\x1:p -> p. \\x2:p. x1 (x1 x2)"]
+    assert out.splitlines() == ["(p -> p) -> p -> p", "term too deep for the recursive parser",
+                                "\\x1:p -> p. \\x2:p. x1 (x1 x2)"]
+
+
+def test_a_semantic_error_never_masks_a_later_syntax_error():
+    # the one pass meets the unbound 'y', or the ill-typed 'x y', before
+    # the missing term at the end; the syntax error is the one raised
+    ctx = S.Context([("x", p), ("y", p)])
+    for text, context, pos in (("y (", S.EMPTY, 3), ("x y (", ctx, 5)):
+        with pytest.raises(ParseError) as info:
+            S.parse_term(text, context)
+        assert (str(info.value), info.value.position) == (
+            f"expected a term (at position {pos})", pos)
+    with pytest.raises(UnboundVariable):
+        S.parse_term("y (k)")
+    with pytest.raises(IllTyped):
+        S.parse_term("x y (k)", ctx)
