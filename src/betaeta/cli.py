@@ -79,11 +79,12 @@ def _sep_payload(cert: Sep.SeparationCertificate) -> dict:
 
 
 def _typed(data: dict, key: str, shape):
-    """``data[key]``, which must have ``shape``: ``true`` is no int."""
+    """``data[key]``, which must have ``shape``: ``true`` is no int.  A
+    misfit is a ``TypeError``, which the payload decoder reports."""
     value = data[key]
     if not _fits(value, shape):
         name = repr(shape).replace("<class '", "").replace("'>", "")
-        raise BadCertificate(f"'{key}' must be {name}, not {json.dumps(value)}")
+        raise TypeError(f"'{key}' must be {name}, not {json.dumps(value)}")
     return value
 
 
@@ -111,17 +112,18 @@ def _sep_from_payload(data: dict) -> Sep.SeparationCertificate:
                 ctx.add(n, t)
             elif ctx.lookup(n) is not t:
                 raise BadCertificate(f"variable '{n}' bound at two types")
-        term = lambda text: S.parse_term(text, ctx, aliases)
-        source = lambda text: S.parse_term(text, sctx, aliases)
+        text = lambda key: _typed(data, key, str)
+        term = lambda t: S.parse_term(t, ctx, aliases)
+        source = lambda t: S.parse_term(t, sctx, aliases)
         return Sep.SeparationCertificate(
-            a_source=source(data["a_source"]),
-            b_source=source(data["b_source"]),
-            a_prime=term(data["a_prime"]),
-            b_prime=term(data["b_prime"]),
+            a_source=source(text("a_source")),
+            b_source=source(text("b_source")),
+            a_prime=term(text("a_prime")),
+            b_prime=term(text("b_prime")),
             bound_vars=bound,
             head_args=[term(h) for h in _typed(data, "head_args", [str])],
-            target_c=term(data["target_c"]),
-            target_d=term(data["target_d"]),
+            target_c=term(text("target_c")),
+            target_d=term(text("target_d")),
             target_ctx=S.Context(tctx),
             level=_typed(data, "level", int),
             base=_typed(data, "base", int),
@@ -154,13 +156,13 @@ def _prod_payload(cert: P.ProductCertificate) -> dict:
 def _prod_from_payload(data: dict) -> P.ProductCertificate:
     try:
         aliases = S.parse_alias_table(_typed(data, "type_defs", [(str, str)]))
-        term = lambda text: S.parse_term(text, S.EMPTY, aliases)
+        term = lambda key: S.parse_term(_typed(data, key, str), S.EMPTY, aliases)
         return P.ProductCertificate(
-            a_source=term(data["a_source"]),
-            b_source=term(data["b_source"]),
-            a_prime=term(data["a_prime"]),
-            b_prime=term(data["b_prime"]),
-            iso_forward=term(data["iso_forward"]),
+            a_source=term("a_source"),
+            b_source=term("b_source"),
+            a_prime=term("a_prime"),
+            b_prime=term("b_prime"),
+            iso_forward=term("iso_forward"),
             component=_typed(data, "component", int),
             n_components=_typed(data, "n_components", int),
             inner=_sep_from_payload(data["inner"]),
@@ -182,13 +184,14 @@ def _collapse_payload(cert: C.CollapseCertificate) -> dict:
 
 def _collapse_from_payload(data: dict) -> C.CollapseCertificate:
     try:
+        arrow = lambda key: C.parse_arrow(_typed(data, key, str))
         return C.CollapseCertificate(
-            f=C.parse_arrow(data["f"]),
-            g=C.parse_arrow(data["g"]),
+            f=arrow("f"),
+            g=arrow("g"),
             separation=_prod_from_payload(data["separation"]),
-            derived_lhs=C.parse_arrow(data["derived_lhs"]),
-            derived_rhs=C.parse_arrow(data["derived_rhs"]),
-            schema=data["schema_rule"],
+            derived_lhs=arrow("derived_lhs"),
+            derived_rhs=arrow("derived_rhs"),
+            schema=_typed(data, "schema_rule", str),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise BadCertificate(f"malformed collapse payload: {exc}") from exc

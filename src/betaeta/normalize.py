@@ -24,8 +24,16 @@ evaluated where it stands.
 
 Each interned term node is compiled once, on first evaluation, into a
 Python closure that evaluates it in an environment tuple: a variable is
-an ``itemgetter``, and an application applies its function in place.
-Lambda bodies, closed nodes and delayed arguments are the entry points.
+an ``itemgetter``, and an application node compiles its whole open
+spine ``h a1 ... an`` into one entry that applies the head to each
+argument in turn.  The spine goes down only through application nodes
+with a free de Bruijn index, so a closed sub-spine keeps its own entry
+and its shared value.  Where a closure misses the application table and
+its body is an open lambda, the spine's next argument goes straight
+into the environment and evaluation moves on to the inner body, so the
+closures in between are never built: the arity rule of eval/apply
+(Marlow and Peyton Jones, "Making a fast curry", 2004).  Lambda bodies,
+closed nodes and delayed arguments are the entry points.
 
 Terms are hash-consed, so a closed subterm (``scope`` 0: no free de
 Bruijn index) has one value whatever environment it meets; it is
@@ -37,10 +45,13 @@ neutrals compiled into the code outlive every scope).  A thunk has a
 serial of its own until it is forced and its value's serial after, so
 a forced thunk meets the entries of its value; an unforced one meets
 none, so distinct arguments that share a value are each applied anew.
-The table holds only
-results, so a closure or argument that nothing else needs is freed as
-soon as it is dropped; a hit needs the same two values again.  Both
-tables belong to the outermost normalization scope: one entry call
+Only an application that bound one argument keeps an entry: a partial
+application bound inside a spine has no closure to key it, so it leaves
+none, and the same closure met with the same argument later binds it
+again.  The table holds only results, so a closure or argument that
+nothing else needs is freed as soon as it is dropped; a hit needs the
+same two values again.  Both tables belong to the outermost
+normalization scope: one entry call
 (``decide_eq``, ``long_nf``, ``beta_nf``) or one certificate check
 (``closed_value_scope`` on ``verify``, ``verify_product`` and
 ``replay_collapse``).  That scope empties them when it opens and when it
@@ -60,14 +71,15 @@ closes, only if it was enabled at open.
 The step budget is per entry call.  A step is one term node evaluated,
 one application, one readback node or one comparison node.  Running a
 term or a lambda body counts the steps of its spine (the nodes it
-evaluates short of lambda bodies, closed children and delayed
-arguments) in one go, and a closed node counts one step when its value
-is in the table and its own spine when it is not.  A delayed argument
-counts its spine when it is forced, and nothing if it never is.  So the
-count is exact for the nodes actually evaluated, the same as counting
-node by node, and a budget trips exactly when the total of a call
-exceeds it.  A call that outruns Python's recursion limit raises
-``TermTooDeep``, a ``ResourceExhausted``, instead of a raw
+evaluates short of lambda bodies, closed children and delayed arguments)
+in one go; an inner lambda that a spine binds through counts its one
+step, as if its closure had been built.  A closed node counts one step
+when its value is in the table and its own spine when it is not.  A
+delayed argument counts its spine when it is forced, and nothing if it
+never is.  So the count is exact for the nodes actually evaluated, the
+same as counting node by node, and a budget trips exactly when the total
+of a call exceeds it.  A call that outruns Python's recursion limit
+raises ``TermTooDeep``, a ``ResourceExhausted``, instead of a raw
 ``RecursionError``.
 """
 
@@ -97,8 +109,8 @@ _SCOPES = [0]
 _GC_WAS_ENABLED = [False]
 # serial numbers of values, never reset or reused
 _SERIAL = count()
-# compiled code by term uid, (run, steps); kept for the process, like the
-# interned nodes themselves
+# compiled code by term uid, (run, steps, body); kept for the process,
+# like the interned nodes themselves
 _CODE: dict = {}
 
 
@@ -152,7 +164,7 @@ def closed_value_scope(fn):
 # every value has a serial number, ``sid``, the key of the application table
 
 class VClosure:
-    # code: the compiled body, (run, steps); the body runs on env + (argument,)
+    # code: the compiled body, (run, steps, body); it runs on env + (argument,)
     __slots__ = ("env", "binder", "code", "sid")
 
     def __init__(self, env, binder, code):
@@ -178,7 +190,7 @@ class Thunk:
 def _force(t):
     v = t.value
     if v is None:
-        run, steps = t.code  # the delayed spine is counted now
+        run, steps, _ = t.code  # the delayed spine is counted now
         _WORK[0] += steps
         if _WORK[0] > _WORK_LIMIT[0]:
             _exhausted()
@@ -256,36 +268,50 @@ class NProj:
 # Compilation
 
 def _compile(t: Term):
-    """``(run, steps)`` for ``t``: ``run(env)`` evaluates it, and ``steps``
-    is what its spine costs, which whoever runs it counts first.  A closed
-    node compiles to an entry that counts for itself, with ``steps`` 0."""
+    """``(run, steps, body)`` for ``t``: ``run(env)`` evaluates it, and
+    ``steps`` is what its spine costs, which whoever runs it counts first.
+    ``body`` is the code of an open lambda's body, and None for any other
+    node.  A closed node compiles to an entry that counts for itself, with
+    ``steps`` 0."""
     out = _CODE.get(t.uid)
     if out is not None:
         return out
     cls = type(t)
     if cls is Var:
-        out = itemgetter(-1 - t.index), 1
+        out = itemgetter(-1 - t.index), 1, None
     elif cls is Lam:
-        out = _lam(t.binder, _compile(t.body)), 1
+        body = _compile(t.body)
+        out = _lam(t.binder, body), 1, body
     elif cls is App:
-        (fun, m), code = _compile(t.fun), _compile(t.arg)
-        if type(t.arg) is App and t.arg.scope:  # delayed: counted when forced
-            out = _app(fun, _delay(code)), m + 2  # the node and its application
-        else:
-            out = _app(fun, code[0]), m + code[1] + 2
+        # the open spine h a1 ... an: down through the open App nodes only,
+        # so a closed sub-spine keeps its own shared entry
+        spine = [t]
+        while type(spine[-1].fun) is App and spine[-1].fun.scope:
+            spine.append(spine[-1].fun)
+        head, steps, _ = _compile(spine[-1].fun)
+        args = []
+        for node in reversed(spine):
+            code = _compile(node.arg)
+            if type(node.arg) is App and node.arg.scope:  # delayed: counted when forced
+                args.append(_delay(code))
+            else:
+                args.append(code[0])
+                steps += code[1]
+        steps += 2 * len(spine)  # each node and its application
+        out = _spine(head, args), steps, None
     elif cls is Pair:
-        (fst, m), (snd, n) = _compile(t.fst), _compile(t.snd)
-        out = _pair(fst, snd), m + n + 1
+        (fst, m, _), (snd, n, _) = _compile(t.fst), _compile(t.snd)
+        out = _pair(fst, snd), m + n + 1, None
     elif cls is Proj1 or cls is Proj2:
-        arg, n = _compile(t.arg)
-        out = _proj(1 if cls is Proj1 else 2, arg), n + 1
+        arg, n, _ = _compile(t.arg)
+        out = _proj(1 if cls is Proj1 else 2, arg), n + 1, None
     elif cls is Free:
         value = VNe(NFree(t.name, t.ty), t.ty)
-        out = (lambda env: value), 1
+        out = (lambda env: value), 1, None
     else:
-        out = (lambda env: VUNIT), 1
+        out = (lambda env: VUNIT), 1, None
     if not t.scope:
-        out = _closed(t.uid, *out), 0
+        out = _closed(t.uid, out[0], out[1]), 0, None
     _CODE[t.uid] = out
     return out
 
@@ -313,26 +339,43 @@ def _delay(code):
     return lambda env: Thunk(env, code)
 
 
-def _app(fun, arg):
-    def app(env):
-        f = fun(env)
-        if type(f) is Thunk:
-            f = _force(f)
-        a = arg(env)
-        if type(f) is VClosure:  # the caller counted the application step
+def _spine(head, args):
+    # apply the head to each argument in turn; a closure that misses the
+    # table and whose body is an open lambda takes the next arguments
+    # straight into its environment, and only an application that bound
+    # one argument is kept in the table
+    def spine(env):
+        f = head(env)
+        rest = iter(args)
+        for arg in rest:
+            if type(f) is Thunk:
+                f = _force(f)
+            a = arg(env)
+            if type(f) is not VClosure:
+                # neutral application: track the argument's type for readback
+                fty = f.ty
+                f = VNe(NApp(f.ne, a, fty.dom), fty.cod)
+                continue
             key = f.sid << 64 | a.sid  # one int for the pair, and no value kept
             out = _APPLIED.get(key)
-            if out is None:
-                run, steps = f.code
+            if out is None:  # the caller counted the application steps
+                run, steps, body = f.code
+                env_ = f.env + (a,)
+                chained = False
+                while body is not None and (arg := next(rest, None)) is not None:
+                    _WORK[0] += steps  # the inner Lam node, as if run
+                    env_ += (arg(env),)
+                    run, steps, body = body
+                    chained = True
                 _WORK[0] += steps
                 if _WORK[0] > _WORK_LIMIT[0]:
                     _exhausted()
-                out = _APPLIED[key] = run(f.env + (a,))
-            return out
-        # neutral application: track the argument's type for later readback
-        fty = f.ty
-        return VNe(NApp(f.ne, a, fty.dom), fty.cod)
-    return app
+                out = run(env_)
+                if not chained:
+                    _APPLIED[key] = out
+            f = out
+        return f
+    return spine
 
 
 def _pair(fst, snd):
@@ -344,7 +387,7 @@ def _proj(which, arg):
 
 
 def eval_term(t: Term, env: tuple):
-    run, steps = _compile(t)
+    run, steps, _ = _compile(t)
     _tick(steps)
     v = run(env)
     return _force(v) if type(v) is Thunk else v
@@ -355,8 +398,8 @@ def apply_value(f, a):
     return _APPLY((f, a))
 
 
-# an App node's code, run on the environment (f, a): one application path
-_APPLY = _app(itemgetter(0), itemgetter(1))
+# the spine f a, run on the environment (f, a): one application path
+_APPLY = _spine(itemgetter(0), (itemgetter(1),))
 
 
 def do_proj(which, v):

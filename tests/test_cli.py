@@ -502,14 +502,24 @@ def test_verify_rejects_a_component_field_that_is_not_an_int(tmp_path, capsys, f
         assert err.startswith("certificate: ") and f"'{field}' must be int" in err
 
 
-@pytest.mark.parametrize("field", ["f", "derived_rhs", "iso_forward"])
+@pytest.mark.parametrize("field", [
+    "f", "g", "derived_lhs", "derived_rhs", "schema_rule", "iso_forward", "a_source",
+    "b_source", "a_prime", "b_prime", "target_c", "target_d",
+])
 def test_verify_rejects_a_text_field_that_is_not_a_string(tmp_path, capsys, field):
-    env = _collapse_envelope()
-    payload = env["payload"]["separation"] if field == "iso_forward" else env["payload"]
-    payload[field] = 5
-    code, out, err = _verify_envelope(tmp_path, capsys, env)
-    assert (code, out) == (cli.EXIT_FAIL, "")
-    assert err.startswith("certificate: malformed ")
+    # at each level of a collapse certificate that has the field: the
+    # collapse payload, its product separation, and that one's inner
+    # separation
+    levels = lambda env: [env["payload"], env["payload"]["separation"],
+                          env["payload"]["separation"]["inner"]]
+    found = [k for k, payload in enumerate(levels(_collapse_envelope())) if field in payload]
+    assert found
+    for k in found:
+        env = _collapse_envelope()
+        levels(env)[k][field] = 5
+        code, out, err = _verify_envelope(tmp_path, capsys, env)
+        assert (code, out) == (cli.EXIT_FAIL, "")
+        assert err.startswith("certificate: malformed ") and f"'{field}' must be str" in err
 
 
 @pytest.mark.parametrize("value", [True, 1.0, "1", None, [1]])
@@ -536,7 +546,12 @@ def test_verify_rejects_a_tampered_schema_rule(tmp_path, capsys, value):
     env = _collapse_envelope()
     assert _verify_envelope(tmp_path, capsys, env)[:2] == (0, "pass\n")
     env["payload"]["schema_rule"] = value
-    assert _verify_envelope(tmp_path, capsys, env)[:2] == (cli.EXIT_FAIL, "fail\n")
+    # a string that names no rule fails the replay; a value of another
+    # type is refused as it is read, like any other text field
+    want = "fail\n" if type(value) is str else ""
+    code, out, err = _verify_envelope(tmp_path, capsys, env)
+    assert (code, out) == (cli.EXIT_FAIL, want)
+    assert want or "'schema_rule' must be str" in err
 
 
 # each field is decoded at its documented JSON type, also one the

@@ -237,6 +237,37 @@ def test_step_count_is_exact():
         Nz.set_work_budget(500_000_000)
 
 
+def test_a_lambda_chain_binds_its_arguments_without_closures_in_between():
+    # the spine (\x. \y. \z. x) w w w binds w, w, w straight into the
+    # environment: only the outer \w closure, its fresh neutral and the
+    # head closure get serials; building the two partial applications
+    # would take two more
+    t = S.parse_term("\\w:p. (\\x:p. \\y:p. \\z:p. x) w w w")
+    Nz.long_nf(t)  # compiles
+    before = next(Nz._SERIAL)
+    assert Nz.long_nf(t).term is S.lams(p, lambda w: w())
+    assert next(Nz._SERIAL) - before - 1 == 3
+    assert Nz._WORK[0] == 17
+
+
+def test_a_chain_stops_at_a_closed_inner_lambda():
+    # church 0 0 is \f. \y. y, whose \y. y is closed: its value comes
+    # from the closed table and counts there, so chaining into it would
+    # undercount by one
+    from betaeta.numerals import mul
+    t = S.apps(mul(0), church(0, 0), church(0, 0))
+    assert Nz.long_nf(t).term is church(0, 0)
+    assert Nz._WORK[0] == 23
+    try:
+        Nz.set_work_budget(23)
+        Nz.long_nf(t)
+        Nz.set_work_budget(22)
+        with pytest.raises(ResourceExhausted):
+            Nz.long_nf(t)
+    finally:
+        Nz.set_work_budget(500_000_000)
+
+
 def test_a_discarded_argument_costs_nothing():
     # (\x:p. \y:p. x) z big under \z:p, with big = 27 (\v:p. v) z and 27
     # computed as 3^3 by expo: the open argument big is delayed, and the

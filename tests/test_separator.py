@@ -291,11 +291,11 @@ def test_verify_step_counts_are_exact(monkeypatch):
     cert = Sep.separate_two(a, b)
     calls = _decide_spy(monkeypatch)
     assert Sep.verify(cert)
-    assert [steps for _, steps in calls] == [15428, 5027, 11, 11]
+    assert [steps for _, steps in calls] == [15503, 5072, 11, 11]
     try:
-        Nz.set_work_budget(15428)  # the budget is per decide_eq call
+        Nz.set_work_budget(15503)  # the budget is per decide_eq call
         assert Sep.verify(cert)
-        Nz.set_work_budget(15427)
+        Nz.set_work_budget(15502)
         with pytest.raises(ResourceExhausted):
             Sep.verify(cert)
     finally:
@@ -312,7 +312,7 @@ def test_verify_of_a_depth_three_pair_replays_one_branch(monkeypatch):
     calls = _decide_spy(monkeypatch)
     assert Sep.verify(cert)
     steps = [steps for _, steps in calls]
-    assert steps == [2067, 50166, 11, 11]
+    assert steps == [2071, 50460, 11, 11]
     assert sum(steps) <= 100_000
 
 
