@@ -26,7 +26,8 @@ types, raised to the branch's output on that tuple; an atom has just the
 empty tuple, so an atom branch's code is 2 raised to itself.  The branch
 enumeration order is part of the certificate format and is fixed here
 as: constant functions first, ordered by their constant value's code,
-then the remaining elements ordered by big-endian table code.
+then the remaining elements ordered by big-endian table code.  Each
+kappa and defining term is built once per process, keyed by ints alone.
 """
 
 from __future__ import annotations
@@ -473,18 +474,11 @@ def _capped(n: int) -> int:
     return n
 
 
-_KAPPA_MEMO: dict = {}
-
-
+@S.memo(lambda phi: (phi.model.base, phi.ty.uid, phi.code))
 def kappa(phi: Functional) -> int:
     """The least numeral level at which the defining-term construction
     for ``phi`` is valid."""
-    key = (phi.model.base, phi.ty.uid, phi.code)
-    hit = _KAPPA_MEMO.get(key)
-    if hit is not None:
-        return hit
     if isinstance(phi.ty, TyAtom):
-        _KAPPA_MEMO[key] = 0
         return 0
     model = phi.model
     b1 = phi.ty.dom
@@ -494,7 +488,6 @@ def kappa(phi: Functional) -> int:
             level = max(level, kappa(g))
     for psi in branch_order(model, b1):
         level = max(level, kappa(phi(psi)))
-    _KAPPA_MEMO[key] = level
     return level
 
 
@@ -514,6 +507,7 @@ def instance_type(ty: Ty, i: int) -> Ty:
     return subst_type(ty, {_the_atom(ty): numeral_type(i)})
 
 
+@S.memo(lambda phi, i: (phi.model.base, phi.ty.uid, phi.code, i))
 def define_functional(phi: Functional, i: int) -> Term:
     """A closed term of the numeral-instantiated type that provably
     defines ``phi`` whenever ``i`` is at least kappa(phi).

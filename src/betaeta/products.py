@@ -7,8 +7,9 @@ type; the result is a left-nested product of pure arrow types (or the
 terminal type alone).  Each rewrite strictly decreases an exponential
 complexity measure, which witnesses termination.  An isomorphism pair of
 closed terms is constructed per step, lifted from the redex to the whole
-type along the step's path, and composed along the trace; the type after
-a step is the codomain of its lifted forward witness.
+type along the step's path, and composed along the trace; the type after a
+step is the codomain of its lifted forward witness.  A type's pair is built
+once per process and shared, so the witness is frozen.
 
 Separation of unequal product-bearing terms moves them through the
 isomorphism, splits the long normal form into components, finds one
@@ -222,7 +223,7 @@ def components_of(ty: Ty) -> list[Ty]:
 # ---------------------------------------------------------------------------
 # Isomorphism witnesses
 
-@dataclass
+@dataclass(frozen=True)
 class IsoWitness:
     source: Ty
     target: Ty
@@ -295,6 +296,7 @@ def _compose_terms(second: Term, first: Term) -> Term:
     return lams(first.ty.dom, lambda x: app(second, app(first, x())))
 
 
+@S.memo(lambda ty: ty.uid)
 def build_iso(ty: Ty) -> IsoWitness:
     """An isomorphism pair between a type and its product normal form,
     composed from one lifted primitive witness per reduction step; the

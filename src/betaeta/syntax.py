@@ -19,9 +19,10 @@ building an ill-typed application or projection raises immediately.
 Term text is read in one pass over its tokens, with an explicit stack,
 straight to interned nodes; type text by recursive descent.
 
-The interning tables are module-level and take no lock: the workbench
-runs in one thread, and callers that add threads must serialize their
-use of this module.
+The interning tables and the ``memo`` tables, which keep a pure
+builder's results for the life of the process, are module-level and
+take no lock: the workbench runs in one thread, and callers that add
+threads must serialize their use of this module.
 
 The walks over terms and types go through three helpers that visit a
 shared node once: ``subterms`` (preorder), ``subtypes`` (post-order) and
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import re
 import sys
-from functools import partial
+from functools import partial, wraps
 
 from .errors import (
     IllTyped,
@@ -308,6 +309,29 @@ def _new_term(cls, key):
     t.uid = len(_TERMS)
     _TERMS[key] = t
     return t
+
+
+_MEMOS: dict[str, dict] = {}  # every memo table, by its builder's name
+
+
+def memo(key):
+    """Keep a pure builder's results for the life of the process.  ``key``
+    maps its arguments to uids, ints and strings, so no argument object is
+    kept alive; a call that raises stores nothing."""
+    # applied where the builder is defined, so that its recursive calls
+    # and a patch of its module attribute both go through the table
+    def decorate(fn):
+        table = _MEMOS[f"{fn.__module__}.{fn.__qualname__}"] = {}
+
+        @wraps(fn)
+        def memoized(*args, **kwargs):
+            k = key(*args, **kwargs)
+            out = table.get(k)
+            if out is None:
+                out = table[k] = fn(*args, **kwargs)
+            return out
+        return memoized
+    return decorate
 
 
 # A node that is already interned was type-checked when it was built, so
@@ -619,6 +643,7 @@ def substitute_term(a: Term, name: str, b: Term) -> Term:
     return map_term(a, leaf, keep=lambda u, d: not u.named)
 
 
+@memo(lambda a, mapping: (a.uid, tuple(sorted((n, t.uid) for n, t in mapping.items()))))
 def substitute_types(a: Term, mapping: dict[str, Ty]) -> Term:
     """Apply an atom-to-type substitution to every annotation in ``a``."""
     tymemo: dict = {}
@@ -635,9 +660,10 @@ def substitute_types(a: Term, mapping: dict[str, Ty]) -> Term:
     return map_term(a, leaf, binder=ty)
 
 
-def term_atoms(a: Term) -> set[str]:
+@memo(lambda a: a.uid)
+def term_atoms(a: Term) -> frozenset[str]:
     """Atom names occurring in any type annotation of ``a``."""
-    return {t.name for t in subtypes(*(u.ty for u in subterms(a))) if type(t) is TyAtom}
+    return frozenset(t.name for t in subtypes(*(u.ty for u in subterms(a))) if type(t) is TyAtom)
 
 
 def type_of(a: Term, ctx: Context = EMPTY) -> Ty:
@@ -990,8 +1016,7 @@ def type_alias_table(roots: list[Term | Ty]) -> tuple[list[tuple[str, str]], dic
         if isinstance(r, Ty):
             annotations.append(r)
         else:
-            annotations.extend(u.binder if type(u) is Lam else u.ty
-                               for u in subterms(r) if type(u) in (Var, Free, Lam))
+            annotations.extend(_annotations(r))
     nodes = list(subtypes(*annotations))
     order = [ty for ty in nodes if type(ty) in (TyArrow, TyProd)]
     atom_names = {ty.name for ty in nodes if type(ty) is TyAtom}
@@ -1006,6 +1031,12 @@ def type_alias_table(roots: list[Term | Ty]) -> tuple[list[tuple[str, str]], dic
         defs.append((name, show_type(ty, names)))  # before ``ty`` has a name
         names[ty.uid] = name
     return defs, names
+
+
+@memo(lambda root: root.uid)
+def _annotations(root: Term) -> tuple[Ty, ...]:
+    return tuple(u.binder if type(u) is Lam else u.ty
+                 for u in subterms(root) if type(u) in (Var, Free, Lam))
 
 
 def parse_alias_table(defs: list[tuple[str, str]]) -> dict[str, Ty]:

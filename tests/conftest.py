@@ -78,6 +78,11 @@ def log_calls(monkeypatch, *targets):
     return calls
 
 
+def memo_sizes() -> dict[str, int]:
+    """The number of entries in each ``syntax.memo`` table, by builder."""
+    return {name: len(table) for name, table in S._MEMOS.items()}
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

@@ -14,6 +14,8 @@ from betaeta import syntax as S
 from betaeta.errors import BadCertificate
 from betaeta.numerals import church
 
+from conftest import memo_sizes
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -466,6 +468,23 @@ def test_certificate_bytes_are_pinned():
     for label, cert in certs.items():
         data = cli.serialize_certificate(cert).encode()
         assert (len(data), hashlib.sha256(data).hexdigest()) == GOLDEN_CERTIFICATES[label], label
+
+
+def test_repeated_work_grows_nothing():
+    """A process that repeats a certificate's round trip keeps nothing
+    more the second time and writes the same bytes."""
+    a = S.parse_term("\\x:(p->p)->p. x \\y:p. x \\z:p. y")
+    b = S.parse_term("\\x:(p->p)->p. x \\y:p. x \\z:p. z")
+
+    def round_trip():
+        text = cli.serialize_certificate(Sep.separate_two(a, b))
+        assert cli.verify_certificate(cli.parse_certificate(text))
+        return text
+
+    first = round_trip()
+    sizes, nodes = memo_sizes(), S.interned_term_count()
+    assert round_trip() == first
+    assert (memo_sizes(), S.interned_term_count()) == (sizes, nodes)
 
 
 def _verify_envelope(tmp_path, capsys, env):

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import random
+import weakref
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -8,10 +10,12 @@ from hypothesis import assume, given, settings, strategies as st
 from betaeta import models as M
 from betaeta import numerals as N
 from betaeta import syntax as S
-from betaeta.errors import IllTyped, LevelTooSmall, Overflow, TypeMismatch
+from betaeta.errors import (
+    IllTyped, LevelTooSmall, Overflow, SideConditionViolated, TypeMismatch,
+)
 from betaeta.normalize import beta_eta_nf, decide_eq
 
-from conftest import PRODUCT_FREE_ROSTER, gen_closed_term, run_in_child
+from conftest import PRODUCT_FREE_ROSTER, gen_closed_term, memo_sizes, run_in_child
 
 p = S.atom("p")
 pp = S.arrow(p, p)
@@ -182,8 +186,28 @@ def test_define_ordinal_is_numeral():
 def test_define_functional_level_guard():
     m = M.PModel(2)
     neg = m.functional(pp, 1)
-    with pytest.raises(LevelTooSmall):
-        M.define_functional(neg, M.kappa(neg) - 1)
+    low = M.kappa(neg) - 1
+    sizes = memo_sizes()
+    # a refused level is refused on every call and leaves no memo entry
+    for level, error in ((low, LevelTooSmall), (-1, SideConditionViolated)):
+        for _ in range(2):
+            with pytest.raises(error):
+                M.define_functional(neg, level)
+    assert memo_sizes() == sizes
+
+
+def test_memos_keep_no_model_alive():
+    def separate():
+        a = S.parse_term(r"\x:p->p.\y:p. x y")
+        b = S.parse_term(r"\x:p->p.\y:p. x (x y)")
+        found = M.distinguish(a, b, 3)
+        for phi in found.args:
+            M.define_functional(phi, M.kappa(phi))
+        return weakref.ref(found.args[0].model)
+
+    model = separate()
+    gc.collect()
+    assert model() is None  # no memo key or value holds the model's element rows
 
 
 def test_define_functions_on_points():

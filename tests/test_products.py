@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 
@@ -98,6 +99,9 @@ def test_build_iso_terminal_product():
     ty = S.prod(p, T)
     iso = P.build_iso(ty)
     assert iso.target is p
+    assert P.build_iso(ty) is iso  # built once and shared, so frozen
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        iso.target = ty
     assert decide_eq(iso.forward, S.lams(ty, lambda x: S.proj1(x())))
     assert decide_eq(iso.backward, S.lams(p, lambda a: S.pair(a(), S.UNIT)))
 

@@ -8,7 +8,7 @@ from betaeta.errors import (
 )
 from betaeta.normalize import decide_eq
 
-from conftest import PRODUCT_FREE_ROSTER, gen_closed_term, run_in_child
+from conftest import PRODUCT_FREE_ROSTER, gen_closed_term, memo_sizes, run_in_child
 
 p = S.atom("p")
 q = S.atom("q")
@@ -117,6 +117,12 @@ def test_substitute_types_collapse_all_atoms():
     out = S.substitute_types(t, {"q": p, "r": p})
     assert S.term_atoms(out) == {"p"}
     assert out.ty is S.arrow(p, p)
+    # an equal mapping in another dict, in another order, is the same memo entry
+    sizes = memo_sizes()
+    assert S.substitute_types(t, {"r": p, "q": p}) is out
+    assert memo_sizes() == sizes
+    # memo results are shared, so they are immutable
+    assert type(S.term_atoms(out)) is frozenset
 
 
 def test_parse_print_round_trip():
