@@ -17,12 +17,12 @@ from .numerals import CombinatorKind, church, combinator, lowering_pair  # noqa:
 from .models import (  # noqa: F401
     Functional, PModel, define_functional, distinguish, i_defines_check, kappa,
 )
-from .separator import SeparationCertificate, separate, separate_two, verify  # noqa: F401
+from .checker import (  # noqa: F401
+    ArrowTerm, CollapseCertificate, ProductCertificate, SeparationCertificate,
+    decide_ccc_eq, projector, replay_collapse, show_arrow, to_lambda, verify, verify_product,
+)
+from .separator import separate, separate_two  # noqa: F401
 from .products import (  # noqa: F401
-    IsoWitness, ProductCertificate, build_iso, differing_component, measure,
-    projector, separate_prod, split, type_nf, verify_product,
+    IsoWitness, build_iso, differing_component, measure, separate_prod, split, type_nf,
 )
-from .ccc import (  # noqa: F401
-    ArrowTerm, CollapseCertificate, arrow_type_of, check_axioms, collapse,
-    decide_ccc_eq, parse_arrow, replay_collapse, show_arrow, to_lambda,
-)
+from .ccc import arrow_type_of, check_axioms, collapse, parse_arrow  # noqa: F401

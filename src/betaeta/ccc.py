@@ -1,14 +1,15 @@
-"""Equational calculus of cartesian closed structure: arrow terms over
-the same objects as the term language, their translation into closed
-lambda terms, a decision procedure for arrow equality, and the collapse
-construction showing that adding any unprovable arrow equation forces
-all parallel arrows to coincide.
+"""Equational calculus of cartesian closed structure: its axioms, random
+arrows, the surface syntax of arrow terms, and the collapse construction
+showing that adding any unprovable arrow equation forces all parallel
+arrows to coincide.
 
-Arrow equality is decided by translating both sides to lambda terms and
-deciding their equality there; the translation sends identity, the
-projections, evaluation and the terminal arrow to their pointwise
-definitions, composition to function composition, pairing to a pointwise
-pair, and currying to a two-argument abstraction over a pair.
+The arrow terms, their translation and the decision procedure for arrow
+equality are in ``checker``, which replays collapse.  Arrow equality is
+decided by translating both sides to lambda terms and deciding their
+equality there; the translation sends identity, the projections,
+evaluation and the terminal arrow to their pointwise definitions,
+composition to function composition, pairing to a pointwise pair, and
+currying to a two-argument abstraction over a pair.
 
 Collapse runs the product separation on the translations of two unequal
 arrows.  Under the hypothesis that the two arrows are equal (as an axiom
@@ -20,169 +21,19 @@ any two parallel arrows are equal by the pairing laws.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
-from .errors import EqualArrows, IllFormed, ParseError, TypeMismatch
+from .checker import (  # noqa: F401  show_arrow: kept beside its inverse, parse_arrow
+    ABang, ACompose, ACurry, AEval, AId, APairing, AProj, ArrowTerm, CollapseCertificate,
+    decide_ccc_eq, replay_collapse, replayed, show_arrow, to_lambda,
+)
+from .errors import EqualArrows, ParseError
 from . import products as P
 from . import syntax as S
-from .normalize import closed_value_scope, decide_eq
-from .separator import _replayed
-from .syntax import Term, Ty, arrow, atom, prod, TERMINAL
-
-
-# ---------------------------------------------------------------------------
-# Arrow terms
-
-class ArrowTerm:
-    src: Ty
-    tgt: Ty
-
-    def __repr__(self):
-        return show_arrow(self)
-
-
-@dataclass(frozen=True, repr=False)
-class AId(ArrowTerm):
-    a: Ty
-
-    @property
-    def src(self):
-        return self.a
-
-    @property
-    def tgt(self):
-        return self.a
-
-
-@dataclass(frozen=True, repr=False)
-class AProj(ArrowTerm):
-    which: int
-    a: Ty
-    b: Ty
-
-    @property
-    def src(self):
-        return prod(self.a, self.b)
-
-    @property
-    def tgt(self):
-        return self.a if self.which == 1 else self.b
-
-
-@dataclass(frozen=True, repr=False)
-class AEval(ArrowTerm):
-    a: Ty
-    b: Ty
-
-    @property
-    def src(self):
-        return prod(arrow(self.a, self.b), self.a)
-
-    @property
-    def tgt(self):
-        return self.b
-
-
-@dataclass(frozen=True, repr=False)
-class ABang(ArrowTerm):
-    a: Ty
-
-    @property
-    def src(self):
-        return self.a
-
-    @property
-    def tgt(self):
-        return TERMINAL
-
-
-@dataclass(frozen=True, repr=False)
-class ACompose(ArrowTerm):
-    g: ArrowTerm
-    f: ArrowTerm
-
-    def __post_init__(self):
-        if self.f.tgt is not self.g.src:
-            raise IllFormed("composition needs the inner target to match the outer source")
-
-    @property
-    def src(self):
-        return self.f.src
-
-    @property
-    def tgt(self):
-        return self.g.tgt
-
-
-@dataclass(frozen=True, repr=False)
-class APairing(ArrowTerm):
-    f: ArrowTerm
-    g: ArrowTerm
-
-    def __post_init__(self):
-        if self.f.src is not self.g.src:
-            raise IllFormed("pairing needs a common source")
-
-    @property
-    def src(self):
-        return self.f.src
-
-    @property
-    def tgt(self):
-        return prod(self.f.tgt, self.g.tgt)
-
-
-@dataclass(frozen=True, repr=False)
-class ACurry(ArrowTerm):
-    c: Ty
-    a: Ty
-    f: ArrowTerm
-
-    def __post_init__(self):
-        if self.f.src is not prod(self.c, self.a):
-            raise IllFormed("currying needs a product source matching the given objects")
-
-    @property
-    def src(self):
-        return self.c
-
-    @property
-    def tgt(self):
-        return arrow(self.a, self.f.tgt)
+from .syntax import Ty, arrow, atom, prod, TERMINAL
 
 
 def arrow_type_of(f: ArrowTerm) -> tuple[Ty, Ty]:
     return f.src, f.tgt
-
-
-# ---------------------------------------------------------------------------
-# Translation and equality
-
-def to_lambda(f: ArrowTerm) -> Term:
-    """The closed term of type src -> tgt representing the arrow."""
-    if isinstance(f, AId):
-        return S.lams(f.a, lambda x: x())
-    if isinstance(f, AProj):
-        return S.lams(f.src, lambda x: S.proj1(x()) if f.which == 1 else S.proj2(x()))
-    if isinstance(f, AEval):
-        return S.lams(f.src, lambda x: S.app(S.proj1(x()), S.proj2(x())))
-    if isinstance(f, ABang):
-        return S.lams(f.a, lambda x: S.UNIT)
-    if isinstance(f, ACompose):
-        return S.lams(f.src, lambda x: S.app(to_lambda(f.g), S.app(to_lambda(f.f), x())))
-    if isinstance(f, APairing):
-        return S.lams(f.src, lambda x: S.pair(S.app(to_lambda(f.f), x()),
-                                              S.app(to_lambda(f.g), x())))
-    if isinstance(f, ACurry):
-        return S.lams(f.c, f.a, lambda x, y: S.app(to_lambda(f.f), S.pair(x(), y())))
-    raise IllFormed(f"not an arrow term: {f!r}")
-
-
-def decide_ccc_eq(f: ArrowTerm, g: ArrowTerm) -> bool:
-    """Provable equality of two arrows of the same arrow type."""
-    if f.src is not g.src or f.tgt is not g.tgt:
-        raise TypeMismatch("arrows must share source and target")
-    return decide_eq(to_lambda(f), to_lambda(g))
 
 
 # ---------------------------------------------------------------------------
@@ -298,89 +149,21 @@ def random_arrow(rng: random.Random, fuel: int = 3) -> ArrowTerm:
 # ---------------------------------------------------------------------------
 # Collapse
 
-SCHEMA_RULE = ("for any parallel h1, h2 : E |- C: "
-               "p1[C,C] . <h1, h2> = p2[C,C] . <h1, h2>, hence h1 = h2")
-
-
-@dataclass
-class CollapseCertificate:
-    f: ArrowTerm
-    g: ArrowTerm
-    separation: P.ProductCertificate
-    derived_lhs: ArrowTerm = field(default=None)
-    derived_rhs: ArrowTerm = field(default=None)
-    schema: str = SCHEMA_RULE
-
-    def __post_init__(self):
-        if self.derived_lhs is None:
-            p = atom("p")
-            self.derived_lhs = AProj(1, p, p)
-            self.derived_rhs = AProj(2, p, p)
-
-
 def collapse(f: ArrowTerm, g: ArrowTerm, max_base: int = 3,
              max_level: int | None = None) -> CollapseCertificate:
     """Certificate that extending the calculus with f = g (as a schema
     over atoms) identifies the two projections at a common object, and
     with them every pair of parallel arrows.  It returns only a
-    certificate that ``replay_collapse`` accepts."""
-    if f.src is not g.src or f.tgt is not g.tgt:
-        raise TypeMismatch("arrows must share source and target")
+    certificate that ``replay_collapse`` accepts.  Arrows of different
+    arrow types raise TypeMismatch in ``decide_ccc_eq``."""
     if decide_ccc_eq(f, g):
         raise EqualArrows("the arrows are provably equal")
     sep = P._build(to_lambda(f), to_lambda(g), max_base, max_level)
-    return _replayed(CollapseCertificate(f=f, g=g, separation=sep), replay_collapse)
-
-
-@closed_value_scope
-def replay_collapse(cert: CollapseCertificate) -> bool:
-    """Replay a collapse certificate independently of its construction.
-
-    Checks, in order: the stated schema rule is ``SCHEMA_RULE``; the
-    separation's sources are the arrow translations; the separation
-    stage verifies by normalization (these are the two certified
-    equalities; the middle step equating the sides is the hypothesis
-    instance); and the derived arrows are provably ``p1[p, p]`` and
-    ``p2[p, p]``.  Once the separation verifies, its applied sides,
-    abstracted over a pair, equal the translations of those projections,
-    so the derived arrows are compared with them, not with rebuilt
-    sides.  The closing step, from equal
-    projections to equal parallel arrows, is the pairing law
-    p1 . <h1, h2> = h1, an axiom of the calculus that ``check_axioms``
-    (``betaeta ccc check``) exercises; it is not evidence carried by the
-    certificate, so it is not replayed."""
-    if cert.schema != SCHEMA_RULE:
-        return False
-    sep = cert.separation
-    if sep.a_source is not to_lambda(cert.f) or sep.b_source is not to_lambda(cert.g):
-        return False
-    p = atom("p")
-    return (P.verify_product(sep)
-            and decide_ccc_eq(cert.derived_lhs, AProj(1, p, p))
-            and decide_ccc_eq(cert.derived_rhs, AProj(2, p, p)))
+    return replayed(CollapseCertificate(f=f, g=g, separation=sep), replay_collapse)
 
 
 # ---------------------------------------------------------------------------
 # Surface syntax for arrows
-
-def show_arrow(f: ArrowTerm) -> str:
-    if isinstance(f, AId):
-        return f"id[{S.show_type(f.a)}]"
-    if isinstance(f, AProj):
-        return f"p{f.which}[{S.show_type(f.a)}, {S.show_type(f.b)}]"
-    if isinstance(f, AEval):
-        return f"eval[{S.show_type(f.a)}, {S.show_type(f.b)}]"
-    if isinstance(f, ABang):
-        return f"bang[{S.show_type(f.a)}]"
-    if isinstance(f, ACompose):
-        left = show_arrow(f.g)
-        if isinstance(f.g, ACompose):
-            left = f"({left})"
-        return f"{left} . {show_arrow(f.f)}"
-    if isinstance(f, APairing):
-        return f"<{show_arrow(f.f)}, {show_arrow(f.g)}>"
-    return f"curry[{S.show_type(f.c)}, {S.show_type(f.a)}]({show_arrow(f.f)})"
-
 
 def parse_arrow(text: str) -> ArrowTerm:
     toks = S._Tokens(text)

@@ -20,6 +20,7 @@ import sys
 
 from . import __version__
 from . import ccc as C
+from .checker import CollapseCertificate, ProductCertificate, SeparationCertificate, show_arrow
 from . import models as M
 from . import numerals as N
 from . import products as P
@@ -45,7 +46,7 @@ EXIT_SCHEMA = 6
 # ---------------------------------------------------------------------------
 # Certificate serialization
 
-def _sep_payload(cert: Sep.SeparationCertificate) -> dict:
+def _sep_payload(cert: SeparationCertificate) -> dict:
     source_ctx = {**S.free_vars(cert.a_source), **S.free_vars(cert.b_source)}
     roots = ([cert.a_source, cert.b_source, cert.a_prime, cert.b_prime,
               cert.target_c, cert.target_d] + cert.head_args
@@ -98,7 +99,7 @@ def _fits(value, shape) -> bool:
     return type(value) is list and len(value) == len(shape) and all(map(_fits, value, shape))
 
 
-def _sep_from_payload(data: dict) -> Sep.SeparationCertificate:
+def _sep_from_payload(data: dict) -> SeparationCertificate:
     try:
         aliases = S.parse_alias_table(_typed(data, "type_defs", [(str, str)]))
         typed_names = lambda key: [(n, S.parse_type(t, aliases))
@@ -115,7 +116,7 @@ def _sep_from_payload(data: dict) -> Sep.SeparationCertificate:
         text = lambda key: _typed(data, key, str)
         term = lambda t: S.parse_term(t, ctx, aliases)
         source = lambda t: S.parse_term(t, sctx, aliases)
-        return Sep.SeparationCertificate(
+        return SeparationCertificate(
             a_source=source(text("a_source")),
             b_source=source(text("b_source")),
             a_prime=term(text("a_prime")),
@@ -136,7 +137,7 @@ def _sep_from_payload(data: dict) -> Sep.SeparationCertificate:
         raise BadCertificate(f"malformed separation payload: {exc}") from exc
 
 
-def _prod_payload(cert: P.ProductCertificate) -> dict:
+def _prod_payload(cert: ProductCertificate) -> dict:
     roots = [cert.a_source, cert.b_source, cert.a_prime, cert.b_prime, cert.iso_forward]
     defs, names = S.type_alias_table(roots)
     term = lambda t: S.show_term(t, names)
@@ -153,11 +154,11 @@ def _prod_payload(cert: P.ProductCertificate) -> dict:
     }
 
 
-def _prod_from_payload(data: dict) -> P.ProductCertificate:
+def _prod_from_payload(data: dict) -> ProductCertificate:
     try:
         aliases = S.parse_alias_table(_typed(data, "type_defs", [(str, str)]))
         term = lambda key: S.parse_term(_typed(data, key, str), S.EMPTY, aliases)
-        return P.ProductCertificate(
+        return ProductCertificate(
             a_source=term("a_source"),
             b_source=term("b_source"),
             a_prime=term("a_prime"),
@@ -171,21 +172,21 @@ def _prod_from_payload(data: dict) -> P.ProductCertificate:
         raise BadCertificate(f"malformed product payload: {exc}") from exc
 
 
-def _collapse_payload(cert: C.CollapseCertificate) -> dict:
+def _collapse_payload(cert: CollapseCertificate) -> dict:
     return {
-        "f": C.show_arrow(cert.f),
-        "g": C.show_arrow(cert.g),
+        "f": show_arrow(cert.f),
+        "g": show_arrow(cert.g),
         "separation": _prod_payload(cert.separation),
-        "derived_lhs": C.show_arrow(cert.derived_lhs),
-        "derived_rhs": C.show_arrow(cert.derived_rhs),
+        "derived_lhs": show_arrow(cert.derived_lhs),
+        "derived_rhs": show_arrow(cert.derived_rhs),
         "schema_rule": cert.schema,
     }
 
 
-def _collapse_from_payload(data: dict) -> C.CollapseCertificate:
+def _collapse_from_payload(data: dict) -> CollapseCertificate:
     try:
         arrow = lambda key: C.parse_arrow(_typed(data, key, str))
-        return C.CollapseCertificate(
+        return CollapseCertificate(
             f=arrow("f"),
             g=arrow("g"),
             separation=_prod_from_payload(data["separation"]),
@@ -199,9 +200,9 @@ def _collapse_from_payload(data: dict) -> C.CollapseCertificate:
 
 # certificate class -> (envelope kind, encoder, decoder)
 _KINDS = {
-    Sep.SeparationCertificate: ("lambda-separation", _sep_payload, _sep_from_payload),
-    P.ProductCertificate: ("product-separation", _prod_payload, _prod_from_payload),
-    C.CollapseCertificate: ("ccc-collapse", _collapse_payload, _collapse_from_payload),
+    SeparationCertificate: ("lambda-separation", _sep_payload, _sep_from_payload),
+    ProductCertificate: ("product-separation", _prod_payload, _prod_from_payload),
+    CollapseCertificate: ("ccc-collapse", _collapse_payload, _collapse_from_payload),
 }
 
 
@@ -234,9 +235,9 @@ def parse_certificate(text: str):
 
 
 def verify_certificate(cert) -> bool:
-    if isinstance(cert, Sep.SeparationCertificate):
+    if isinstance(cert, SeparationCertificate):
         return Sep.verify(cert)
-    if isinstance(cert, P.ProductCertificate):
+    if isinstance(cert, ProductCertificate):
         return P.verify_product(cert)
     return C.replay_collapse(cert)
 
@@ -305,13 +306,26 @@ def cmd_normalize(args) -> int:
     return 0
 
 
-def cmd_eq(args) -> int:
+def _read_terms(args, command: str, *given) -> list[str]:
+    """The two terms, from ``--pair-file`` or else the first positionals,
+    followed by the positionals that are left."""
+    texts = [t for t in given if t is not None]
     if args.pair_file:
-        a_text, b_text = _read_pair_file(args.pair_file)
-    else:
-        if args.b is None:
-            raise ParseError("eq needs two terms or --pair-file", 0)
-        a_text, b_text = args.a, args.b
+        texts[:0] = _read_pair_file(args.pair_file)
+    if len(texts) < 2:
+        raise ParseError(f"{command} needs two terms or --pair-file", 0)
+    return texts
+
+
+def _unread(owner: str, texts: list[str]):
+    """Refuse arguments that ``owner`` would leave unread."""
+    if texts:
+        raise ParseError(f"{owner} ignores the argument '{texts[0]}'", 0)
+
+
+def cmd_eq(args) -> int:
+    a_text, b_text, *rest = _read_terms(args, "eq", args.a, args.b)
+    _unread("--pair-file", rest)
     ctx = _parse_ctx(args.ctx)
     a = S.parse_term(a_text, ctx)
     b = S.parse_term(b_text, ctx)
@@ -323,15 +337,11 @@ def cmd_eq(args) -> int:
 
 
 def cmd_separate(args) -> int:
-    if args.pair_file:
-        a_text, b_text = _read_pair_file(args.pair_file)
-        targets = [args.a, args.b, args.c, args.d]  # the terms are in the file
-    else:
-        if args.b is None:
-            raise ParseError("separate needs two terms or --pair-file", 0)
-        a_text, b_text = args.a, args.b
-        targets = [args.c, args.d]
-    targets = [t for t in targets if t is not None]
+    a_text, b_text, *targets = _read_terms(args, "separate", args.a, args.b, args.c, args.d)
+    if args.product:
+        _unread("--product", ["--two-valued"] if args.two_valued else targets)
+    elif args.two_valued:
+        _unread("--two-valued", targets)
     ctx = _parse_ctx(args.ctx)
     a = S.parse_term(a_text, ctx)
     b = S.parse_term(b_text, ctx)
@@ -342,6 +352,7 @@ def cmd_separate(args) -> int:
     elif args.two_valued or not targets:
         cert = Sep.separate_two(a, b, **budgets)
     else:
+        _unread("separate", targets[2:])
         if len(targets) != 2:
             raise ParseError("separation with targets needs both c and d", 0)
         c = S.parse_term(targets[0], ctx)
@@ -406,6 +417,7 @@ def cmd_combinator(args) -> int:
 
 def cmd_ccc(args) -> int:
     if args.action == "check":
+        _unread("ccc check", [t for t in (args.f, args.g) if t is not None])
         report = C.check_axioms(samples=args.samples, seed=args.seed)
         bad = 0
         for name, (passed, total) in sorted(report.items()):

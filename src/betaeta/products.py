@@ -22,31 +22,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    EqualTerms, IllTyped, IndexOutOfRange, Overflow, SideConditionViolated, TypeMismatch,
-)
+from .checker import ProductCertificate, instance_sub, instantiate, replayed, verify_product
+from .errors import EqualTerms, IllTyped, Overflow, SideConditionViolated, TypeMismatch
 from . import separator as Sep
 from . import syntax as S
-from .normalize import closed_value_scope, decide_eq, long_nf
+from .normalize import decide_eq, long_nf
 from .syntax import (
     Term, Ty, TyArrow, TyAtom, TyProd, TyTerminal, TERMINAL, UNIT,
-    app, apps, arrow, atom, lams, pair, prod, proj1, proj2,
+    app, apps, arrow, lams, pair, prod, proj1, proj2,
 )
 
 MEASURE_BIT_BUDGET = 1 << 20
 
 
-def measure(ty: Ty, atom_weight: int = 2) -> int:
+def measure(ty: Ty) -> int:
     """Exponential complexity of a type: atoms and the terminal type
-    weigh ``atom_weight`` (at least 2), a product weighs (left+1)*right,
-    an arrow weighs cod**dom.  Every reduction strictly decreases it.
-    A weight past ``MEASURE_BIT_BUDGET`` bits raises Overflow."""
-    if atom_weight < 2:
-        raise SideConditionViolated("the atom weight must be at least 2")
+    weigh 2, a product weighs (left+1)*right, an arrow weighs cod**dom.
+    Every reduction strictly decreases it.  A weight past
+    ``MEASURE_BIT_BUDGET`` bits raises Overflow."""
     weight: dict[int, int] = {}
     for t in S.subtypes(ty):  # children first
         if isinstance(t, (TyAtom, TyTerminal)):
-            out = atom_weight
+            out = 2
         elif isinstance(t, TyProd):
             out = (weight[t.left.uid] + 1) * weight[t.right.uid]
         else:
@@ -358,46 +355,8 @@ def _differing_parts(a: Term, b: Term, iso: IsoWitness):
     raise EqualTerms("all components are provably equal")
 
 
-def projector(n: int, i: int, ty: Ty) -> Term:
-    """Closed term projecting the i-th of n left-nested factors."""
-    if not 1 <= i <= n:
-        raise IndexOutOfRange(f"component {i} of {n}")
-    def body(x):
-        out = x()
-        if n > 1:
-            for _ in range(n - i):
-                out = proj1(out)
-            if i > 1:
-                out = proj2(out)
-        return out
-    return lams(ty, body)
-
-
 # ---------------------------------------------------------------------------
 # Separation with products
-
-@dataclass
-class ProductCertificate:
-    a_source: Term
-    b_source: Term
-    a_prime: Term
-    b_prime: Term
-    iso_forward: Term
-    component: int
-    n_components: int
-    inner: Sep.SeparationCertificate
-
-    @property
-    def level(self):
-        return self.inner.level
-
-    def applied(self, side: str) -> Term:
-        """The chosen component of one instantiated side, moved through
-        the isomorphism and applied to the inner head arguments."""
-        source = self.a_prime if side == "a" else self.b_prime
-        proj = projector(self.n_components, self.component, self.iso_forward.ty.cod)
-        return apps(app(proj, app(self.iso_forward, source)), *self.inner.head_args)
-
 
 def separate_prod(a: Term, b: Term, max_base: int = 3,
                   max_level: int | None = None) -> ProductCertificate:
@@ -413,7 +372,7 @@ def separate_prod(a: Term, b: Term, max_base: int = 3,
     # an equal pair stops here, before the long forms of the split
     if decide_eq(a, b):
         raise EqualTerms("the terms are provably equal")
-    return Sep._replayed(_build(a, b, max_base, max_level), verify_product)
+    return replayed(_build(a, b, max_base, max_level), verify_product)
 
 
 def _build(a: Term, b: Term, max_base: int, max_level: int | None) -> ProductCertificate:
@@ -421,8 +380,8 @@ def _build(a: Term, b: Term, max_base: int, max_level: int | None) -> ProductCer
     iso = build_iso(a.ty)
     idx, parts_a, parts_b = _differing_parts(a, b, iso)
     inner = Sep._build_two(parts_a[idx - 1], parts_b[idx - 1], max_base, max_level)
-    sub = Sep.instance_sub(inner.level, inner.target_c.ty, a, b)
-    a_prime, b_prime, _ = Sep.instantiate(sub, a, b)
+    sub = instance_sub(inner.level, inner.target_c.ty, a, b)
+    a_prime, b_prime, _ = instantiate(sub, a, b)
     return ProductCertificate(
         a_source=a, b_source=b,
         a_prime=a_prime, b_prime=b_prime,
@@ -431,35 +390,3 @@ def _build(a: Term, b: Term, max_base: int, max_level: int | None) -> ProductCer
         n_components=len(parts_a),
         inner=inner,
     )
-
-
-@closed_value_scope
-def verify_product(cert: ProductCertificate) -> bool:
-    """Replay: project the chosen component of the instantiated terms
-    through the instantiated isomorphism, apply the inner head arguments
-    and the two projections of a fresh pair variable, and check both
-    projection equalities by normalization.  As in ``separator.verify``,
-    the instance rule ``instance_sub`` is recomputed from the stated
-    level and the inner target type, ``a_prime`` and ``b_prime`` must be
-    the images of the sources under it, by interned identity, and a level
-    that is not a natural number below the node count of the type of
-    ``a_prime`` is refused before any tower is built.  Of the inner
-    certificate only ``level``, ``head_args`` and the type of
-    ``target_c`` are read; its other fields, ``a_source`` and
-    ``b_source`` among them, record where it came from and are not
-    replayed."""
-    if not Sep.level_fits(cert):
-        return False
-    sub = Sep.instance_sub(cert.level, cert.inner.target_c.ty, cert.a_source, cert.b_source)
-    if (cert.a_prime, cert.b_prime) != Sep.instantiate(sub, cert.a_source, cert.b_source)[:2]:
-        return False
-    p = atom("p")
-    x = S.free("x", prod(p, p))
-    e, f = S.proj1(x), S.proj2(x)
-    for side, want in (("a", e), ("b", f)):
-        lhs = S.apps(cert.applied(side), e, f)
-        if lhs.ty is not want.ty:
-            raise IllTyped("certificate sides and targets differ in type")
-        if not decide_eq(lhs, want):
-            return False
-    return True

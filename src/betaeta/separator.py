@@ -11,80 +11,20 @@ targets c and d.
 
 The output is a replayable certificate: the type-instances, the bound
 variables, the ordered head arguments, the model witness and the level.
-Verification reconstructs both applied sides and decides the two target
-equalities by normalization alone, independently of the search.
+Verification, in ``checker``, reconstructs both applied sides and decides
+the two target equalities by normalization alone, independently of the
+search.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from .checker import SeparationCertificate, instance_sub, instantiate, replayed, verify
 from .errors import EqualTerms, IllTyped, LevelAboveMax, NotSeparable, TypeMismatch
 from . import models as M
 from . import numerals as N
 from . import syntax as S
-from .normalize import closed_value_scope, decide_eq
-from .syntax import Context, Term, Ty, atom, numeral_type, subst_type
-
-
-@dataclass
-class SeparationCertificate:
-    a_source: Term
-    b_source: Term
-    a_prime: Term
-    b_prime: Term
-    bound_vars: list[tuple[str, Ty]]
-    head_args: list[Term]
-    target_c: Term
-    target_d: Term
-    target_ctx: Context
-    level: int
-    base: int
-    model_args: list[tuple[Ty, int]]
-    relabeling: list[int]
-    two_valued: bool = False
-    kappa_values: list[int] = field(default_factory=list)
-
-    def applied(self, side: str) -> Term:
-        """The closed context of one side applied to all head arguments."""
-        body = self.a_prime if side == "a" else self.b_prime
-        frees = [S.free(name, ty) for name, ty in self.bound_vars]
-        return S.apps(S.bind(body, *frees), *self.head_args)
-
-
-def _ordered_free_union(a: Term, b: Term) -> list[tuple[str, Ty]]:
-    out = list(S.free_vars(a).items())
-    seen = {name for name, _ in out}
-    for name, ty in S.free_vars(b).items():
-        if name not in seen:
-            out.append((name, ty))
-    return out
-
-
-def instance_sub(level: int, target: Ty, *sources: Term) -> dict[str, Ty]:
-    """The one instance rule of every certificate (after Statman 1982):
-    each atom of ``sources`` goes to the numeral type of ``level`` over
-    ``target``.  Producers instantiate with it, and verifiers recompute
-    it from the stated level and target instead of searching for it."""
-    instance = numeral_type(level, target)
-    return {name: instance for source in sources for name in S.term_atoms(source)}
-
-
-def instantiate(sub: dict[str, Ty], a: Term, b: Term):
-    """The images of ``a`` and ``b`` under ``sub``, and their free
-    variables in order of first occurrence at their image types: the
-    ``a_prime``, ``b_prime`` and ``bound_vars`` of a certificate."""
-    bound = [(name, subst_type(ty, sub)) for name, ty in _ordered_free_union(a, b)]
-    return S.substitute_types(a, sub), S.substitute_types(b, sub), bound
-
-
-def level_fits(cert) -> bool:
-    """Whether the stated level is a natural number below the node count
-    of the type of ``cert.a_prime``.  An honest a-side type contains the
-    whole numeral type of its level, which has more nodes than that, so
-    a verifier refuses a false level before it builds any tower."""
-    level = cert.level
-    return type(level) is int and 0 <= level < S.type_node_count(cert.a_prime.ty)
+from .normalize import decide_eq
+from .syntax import Context, Term, atom
 
 
 def _even_at_least(n: int) -> int:
@@ -103,7 +43,7 @@ def separate(a: Term, b: Term, c: Term, d: Term, max_base: int = 3,
     LevelAboveMax, before any defining term is built, past ``max_level``.
     """
     _refuse(a, b, c, d)
-    return _replayed(_build(a, b, c, d, max_base, max_level), verify)
+    return replayed(_build(a, b, c, d, max_base, max_level), verify)
 
 
 def separate_two(a: Term, b: Term, max_base: int = 3,
@@ -112,14 +52,7 @@ def separate_two(a: Term, b: Term, max_base: int = 3,
     the applied sides are the two projections, so for any e and f of a
     common type the contexts send ``a`` to e and ``b`` to f."""
     _refuse(a, b, *_slots())
-    return _replayed(_build_two(a, b, max_base, max_level), verify)
-
-
-def _replayed(cert, check):
-    """``cert``, once its verifier ``check`` accepts it: each producer ends here."""
-    if not check(cert):
-        raise AssertionError(f"{check.__name__} rejected the certificate just built")
-    return cert
+    return replayed(_build_two(a, b, max_base, max_level), verify)
 
 
 def _refuse(a: Term, b: Term, c: Term, d: Term):
@@ -151,10 +84,7 @@ def _build(a: Term, b: Term, c: Term, d: Term, max_base: int,
            max_level: int | None) -> SeparationCertificate:
     p = atom("p")
     collapse = {name: p for name in S.term_atoms(a) | S.term_atoms(b)}
-    a1 = S.substitute_types(a, collapse)
-    b1 = S.substitute_types(b, collapse)
-
-    bound = _ordered_free_union(a1, b1)
+    a1, b1, bound = instantiate(collapse, a, b)
     frees = [S.free(name, ty) for name, ty in bound]
     a2 = S.bind(a1, *frees)
     b2 = S.bind(b1, *frees)
@@ -199,40 +129,3 @@ def _build(a: Term, b: Term, c: Term, d: Term, max_base: int,
         relabeling=found.relabeling,
         kappa_values=kappas,
     )
-
-
-@closed_value_scope
-def verify(cert: SeparationCertificate) -> bool:
-    """Replay a certificate using normalization only.  The instance rule
-    ``instance_sub`` is recomputed from the stated level and the target
-    type: ``a_prime``, ``b_prime`` and ``bound_vars`` must be the images
-    under it of the sources and of their free variables in order of
-    first occurrence, compared by interned identity.  A level that is not
-    a natural number below the node count of the type of ``a_prime`` is
-    refused before any tower is built.  Both applied sides must equal
-    their targets; a two-valued certificate must additionally project
-    correctly on fresh slot variables.  ``base``, ``model_args``,
-    ``relabeling`` and ``kappa_values`` record where the certificate came
-    from and are not checked.  This is the only check of a separation:
-    ``separate`` and ``separate_two`` run it on what they build before
-    they return it."""
-    if not level_fits(cert):
-        return False
-    sub = instance_sub(cert.level, cert.target_c.ty, cert.a_source, cert.b_source)
-    if (cert.a_prime, cert.b_prime, cert.bound_vars) != instantiate(
-            sub, cert.a_source, cert.b_source):
-        return False
-    try:
-        lhs_a = cert.applied("a")
-        lhs_b = cert.applied("b")
-        if lhs_a.ty is not cert.target_c.ty:
-            raise IllTyped("the applied context and the target differ in type")
-        ok = decide_eq(lhs_a, cert.target_c) and decide_eq(lhs_b, cert.target_d)
-        if not ok:
-            return False
-        if cert.two_valued:
-            e, f = S.free("e'", atom("p")), S.free("f'", atom("p"))
-            return decide_eq(S.apps(lhs_a, e, f), e) and decide_eq(S.apps(lhs_b, e, f), f)
-        return True
-    except (TypeMismatch, S.UnboundVariable):
-        raise IllTyped("malformed certificate")

@@ -136,11 +136,30 @@ def test_criterion_4_two_valued_contexts():
     _report(4, f"{len(pairs)} verified two-valued certificates", t0)
 
 
+def _measure(ty, weight):
+    """``products.measure`` with atoms and the terminal type weighing
+    ``weight`` instead of 2, so the decrease is seen not to hang on 2."""
+    out = {}
+    for t in S.subtypes(ty):  # children first
+        if isinstance(t, S.TyProd):
+            out[t.uid] = (out[t.left.uid] + 1) * out[t.right.uid]
+        elif isinstance(t, S.TyArrow):
+            base, ex = out[t.cod.uid], out[t.dom.uid]
+            if base.bit_length() * ex > P.MEASURE_BIT_BUDGET:
+                raise Overflow("type measure exceeds the bit budget")
+            out[t.uid] = base ** ex
+        else:
+            out[t.uid] = weight
+        if out[t.uid].bit_length() > P.MEASURE_BIT_BUDGET:
+            raise Overflow("type measure exceeds the bit budget")
+    return out[ty.uid]
+
+
 def _measurable_type(rng, max_nodes=30):
     while True:
         ty = random_mixed_type(rng, max_nodes)
         try:
-            P.measure(ty, 3)
+            _measure(ty, 3)
         except Overflow:
             continue  # resample: the decrease check needs computable values
         return ty
@@ -166,11 +185,12 @@ def test_criterion_5_type_normal_form_corpus():
         outer = P.type_nf(ty, "outermost")
         assert inner.output is outer.output
         assert P.is_product_nf(inner.output)
+        assert _measure(ty, 2) == P.measure(ty)
         for weight in (2, 3):
             current = ty
             for step in inner.steps:
                 nxt = P._apply_at(current, step.path, step.rule)
-                assert P.measure(nxt, weight) < P.measure(current, weight)
+                assert _measure(nxt, weight) < _measure(current, weight)
                 current = nxt
             assert current is inner.output
     _report(5, f"1000 type reductions, worst per-type {worst * 1000:.2f}ms", t0)

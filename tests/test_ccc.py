@@ -156,11 +156,11 @@ def test_random_arrows_are_well_formed():
 def test_replay_collapse_shares_one_table(monkeypatch):
     # the nested verify_product joins the replay's scope instead of
     # emptying the table that the last two checks reuse
+    from betaeta import checker
     from betaeta import normalize as Nz
-    from betaeta import products as P
     cert = C.collapse(C.AProj(1, p, p), C.AProj(2, p, p))
     after_nested = []
-    real = P.verify_product
+    real = checker.verify_product
 
     def spy(sep):
         try:
@@ -168,7 +168,7 @@ def test_replay_collapse_shares_one_table(monkeypatch):
         finally:
             after_nested.append(len(Nz._CLOSED))
 
-    monkeypatch.setattr(P, "verify_product", spy)
+    monkeypatch.setattr(checker, "verify_product", spy)
     assert C.replay_collapse(cert)
     assert after_nested and after_nested[0] > 0
     assert not Nz._CLOSED
@@ -200,12 +200,15 @@ def test_replay_collapse_requires_the_translations_as_sources():
 def test_collapse_decides_its_pair_once(monkeypatch):
     # decide_ccc_eq is the one decision on the pair; the separation is
     # built without a decision of its own or a replay, and replay_collapse
-    # is the one check
+    # is the one check: its nested verify_product and both derived arrows
+    # decide through normalize.decide_eq, as decide_ccc_eq does
+    from betaeta import checker
+    from betaeta import normalize as Nz
     from betaeta import products as P
     from betaeta import separator as Sep
-    calls = log_calls(monkeypatch, (C, "decide_eq"), (C, "replay_collapse"), (P, "decide_eq"),
-                      (P, "verify_product"), (Sep, "decide_eq"), (Sep, "verify"))
+    calls = log_calls(monkeypatch, (Nz, "decide_eq"), (C, "replay_collapse"), (P, "decide_eq"),
+                      (P, "verify_product"), (checker, "verify_product"), (Sep, "decide_eq"),
+                      (Sep, "verify"))
     C.collapse(C.AProj(1, p, p), C.AProj(2, p, p))
-    assert calls == ["ccc.decide_eq", "products.decide_eq", "ccc.replay_collapse",
-                     "products.verify_product"] + ["products.decide_eq"] * 2 + [
-                     "ccc.decide_eq"] * 2
+    assert calls == ["normalize.decide_eq", "products.decide_eq", "ccc.replay_collapse",
+                     "checker.verify_product"] + ["normalize.decide_eq"] * 4

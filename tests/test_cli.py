@@ -305,6 +305,13 @@ def test_ccc_check_command(capsys):
     assert code == 0 and "pass" in out and "FAIL" not in out
 
 
+def test_ccc_check_refuses_arrow_terms(capsys):
+    # check draws its own arrows, so a given one would go unread
+    code, out, err = run(capsys, "ccc", "check", "garbage((", "--samples", "1")
+    assert (code, out) == (cli.EXIT_PARSE, "")
+    assert err.startswith("parse error: ccc check ignores the argument 'garbage(('")
+
+
 def test_ccc_collapse_command(tmp_path, capsys):
     code, out, _ = run(capsys, "ccc", "collapse", "p1[p, p]", "p2[p, p]")
     assert code == 0
@@ -379,6 +386,9 @@ def test_separate_pair_file_with_targets(tmp_path, capsys):
     code, out, err = run(capsys, "separate", "--pair-file", str(pair_file), "c",
                          "--ctx", "c:p")
     assert (code, out) == (cli.EXIT_PARSE, "") and "needs both c and d" in err
+    code, out, err = run(capsys, "separate", "--pair-file", str(pair_file), "c", "d", "e",
+                         "--ctx", "c:p, d:p")
+    assert (code, out) == (cli.EXIT_PARSE, "") and "separate ignores the argument 'e'" in err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -388,6 +398,31 @@ def test_separate_pair_file_with_targets(tmp_path, capsys):
 ])
 def test_one_term_is_a_parse_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
+    assert (code, out) == (cli.EXIT_PARSE, "") and err.startswith(f"parse error: {message}")
+
+
+def test_eq_refuses_a_term_beside_a_pair_file(tmp_path, capsys):
+    # the file holds both terms, so a positional term would go unread
+    pair_file = tmp_path / "pair.txt"
+    pair_file.write_text(TWO[0] + "\n---\n" + TWO[0] + "\n")
+    assert run(capsys, "eq", "--pair-file", str(pair_file)) == (0, "equal\n", "")
+    code, out, err = run(capsys, "eq", "--pair-file", str(pair_file), "garbage((")
+    assert (code, out) == (cli.EXIT_PARSE, "")
+    assert err.startswith("parse error: --pair-file ignores the argument 'garbage(('")
+
+
+SWAP = (r"\x:p*p. <p1 x, p2 x>", r"\x:p*p. <p2 x, p1 x>")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("separate", "--two-valued", *TWO, "c", "d"), "--two-valued ignores the argument 'c'"),
+    (("separate", "--product", *SWAP, "c", "d"), "--product ignores the argument 'c'"),
+    (("separate", "--two-valued", "--product", *SWAP),
+     "--product ignores the argument '--two-valued'"),
+], ids=["two-valued with targets", "product with targets", "two-valued with product"])
+def test_separate_refuses_what_its_mode_ignores(capsys, argv, message):
+    # each of these used to drop the named argument and exit 0
+    code, out, err = run(capsys, *argv, "--ctx", "c:p, d:p")
     assert (code, out) == (cli.EXIT_PARSE, "") and err.startswith(f"parse error: {message}")
 
 

@@ -479,3 +479,20 @@ def test_value_serials_are_never_reused():
             Nz._scope(-1)
     (v,) = frees
     assert v.sid not in sids and len(set(sids)) == len(sids)
+
+
+def test_the_application_table_keeps_a_shared_application_linear():
+    # c is the long form of the identity at the k-th tower type, so
+    # comparing c x with (\y. c y) x reads back c's application at every
+    # level of the type twice over; the application table evaluates each
+    # once, and without it the steps grow exponentially in k (about 200
+    # at k = 4 and 49,000 at k = 12)
+    def steps(k):
+        A = S.tower_type(k)
+        c = Nz.long_nf(S.lams(A, lambda z: z())).term
+        a = S.lams(A, lambda x: S.app(c, x()))
+        b = S.lams(A, lambda x: S.app(S.lams(A, lambda y: S.app(c, y())), x()))
+        assert Nz.decide_eq(a, b)
+        return Nz._WORK[0]
+
+    assert steps(4) == steps(12) == 15

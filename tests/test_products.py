@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from betaeta import checker
 from betaeta import products as P
 from betaeta import syntax as S
 from betaeta.errors import (
@@ -21,13 +22,11 @@ T = S.TERMINAL
 def test_measure_base_cases():
     assert P.measure(p) == 2
     assert P.measure(T) == 2
-    assert P.measure(p, atom_weight=3) == 3
 
 
 @pytest.mark.parametrize("call", [
-    lambda: P.measure(p, atom_weight=1),
     lambda: P.type_nf(p, strategy="x"),
-], ids=["measure atom_weight=1", "type_nf strategy=x"])
+], ids=["type_nf strategy=x"])
 def test_a_bad_argument_raises_a_package_error(call):
     # a BetaEtaError, which a library caller catching the package's errors sees
     with pytest.raises(SideConditionViolated):
@@ -208,14 +207,14 @@ def test_differing_component_equal_raises():
 
 def test_projector_shapes():
     ty1 = S.arrow(p, p)
-    assert decide_eq(P.projector(1, 1, ty1), S.parse_term("\\x:p->p. x"))
+    assert decide_eq(checker.projector(1, 1, ty1), S.parse_term("\\x:p->p. x"))
     ty3 = S.prod(S.prod(S.arrow(p, p), S.arrow(p, p)), S.arrow(p, p))
-    pr3 = P.projector(3, 3, ty3)
+    pr3 = checker.projector(3, 3, ty3)
     assert pr3 is S.lams(ty3, lambda x: S.proj2(x()))
-    pr1 = P.projector(3, 1, ty3)
+    pr1 = checker.projector(3, 1, ty3)
     assert pr1 is S.lams(ty3, lambda x: S.proj1(S.proj1(x())))
     with pytest.raises(IndexOutOfRange):
-        P.projector(3, 4, ty3)
+        checker.projector(3, 4, ty3)
 
 
 def test_separate_prod_swap_pair():
@@ -262,8 +261,8 @@ def test_verify_product_detects_component_tampering():
 def test_a_broken_projector_stops_separate_prod(monkeypatch):
     # the build never projects, so only the replay meets a projector that
     # picks the other of two components of the same type
-    real = P.projector
-    monkeypatch.setattr(P, "projector", lambda n, i, ty: real(n, n + 1 - i, ty))
+    real = checker.projector
+    monkeypatch.setattr(checker, "projector", lambda n, i, ty: real(n, n + 1 - i, ty))
     a = S.parse_term("\\x:p*p. <p1 x, p2 x>")
     b = S.parse_term("\\x:p*p. <p2 x, p1 x>")
     with pytest.raises(AssertionError, match="^verify_product rejected"):
@@ -273,14 +272,16 @@ def test_a_broken_projector_stops_separate_prod(monkeypatch):
 def test_separate_prod_decides_nothing_twice(monkeypatch):
     # the pair once, then the components until one differs; the inner
     # build neither decides that component again nor replays, and
-    # verify_product is the one check
+    # verify_product is the one check, whose decisions the checker takes
+    # through normalize.decide_eq
+    from betaeta import normalize as Nz
     from betaeta import separator as Sep
     calls = log_calls(monkeypatch, (P, "decide_eq"), (P, "verify_product"),
-                      (Sep, "decide_eq"), (Sep, "verify"))
+                      (Sep, "decide_eq"), (Sep, "verify"), (Nz, "decide_eq"))
     P.separate_prod(S.parse_term("\\x:p*p. <p1 x, p2 x>"),
                     S.parse_term("\\x:p*p. <p2 x, p1 x>"))
     assert calls == ["products.decide_eq"] * 2 + ["products.verify_product"] + [
-        "products.decide_eq"] * 2
+        "normalize.decide_eq"] * 2
 
 
 def test_verify_product_rejects_equal_sources():

@@ -196,10 +196,11 @@ def test_separate_returns_only_what_verify_accepts(monkeypatch):
 
 def test_separate_decides_the_pair_once_then_replays(monkeypatch):
     # one decision refuses an equal pair; every other decision is the
-    # replay's: two targets and two projections
-    calls = log_calls(monkeypatch, (Sep, "decide_eq"), (Sep, "verify"))
+    # replay's, taken in the checker: two targets and two projections
+    from betaeta import normalize as Nz
+    calls = log_calls(monkeypatch, (Sep, "decide_eq"), (Sep, "verify"), (Nz, "decide_eq"))
     Sep.separate_two(church(1, 0), church(2, 0))
-    assert calls == ["separator.decide_eq", "separator.verify"] + ["separator.decide_eq"] * 4
+    assert calls == ["separator.decide_eq", "separator.verify"] + ["normalize.decide_eq"] * 4
 
 
 def _one_two_certificate():
@@ -232,11 +233,12 @@ def test_verify_rejects_reordered_bound_vars():
 
 
 def _decide_spy(monkeypatch):
-    """Replace ``separator.decide_eq`` by a spy that records, per call, the
-    size of the closed-value table on entry and the steps taken."""
+    """Replace ``normalize.decide_eq``, where the checker looks it up, by a
+    spy that records, per call, the size of the closed-value table on
+    entry and the steps taken."""
     from betaeta import normalize as Nz
     calls = []
-    real = Sep.decide_eq
+    real = Nz.decide_eq
 
     def spy(a, b):
         filled = len(Nz._CLOSED)
@@ -245,7 +247,7 @@ def _decide_spy(monkeypatch):
         finally:
             calls.append((filled, Nz._WORK[0]))
 
-    monkeypatch.setattr(Sep, "decide_eq", spy)
+    monkeypatch.setattr(Nz, "decide_eq", spy)
     return calls
 
 
