@@ -1,15 +1,14 @@
 """Equational calculus of cartesian closed structure: its axioms, random
-arrows, the surface syntax of arrow terms, and the collapse construction
-showing that adding any unprovable arrow equation forces all parallel
-arrows to coincide.
+arrows, and the collapse construction showing that adding any unprovable
+arrow equation forces all parallel arrows to coincide.
 
-The arrow terms, their translation and the decision procedure for arrow
-equality are in ``checker``, which replays collapse.  Arrow equality is
-decided by translating both sides to lambda terms and deciding their
-equality there; the translation sends identity, the projections,
-evaluation and the terminal arrow to their pointwise definitions,
-composition to function composition, pairing to a pointwise pair, and
-currying to a two-argument abstraction over a pair.
+The arrow terms, their text, their translation and the decision
+procedure for arrow equality are in ``checker``, which replays collapse.
+Arrow equality is decided by translating both sides to lambda terms and
+deciding their equality there; the translation sends identity, the
+projections, evaluation and the terminal arrow to their pointwise
+definitions, composition to function composition, pairing to a pointwise
+pair, and currying to a two-argument abstraction over a pair.
 
 Collapse runs the product separation on the translations of two unequal
 arrows.  Under the hypothesis that the two arrows are equal (as an axiom
@@ -22,11 +21,11 @@ from __future__ import annotations
 
 import random
 
-from .checker import (  # noqa: F401  show_arrow: kept beside its inverse, parse_arrow
+from .checker import (  # noqa: F401  parse_arrow, show_arrow: the arrow text, re-bound here
     ABang, ACompose, ACurry, AEval, AId, APairing, AProj, ArrowTerm, CollapseCertificate,
-    decide_ccc_eq, replay_collapse, replayed, show_arrow, to_lambda,
+    decide_ccc_eq, parse_arrow, replay_collapse, replayed, show_arrow, to_lambda,
 )
-from .errors import EqualArrows, ParseError
+from .errors import EqualArrows
 from . import products as P
 from . import syntax as S
 from .syntax import Ty, arrow, atom, prod, TERMINAL
@@ -155,77 +154,8 @@ def collapse(f: ArrowTerm, g: ArrowTerm, max_base: int = 3,
     over atoms) identifies the two projections at a common object, and
     with them every pair of parallel arrows.  It returns only a
     certificate that ``replay_collapse`` accepts.  Arrows of different
-    arrow types raise TypeMismatch in ``decide_ccc_eq``."""
+    arrow types raise TypeMismatch in ``decide_eq``."""
     if decide_ccc_eq(f, g):
         raise EqualArrows("the arrows are provably equal")
     sep = P._build(to_lambda(f), to_lambda(g), max_base, max_level)
     return replayed(CollapseCertificate(f=f, g=g, separation=sep), replay_collapse)
-
-
-# ---------------------------------------------------------------------------
-# Surface syntax for arrows
-
-def parse_arrow(text: str) -> ArrowTerm:
-    toks = S._Tokens(text)
-    out = _parse_compose(toks)
-    if toks.peek() is not None:
-        raise ParseError(f"trailing input '{toks.peek()}'", toks.pos)
-    return out
-
-
-def _parse_compose(toks) -> ArrowTerm:
-    left = _parse_arrow_atom(toks)
-    if toks.peek() == ".":
-        toks.take(".")
-        return ACompose(left, _parse_compose(toks))
-    return left
-
-
-def _bracket_types(toks, n) -> list[Ty]:
-    toks.take("[")
-    tys = [S._parse_type(toks, None)]
-    for _ in range(n - 1):
-        toks.take(",")
-        tys.append(S._parse_type(toks, None))
-    toks.take("]")
-    return tys
-
-
-def _parse_arrow_atom(toks) -> ArrowTerm:
-    tok = toks.peek()
-    if tok is None:
-        raise ParseError("expected an arrow term", toks.pos)
-    if tok == "(":
-        toks.take("(")
-        inner = _parse_compose(toks)
-        toks.take(")")
-        return inner
-    if tok == "<":
-        toks.take("<")
-        f = _parse_compose(toks)
-        toks.take(",")
-        g = _parse_compose(toks)
-        toks.take(">")
-        return APairing(f, g)
-    if tok == "id":
-        toks.take()
-        return AId(_bracket_types(toks, 1)[0])
-    if tok == "bang":
-        toks.take()
-        return ABang(_bracket_types(toks, 1)[0])
-    if tok in ("p1", "p2"):
-        toks.take()
-        a, b = _bracket_types(toks, 2)
-        return AProj(1 if tok == "p1" else 2, a, b)
-    if tok == "eval":
-        toks.take()
-        a, b = _bracket_types(toks, 2)
-        return AEval(a, b)
-    if tok == "curry":
-        toks.take()
-        c, a = _bracket_types(toks, 2)
-        toks.take("(")
-        f = _parse_compose(toks)
-        toks.take(")")
-        return ACurry(c, a, f)
-    raise ParseError(f"unexpected '{tok}' in arrow term", toks.pos)

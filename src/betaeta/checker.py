@@ -1,9 +1,10 @@
 """The certificate checker: the instance rule, the arrow terms with their
-translation, and the replays of separation, product and collapse
-certificates by normalization alone.  It imports only ``errors``,
-``syntax`` and ``normalize``, so a reader replaying a certificate trusts
-none of the code that built it (McConnell, Mehlhorn, Näher & Schweitzer,
-"Certifying algorithms", 2011).  Every producer ends in its replay here.
+text and translation, and the replays of separation, product and
+collapse certificates by normalization alone.  It imports only
+``errors``, ``syntax`` and ``normalize``, and ``certio`` reads
+certificates with it alone, so a reader replaying one loads none of the
+code that built it (McConnell, Mehlhorn, Näher & Schweitzer, "Certifying
+algorithms", 2011).  Every producer ends in its replay here.
 ``decide_eq`` is looked up on ``normalize`` at each call, so a wrapper
 installed there sees every decision taken here.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import IllFormed, IllTyped, IndexOutOfRange, TypeMismatch
+from .errors import IllFormed, IllTyped, IndexOutOfRange, ParseError, TypeMismatch
 from . import normalize as Nz
 from . import syntax as S
 from .normalize import closed_value_scope
@@ -215,9 +216,8 @@ def to_lambda(f: ArrowTerm) -> Term:
 
 
 def decide_ccc_eq(f: ArrowTerm, g: ArrowTerm) -> bool:
-    """Provable equality of two arrows of the same arrow type."""
-    if f.src is not g.src or f.tgt is not g.tgt:
-        raise TypeMismatch("arrows must share source and target")
+    """Provable equality of two arrows of the same arrow type; arrows of
+    different arrow types raise ``TypeMismatch`` in ``decide_eq``."""
     return Nz.decide_eq(to_lambda(f), to_lambda(g))
 
 
@@ -238,6 +238,70 @@ def show_arrow(f: ArrowTerm) -> str:
     if isinstance(f, APairing):
         return f"<{show_arrow(f.f)}, {show_arrow(f.g)}>"
     return f"curry[{S.show_type(f.c)}, {S.show_type(f.a)}]({show_arrow(f.f)})"
+
+
+def parse_arrow(text: str) -> ArrowTerm:
+    """The arrow term that ``show_arrow`` prints as ``text``."""
+    toks = S._Tokens(text)
+    out = _parse_compose(toks)
+    if toks.peek() is not None:
+        raise ParseError(f"trailing input '{toks.peek()}'", toks.pos)
+    return out
+
+
+def _parse_compose(toks) -> ArrowTerm:
+    left = _parse_arrow_atom(toks)
+    if toks.peek() == ".":
+        toks.take(".")
+        return ACompose(left, _parse_compose(toks))
+    return left
+
+
+def _bracket_types(toks, n) -> list[Ty]:
+    tys = []
+    for opener in "[" + "," * (n - 1):
+        toks.take(opener)
+        tys.append(S._parse_type(toks, None))
+    toks.take("]")
+    return tys
+
+
+# the arrow atoms written NAME[A] or NAME[A, B]: (type count, constructor)
+_BRACKETED = {
+    "id": (1, AId), "bang": (1, ABang), "eval": (2, AEval),
+    "p1": (2, lambda a, b: AProj(1, a, b)), "p2": (2, lambda a, b: AProj(2, a, b)),
+}
+
+
+def _parse_arrow_atom(toks) -> ArrowTerm:
+    tok = toks.peek()
+    if tok is None:
+        raise ParseError("expected an arrow term", toks.pos)
+    if tok == "(":
+        return _parenthesized(toks)
+    if tok == "<":
+        toks.take("<")
+        f = _parse_compose(toks)
+        toks.take(",")
+        g = _parse_compose(toks)
+        toks.take(">")
+        return APairing(f, g)
+    if tok in _BRACKETED:
+        toks.take()
+        n, make = _BRACKETED[tok]
+        return make(*_bracket_types(toks, n))
+    if tok == "curry":
+        toks.take()
+        c, a = _bracket_types(toks, 2)
+        return ACurry(c, a, _parenthesized(toks))
+    raise ParseError(f"unexpected '{tok}' in arrow term", toks.pos)
+
+
+def _parenthesized(toks) -> ArrowTerm:
+    toks.take("(")
+    inner = _parse_compose(toks)
+    toks.take(")")
+    return inner
 
 
 # ---------------------------------------------------------------------------

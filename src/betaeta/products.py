@@ -206,17 +206,6 @@ def is_product_nf(ty: Ty) -> bool:
     return pure_arrow(ty)
 
 
-def components_of(ty: Ty) -> list[Ty]:
-    """The factors of a left-nested product normal form, left to right."""
-    out = []
-    while isinstance(ty, TyProd):
-        out.append(ty.right)
-        ty = ty.left
-    out.append(ty)
-    out.reverse()
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Isomorphism witnesses
 

@@ -186,6 +186,21 @@ def test_replay_collapse_rejects_a_tampered_level():
         cli.parse_certificate(text.replace('"level": 0,', '"level": "0",'))
 
 
+def test_a_left_nested_composition_round_trips():
+    # show_arrow brackets a composition on the left of another, which
+    # parse_arrow would otherwise read as nested to the right
+    from betaeta import certio
+    f = C.parse_arrow("(p1[p, p] . <p1[p, p], p2[p, p]>) . id[p * p]")
+    assert isinstance(f.g, C.ACompose)
+    assert C.show_arrow(f) == "(p1[p, p] . <p1[p, p], p2[p, p]>) . id[p * p]"
+    assert C.parse_arrow(C.show_arrow(f)) == f
+    text = certio.serialize_certificate(C.collapse(f, C.AProj(2, p, p)))
+    decoded = certio.parse_certificate(text)
+    assert decoded.f == f
+    assert certio.serialize_certificate(decoded) == text
+    assert C.replay_collapse(decoded)
+
+
 def test_replay_collapse_requires_the_translations_as_sources():
     # the same arrows over the atom q: each instantiated side is still a
     # type-instance of the translation over p, and the separation replays

@@ -322,6 +322,13 @@ def test_ccc_collapse_command(tmp_path, capsys):
     assert run(capsys, "verify", str(cert_file))[0] == 0
 
 
+def test_ccc_collapse_of_arrows_of_two_types_is_a_type_error(capsys):
+    # the translations of the two arrows cannot be compared, and the
+    # message names both arrow types
+    assert run(capsys, "ccc", "collapse", "p1[p, q]", "p2[p, p]") == (
+        cli.EXIT_TYPE, "", "type error: cannot compare p * q -> p with p * p -> p\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("separate", r"\x:p->p.\y:p. x y", r"\x:p->p.\y:p. x (x y)"),
     ("ccc", "collapse", "id[p -> p]", "curry[p -> p, p](p2[p -> p, p] . id[(p -> p) * p])"),

@@ -15,7 +15,7 @@ from betaeta.numerals import church
 
 from conftest import log_calls, random_mixed_type, run_in_child
 
-p, q, r = S.atom("p"), S.atom("q"), S.atom("r")
+p, q = S.atom("p"), S.atom("q")
 T = S.TERMINAL
 
 
@@ -80,11 +80,6 @@ def test_type_nf_strategies_agree():
         outer = P.type_nf(ty, "outermost").output
         assert inner is outer
         assert P.is_product_nf(inner)
-
-
-def test_components_of_left_nested_product():
-    ty = S.prod(S.prod(S.arrow(p, p), S.arrow(q, q)), S.arrow(r, r))
-    assert P.components_of(ty) == [S.arrow(p, p), S.arrow(q, q), S.arrow(r, r)]
 
 
 def test_build_iso_identity_when_normal():

@@ -404,3 +404,18 @@ def test_high_level_numerals_overflow_promptly():
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.startswith("Overflow: ")
+
+
+@pytest.mark.parametrize("a_text, b_text", [(r"\x:p. x", r"\x:p. y"), (r"\x:p. y", r"\x:p. x")])
+def test_a_variable_free_in_one_side_only_round_trips(a_text, b_text):
+    # y is free in one side alone, so the bound variables of the images
+    # must take it from whichever side has it
+    from betaeta import certio
+    ctx = S.Context([("y", p)])
+    a, b = S.parse_term(a_text, ctx), S.parse_term(b_text, ctx)
+    for cert in (Sep.separate_two(a, b), Sep.separate(a, b, S.free("c", p), S.free("d", p))):
+        assert [name for name, _ in cert.bound_vars] == ["y"]
+        text = certio.serialize_certificate(cert)
+        decoded = certio.parse_certificate(text)
+        assert Sep.verify(decoded)
+        assert certio.serialize_certificate(decoded) == text
