@@ -18,7 +18,7 @@ from . import syntax as S
 from .checker import (
     CollapseCertificate, ProductCertificate, SeparationCertificate, parse_arrow, show_arrow,
 )
-from .errors import BadCertificate
+from .errors import BadCertificate, UnsupportedSchema
 
 SCHEMA_VERSION = 1
 
@@ -202,7 +202,7 @@ def parse_certificate(text: str):
     if not isinstance(envelope, dict) or "schema" not in envelope:
         raise BadCertificate("missing envelope fields")
     if type(envelope["schema"]) is not int or envelope["schema"] != SCHEMA_VERSION:
-        raise BadCertificate(f"unsupported schema version {envelope['schema']}",)
+        raise UnsupportedSchema(f"unsupported schema version {envelope['schema']}")
     kind = envelope.get("kind")
     # compared, not hashed, since a decoded kind may be any JSON value
     for name, _, decode in _KINDS.values():

@@ -11,13 +11,13 @@ installed there sees every decision taken here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import IllFormed, IllTyped, IndexOutOfRange, ParseError, TypeMismatch
 from . import normalize as Nz
 from . import syntax as S
 from .normalize import closed_value_scope
-from .syntax import Context, Term, Ty, arrow, atom, numeral_type, prod, subst_type, TERMINAL
+from .syntax import (
+    Context, Record, Term, Ty, arrow, atom, numeral_type, prod, subst_type, TERMINAL,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -77,122 +77,95 @@ def projector(n: int, i: int, ty: Ty) -> Term:
 # ---------------------------------------------------------------------------
 # Arrow terms of cartesian closed structure
 
+_ARROWS: dict = {}
+
+
 class ArrowTerm:
-    src: Ty
-    tgt: Ty
+    """An arrow of cartesian closed structure, whose fields are its class's
+    own ``__slots__``.  Arrows are hash-consed, as types and terms are: one
+    constructor interns each by its class and fields, so equal arrows are
+    one object, arrows of different classes differ, and no field can be
+    assigned.  ``_ends`` gives the source and target, stored when the arrow
+    is interned, and raises ``IllFormed`` unless the fields make an arrow."""
+    __slots__ = ("src", "tgt")
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        f = _ARROWS.get(key)
+        if f is None:
+            if len(fields) != len(cls.__slots__):
+                raise TypeError(f"{cls.__name__} takes {len(cls.__slots__)} fields, "
+                                f"not {len(fields)}")
+            f = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields):
+                object.__setattr__(f, name, value)
+            for name, value in zip(("src", "tgt"), f._ends()):
+                object.__setattr__(f, name, value)
+            _ARROWS[key] = f
+        return f
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to '{name}': arrow terms are immutable")
+
+    __delattr__ = __setattr__
 
     def __repr__(self):
         return show_arrow(self)
 
 
-@dataclass(frozen=True, repr=False)
 class AId(ArrowTerm):
-    a: Ty
+    __slots__ = ("a",)
 
-    @property
-    def src(self):
-        return self.a
-
-    @property
-    def tgt(self):
-        return self.a
+    def _ends(self):
+        return self.a, self.a
 
 
-@dataclass(frozen=True, repr=False)
 class AProj(ArrowTerm):
-    which: int
-    a: Ty
-    b: Ty
+    __slots__ = ("which", "a", "b")
 
-    @property
-    def src(self):
-        return prod(self.a, self.b)
-
-    @property
-    def tgt(self):
-        return self.a if self.which == 1 else self.b
+    def _ends(self):
+        return prod(self.a, self.b), (self.a if self.which == 1 else self.b)
 
 
-@dataclass(frozen=True, repr=False)
 class AEval(ArrowTerm):
-    a: Ty
-    b: Ty
+    __slots__ = ("a", "b")
 
-    @property
-    def src(self):
-        return prod(arrow(self.a, self.b), self.a)
-
-    @property
-    def tgt(self):
-        return self.b
+    def _ends(self):
+        return prod(arrow(self.a, self.b), self.a), self.b
 
 
-@dataclass(frozen=True, repr=False)
 class ABang(ArrowTerm):
-    a: Ty
+    __slots__ = ("a",)
 
-    @property
-    def src(self):
-        return self.a
-
-    @property
-    def tgt(self):
-        return TERMINAL
+    def _ends(self):
+        return self.a, TERMINAL
 
 
-@dataclass(frozen=True, repr=False)
 class ACompose(ArrowTerm):
-    g: ArrowTerm
-    f: ArrowTerm
+    __slots__ = ("g", "f")
 
-    def __post_init__(self):
+    def _ends(self):
         if self.f.tgt is not self.g.src:
             raise IllFormed("composition needs the inner target to match the outer source")
-
-    @property
-    def src(self):
-        return self.f.src
-
-    @property
-    def tgt(self):
-        return self.g.tgt
+        return self.f.src, self.g.tgt
 
 
-@dataclass(frozen=True, repr=False)
 class APairing(ArrowTerm):
-    f: ArrowTerm
-    g: ArrowTerm
+    __slots__ = ("f", "g")
 
-    def __post_init__(self):
+    def _ends(self):
         if self.f.src is not self.g.src:
             raise IllFormed("pairing needs a common source")
-
-    @property
-    def src(self):
-        return self.f.src
-
-    @property
-    def tgt(self):
-        return prod(self.f.tgt, self.g.tgt)
+        return self.f.src, prod(self.f.tgt, self.g.tgt)
 
 
-@dataclass(frozen=True, repr=False)
 class ACurry(ArrowTerm):
-    c: Ty
-    a: Ty
-    f: ArrowTerm
+    __slots__ = ("c", "a", "f")
 
-    def __post_init__(self):
+    def _ends(self):
         if self.f.src is not prod(self.c, self.a):
             raise IllFormed("currying needs a product source matching the given objects")
-
-    @property
-    def src(self):
-        return self.c
-
-    @property
-    def tgt(self):
-        return arrow(self.a, self.f.tgt)
+        return self.c, arrow(self.a, self.f.tgt)
 
 
 def to_lambda(f: ArrowTerm) -> Term:
@@ -307,8 +280,7 @@ def _parenthesized(toks) -> ArrowTerm:
 # ---------------------------------------------------------------------------
 # Certificates
 
-@dataclass
-class SeparationCertificate:
+class SeparationCertificate(Record):
     a_source: Term
     b_source: Term
     a_prime: Term
@@ -323,7 +295,7 @@ class SeparationCertificate:
     model_args: list[tuple[Ty, int]]
     relabeling: list[int]
     two_valued: bool = False
-    kappa_values: list[int] = field(default_factory=list)
+    kappa_values: list[int] = []
 
     def applied(self, side: str) -> Term:
         """The closed context of one side applied to all head arguments."""
@@ -332,8 +304,7 @@ class SeparationCertificate:
         return S.apps(S.bind(body, *frees), *self.head_args)
 
 
-@dataclass
-class ProductCertificate:
+class ProductCertificate(Record):
     a_source: Term
     b_source: Term
     a_prime: Term
@@ -363,8 +334,7 @@ _P = atom("p")
 _PROJ1, _PROJ2 = AProj(1, _P, _P), AProj(2, _P, _P)
 
 
-@dataclass
-class CollapseCertificate:
+class CollapseCertificate(Record):
     f: ArrowTerm
     g: ArrowTerm
     separation: ProductCertificate

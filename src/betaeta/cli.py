@@ -1,6 +1,8 @@
 """Command-line front end.  Certificate text is read and written by
 ``certio`` and replayed by ``checker``; a producer module is imported
-only by the command that runs it, so ``betaeta verify`` loads none.
+only by the command that runs it, so ``betaeta verify`` loads none but
+``numerals``, whose tags the parser offers as the combinator kinds, and
+importing this module loads none at all.
 
 Exit codes: 0 success (for ``eq``: equal), 1 failed check or unequal
 pair, 2 parse error, 3 type error, 4 separation of a provably equal
@@ -18,12 +20,11 @@ from .certio import parse_certificate, serialize_certificate
 from .checker import (
     ProductCertificate, SeparationCertificate, replay_collapse, verify, verify_product,
 )
-from . import numerals as N
 from . import syntax as S
 from .errors import (
     BadCertificate, BetaEtaError, EqualArrows, EqualTerms, IllFormed,
     IllTyped, LevelAboveMax, NotSeparable, Overflow, ParseError, ResourceExhausted,
-    SideConditionViolated, TypeMismatch, UnboundVariable, not_too_deep,
+    SideConditionViolated, TypeMismatch, UnboundVariable, UnsupportedSchema, not_too_deep,
 )
 from .normalize import beta_eta_nf, decide_eq, long_nf, set_work_budget
 
@@ -73,8 +74,11 @@ def _positive_int(text: str) -> int:
 
 
 def _read_pair_file(path: str) -> tuple[str, str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"pair file is not UTF-8: {exc.reason}", exc.start) from exc
     if "---" not in lines:
         raise ParseError("pair file needs two terms separated by a '---' line", 0)
     cut = lines.index("---")
@@ -152,10 +156,11 @@ def cmd_separate(args) -> int:
     a = S.parse_term(a_text, ctx)
     b = S.parse_term(b_text, ctx)
 
-    from . import products as P, separator as Sep
+    from . import separator as Sep
     budgets = {"max_base": args.max_base, "max_level": args.max_level}
     if args.product:
-        cert = P.separate_prod(a, b, **budgets)
+        from .products import separate_prod
+        cert = separate_prod(a, b, **budgets)
     elif args.two_valued or not targets:
         cert = Sep.separate_two(a, b, **budgets)
     else:
@@ -170,16 +175,12 @@ def cmd_separate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    with open(args.certificate, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        cert = parse_certificate(text)
-    except BadCertificate as exc:
-        if "schema version" in str(exc):
-            _diag(str(exc))
-            return EXIT_SCHEMA
-        raise
-    if verify_certificate(cert):
+        with open(args.certificate, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise BadCertificate(f"not UTF-8: {exc}") from exc
+    if verify_certificate(parse_certificate(text)):
         _emit("pass")
         return 0
     _emit("fail")
@@ -214,6 +215,7 @@ def cmd_define(args) -> int:
 
 
 def cmd_combinator(args) -> int:
+    from . import numerals as N
     kind = N.CombinatorKind(args.kind, args.level,
                             args.check if args.kind == "Check" else None)
     _emit_term(N.combinator(kind))
@@ -259,6 +261,7 @@ class _IntermixedParser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .numerals import TAGS
     top = argparse.ArgumentParser(
         prog="betaeta",
         description="workbench for equality, separation and collapse in the "
@@ -326,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_define)
 
     p = sub.add_parser("combinator", help="print a closed combinator")
-    p.add_argument("--kind", required=True, choices=N.TAGS)
+    p.add_argument("--kind", required=True, choices=TAGS)
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--check", type=int, help="constant for the Check kind")
     p.set_defaults(fn=cmd_combinator)
@@ -365,6 +368,9 @@ def main(argv=None) -> int:
     except (NotSeparable, Overflow, ResourceExhausted) as exc:
         _diag(f"budget: {exc}")
         return EXIT_BUDGET
+    except UnsupportedSchema as exc:
+        _diag(str(exc))
+        return EXIT_SCHEMA
     except BadCertificate as exc:
         _diag(f"certificate: {exc}")
         return EXIT_FAIL

@@ -90,3 +90,7 @@ class IndexOutOfRange(BetaEtaError):
 
 class BadCertificate(BetaEtaError):
     """A certificate could not be decoded or replayed."""
+
+
+class UnsupportedSchema(BadCertificate):
+    """A certificate envelope states a schema version this reader does not know."""

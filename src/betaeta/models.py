@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import (
@@ -281,8 +280,7 @@ def eval_closed(a: Term, model: PModel) -> Functional:
 # ---------------------------------------------------------------------------
 # Distinguishing-model search
 
-@dataclass
-class Distinguished:
+class Distinguished(S.Record):
     base: int
     model: PModel
     args: list[Functional]

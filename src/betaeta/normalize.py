@@ -86,7 +86,6 @@ raises ``TermTooDeep``, a ``ResourceExhausted``, instead of a raw
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass
 from functools import wraps
 from itertools import count
 from operator import itemgetter
@@ -565,8 +564,7 @@ def eta_contract(t: Term) -> Term:
 # ---------------------------------------------------------------------------
 # Entry points
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(S.Record):
     term: Term
     kind: str  # "expanded" | "contracted" | "beta"
 

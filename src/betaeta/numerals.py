@@ -16,11 +16,10 @@ negative one with ``SideConditionViolated``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, wraps
 
 from .errors import LevelTooSmall, SideConditionViolated
-from .syntax import Term, app, apps, lams, numeral_type, tower_type
+from .syntax import Record, Term, app, apps, lams, numeral_type, tower_type
 
 
 def _leveled(builder):
@@ -168,13 +167,13 @@ TAGS = ("Cond", "Lower", "Expo", "Add", "Mul", "Pair", "Proj1", "Proj2",
         "Aux_T", "Aux_H", "Pred", "Raise", "Check")
 
 
-@dataclass(frozen=True)
-class CombinatorKind:
+class CombinatorKind(Record):
     tag: str
     level: int
     check: int | None = None
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if self.tag not in TAGS:
             raise SideConditionViolated(f"unknown combinator tag '{self.tag}'")
         if self.level < 0:

@@ -24,6 +24,9 @@ builder's results for the life of the process, are module-level and
 take no lock: the workbench runs in one thread, and callers that add
 threads must serialize their use of this module.
 
+``Record`` is the plain record class of the checker's certificates and
+of the other modules' results; defining one generates no code.
+
 The walks over terms and types go through three helpers that visit a
 shared node once: ``subterms`` (preorder), ``subtypes`` (post-order) and
 ``map_term`` (a memoized bottom-up rebuild; once per binder depth when
@@ -35,6 +38,7 @@ from __future__ import annotations
 import re
 import sys
 from functools import partial, wraps
+from operator import attrgetter
 
 from .errors import (
     IllTyped,
@@ -46,6 +50,42 @@ from .errors import (
 )
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
+
+
+# ---------------------------------------------------------------------------
+# Records
+
+class Record:
+    """A record whose fields are the names annotated in its class body, in
+    order; a class attribute of the same name is that field's default, and
+    a list default is copied for each record.  One constructor serves every
+    record class, so defining one generates no code, where a dataclass
+    writes and compiles its methods at import."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        cls._values = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        cls, fields = type(self), self._fields
+        if len(args) > len(fields) or not kwargs.keys() <= set(fields[len(args):]):
+            raise TypeError(f"{cls.__name__} takes the fields {', '.join(fields)}, each once")
+        for name in fields[len(args):]:
+            if name not in kwargs:
+                if not hasattr(cls, name):
+                    raise TypeError(f"{cls.__name__} is missing the field '{name}'")
+                default = getattr(cls, name)
+                kwargs[name] = default[:] if type(default) is list else default
+        self.__dict__.update(zip(fields, args), **kwargs)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 # ---------------------------------------------------------------------------

@@ -85,16 +85,63 @@ def test_decoding_and_replaying_loads_no_producer(certificate_paths):
     assert _loaded(out) == {"betaeta", "betaeta.certio", "betaeta.checker", "betaeta.errors",
                             "betaeta.normalize", "betaeta.syntax"}
     assert not _loaded(out) & PRODUCERS
+    # no class on this path is a dataclass, whose import and generated
+    # methods cost a fresh process milliseconds
+    assert "dataclasses" not in out.split()
 
 
 def test_the_verify_command_loads_no_producer(certificate_paths):
-    # numerals may load: the combinator command draws its choices from it
+    # numerals may load: the combinator command draws its choices from it.
+    # Then eq, normalize and separate --two-valued run in the same process,
+    # and none of these commands loads dataclasses
     out = run_in_child(
         "import sys\n"
         "from betaeta import cli\n"
         f"for path in {certificate_paths!r}:\n"
         "    assert cli.main(['verify', path]) == 0\n"
-        "print(*sys.modules)\n").splitlines()
-    assert out[:-1] == ["pass"] * 3
-    assert "betaeta.cli" in _loaded(out[-1])
-    assert not _loaded(out[-1]) & (PRODUCERS - {"betaeta.numerals"})
+        "print(*sys.modules)\n"
+        "assert cli.main(['eq', r'\\x:p. x', r'\\y:p. y']) == 0\n"
+        "assert cli.main(['normalize', r'(\\x:p. x) y', '--ctx', 'y:p']) == 0\n"
+        "assert cli.main(['separate', '--two-valued', r'\\x:p.\\y:p. x', r'\\x:p.\\y:p. y']) == 0\n"
+        "print('dataclasses' in sys.modules)\n").splitlines()
+    assert out[:3] == ["pass"] * 3
+    assert "betaeta.cli" in _loaded(out[3])
+    assert not _loaded(out[3]) & (PRODUCERS - {"betaeta.numerals"})
+    assert "dataclasses" not in out[3].split()
+    assert out[-1] == "False"
+
+
+def test_importing_the_cli_loads_no_producer():
+    out = run_in_child("import sys\nfrom betaeta import cli\nprint(*sys.modules)\n")
+    assert "betaeta.cli" in _loaded(out)
+    assert not _loaded(out) & PRODUCERS
+    assert "dataclasses" not in out.split()
+
+
+def test_equal_arrows_are_one_object():
+    from betaeta.checker import ABang, ACompose, AId, AProj
+    p = S.atom("p")
+    assert AProj(1, p, p) is AProj(1, p, p)
+    assert AProj(1, p, p) != AProj(2, p, p)
+    assert AId(p) != ABang(p)
+    assert ACompose(AId(p), AId(p)) is ACompose(AId(p), AId(p))
+
+
+def test_an_arrow_field_cannot_be_assigned():
+    from betaeta.checker import AProj
+    p, q = S.atom("p"), S.atom("q")
+    f = AProj(1, p, p)
+    with pytest.raises(AttributeError):
+        f.a = q
+    with pytest.raises(AttributeError):
+        del f.which
+    assert (f.which, f.a, f.b) == (1, p, p)
+
+
+def test_an_arrow_needs_all_of_its_fields():
+    from betaeta.checker import AId, AProj
+    p = S.atom("p")
+    with pytest.raises(TypeError):
+        AProj(1, p)
+    with pytest.raises(TypeError):
+        AId(p, p)

@@ -171,6 +171,34 @@ def test_verify_wrong_schema_exit(tmp_path, capsys):
     bad.write_text(json.dumps(env))
     code, _, err = run(capsys, "verify", str(bad))
     assert code == cli.EXIT_SCHEMA
+    assert err == "unsupported schema version 2\n"
+
+
+def test_a_kind_naming_the_schema_version_is_no_schema_error(tmp_path, capsys):
+    # exit 6 is chosen by the error's class, not by words in its message
+    bad = tmp_path / "kind.json"
+    bad.write_text(json.dumps({"schema": 1, "kind": "schema version", "payload": {}}))
+    code, out, err = run(capsys, "verify", str(bad))
+    assert (code, out) == (cli.EXIT_FAIL, "")
+    assert err == "certificate: unknown certificate kind 'schema version'\n"
+
+
+def test_a_certificate_that_is_not_utf8_is_refused(tmp_path, capsys):
+    bad = tmp_path / "binary.json"
+    bad.write_bytes(b"\xff{}")
+    code, out, err = run(capsys, "verify", str(bad))
+    assert (code, out) == (cli.EXIT_FAIL, "")
+    assert err.startswith("certificate: not UTF-8: ")
+    assert "Traceback" not in err
+
+
+def test_a_pair_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "binary.pair"
+    bad.write_bytes(TWO[0].encode() + b"\n---\n\xff\n")
+    code, out, err = run(capsys, "eq", "--pair-file", str(bad))
+    assert (code, out) == (cli.EXIT_PARSE, "")
+    at = len(TWO[0]) + len("\n---\n")  # the byte offset of 0xff
+    assert err == f"parse error: pair file is not UTF-8: invalid start byte (at position {at})\n"
 
 
 def _alias_tower_certificate(n: int) -> str:

@@ -160,3 +160,11 @@ def test_repeated_separation_interns_few_nodes():
             text = cli.serialize_certificate(make())
             assert cli.verify_certificate(cli.parse_certificate(text))
             assert repeat == 0 or S.interned_term_count() == before
+
+
+def test_a_combinator_kind_is_built_by_position_or_keyword():
+    assert N.CombinatorKind("Check", 6, 2) == N.CombinatorKind(tag="Check", level=6, check=2)
+    assert N.CombinatorKind("Pred", 1).check is None
+    assert repr(N.CombinatorKind("Pred", 1)) == "CombinatorKind(tag='Pred', level=1, check=None)"
+    with pytest.raises(SideConditionViolated):
+        N.CombinatorKind(tag="Pred", level=-1)

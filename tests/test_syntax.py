@@ -408,3 +408,27 @@ def test_a_semantic_error_never_masks_a_later_syntax_error():
         S.parse_term("y (k)")
     with pytest.raises(IllTyped):
         S.parse_term("x y (k)", ctx)
+
+
+class _Point(S.Record):
+    x: int
+    y: int = 0
+    tags: list = []
+
+
+def test_a_record_keeps_its_fields_defaults_and_equality():
+    assert _Point._fields == ("x", "y", "tags")
+    a, b = _Point(1), _Point(x=1, y=0)
+    assert (a.x, a.y, a.tags) == (1, 0, [])
+    assert a == b and a != _Point(1, 2) and a != (1, 0, [])
+    assert a.tags is not b.tags  # a list default is each record's own
+    assert repr(_Point(1, y=2)) == "_Point(x=1, y=2, tags=[])"
+    a.y = 5  # records are mutable
+    assert a == _Point(1, 5)
+
+
+@pytest.mark.parametrize("args, kwargs", [((), {}), ((1,), {"z": 2}), ((1,), {"x": 2}),
+                                          ((1, 2, [], 3), {})])
+def test_a_missing_unknown_or_extra_record_field_is_a_type_error(args, kwargs):
+    with pytest.raises(TypeError):
+        _Point(*args, **kwargs)
