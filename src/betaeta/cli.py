@@ -1,8 +1,7 @@
 """Command-line front end.  Certificate text is read and written by
 ``certio`` and replayed by ``checker``; a producer module is imported
-only by the command that runs it, so ``betaeta verify`` loads none but
-``numerals``, whose tags the parser offers as the combinator kinds, and
-importing this module loads none at all.
+only by the command that runs it, so neither ``betaeta verify`` nor
+importing this module loads any.
 
 Exit codes: 0 success (for ``eq``: equal), 1 failed check or unequal
 pair, 2 parse error, 3 type error, 4 separation of a provably equal
@@ -260,8 +259,13 @@ class _IntermixedParser(argparse.ArgumentParser):
             self._mixing = False
 
 
+# the tags of ``numerals.TAGS``, spelled out so that the parser loads no
+# producer to offer them
+COMBINATOR_KINDS = ("Cond", "Lower", "Expo", "Add", "Mul", "Pair", "Proj1", "Proj2",
+                    "Aux_T", "Aux_H", "Pred", "Raise", "Check")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    from .numerals import TAGS
     top = argparse.ArgumentParser(
         prog="betaeta",
         description="workbench for equality, separation and collapse in the "
@@ -329,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_define)
 
     p = sub.add_parser("combinator", help="print a closed combinator")
-    p.add_argument("--kind", required=True, choices=TAGS)
+    p.add_argument("--kind", required=True, choices=COMBINATOR_KINDS)
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--check", type=int, help="constant for the Check kind")
     p.set_defaults(fn=cmd_combinator)

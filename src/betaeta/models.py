@@ -10,15 +10,23 @@ an element of A -> B is the base-|B| numeral whose digit at position
 encoding application is digit extraction.  A model builds each element
 object of a small type once and hands the same object out after.
 
-Evaluation first compiles a term, each shared node once, into Python
-closures over an environment tuple.  The value of a lambda is its
-compiled body with its environment, applied without a table; a table
-is materialized only when such a value is passed to a coded element.
-The model search compiles both terms once per model and walks the
-argument tuples as a prefix tree, first argument slowest, so a partial
-application is computed once per prefix.  That order fixes which
-witness comes first, and so a certificate's ``model_args``.  A pair of
-one interned node is equal in every model, so nothing is evaluated.
+Evaluation works on int codes.  A value is an element's code, or the
+value of a lambda: its compiled body with its environment, applied
+without a table.  A table is materialized only when such a value is
+passed to a coded function, and applying a coded function ``f`` to
+``x`` is ``f // n**x % n``, with ``n`` the card of its codomain, looked
+up when the application node compiles.  Each node compiles once per
+base into a process table keyed by its uid and the base, so a repeated
+evaluation compiles nothing.  ``eval_term``, ``eval_closed`` and
+``MClosure`` show these values as the elements of a given model.  The
+evaluator needs nothing from ``numerals`` or ``normalize``.
+
+The model search walks the argument codes as a prefix tree, first
+argument slowest, so a partial application is computed once per prefix.
+That order fixes which witness comes first, and so a certificate's
+``model_args``.  Only the witness becomes ``Functional`` objects, of a
+new model.  A pair of one interned node is equal in every model, so
+nothing is evaluated.
 
 The defining-term construction tells the branches of a function apart
 by a product with one prime per tuple over the branch type's argument
@@ -53,6 +61,14 @@ TUPLE_CAP = 1 << 22
 
 _PRIMES = [2, 3, 5, 7, 11, 13]
 
+# per (type uid, base): the number of elements of the type
+_CARDS: dict = {}
+# per (type uid, base): what a search at that type needs, see _search_cards
+_SEARCH_CARDS: dict = {}
+# per (term uid, base): the node's compiled code; kept for the process,
+# like the interned nodes themselves
+_CODE: dict = {}
+
 
 def nth_prime(n: int) -> int:
     """The n-th prime, 1-indexed."""
@@ -62,6 +78,36 @@ def nth_prime(n: int) -> int:
             c += 2
         _PRIMES.append(c)
     return _PRIMES[n - 1]
+
+
+def _card(base: int, ty: Ty) -> int:
+    """The number of elements of ``ty`` over a base of ``base``."""
+    key = (ty.uid, base)
+    hit = _CARDS.get(key)
+    if hit is not None:
+        return hit
+    if isinstance(ty, TyAtom):
+        n = base
+    elif isinstance(ty, TyArrow):
+        cd = _card(base, ty.cod)
+        cc = _card(base, ty.dom)
+        if cc * (cd.bit_length() - 1) > 64 and cd > 1:
+            raise Overflow(f"cardinality of {S.show_type(ty)} exceeds the cap")
+        n = cd ** cc
+        if n > CARD_CAP:
+            raise Overflow(f"cardinality of {S.show_type(ty)} exceeds the cap")
+    else:
+        raise IllTyped("hierarchy types are built from atoms and arrows only")
+    _CARDS[key] = n
+    return n
+
+
+def _enum_size(base: int, ty: Ty) -> int:
+    """The card of ``ty``, which must be small enough to enumerate."""
+    n = _card(base, ty)
+    if n > ENUM_CAP:
+        raise Overflow(f"refusing to enumerate {n} elements of {S.show_type(ty)}")
+    return n
 
 
 class PModel:
@@ -79,29 +125,12 @@ class PModel:
         if base < 2:
             raise SideConditionViolated("model base must be at least 2")
         self.base = base
-        self._card: dict[int, int] = {}
         # per type uid: its elements by code, each None until first used;
         # an empty list for a type beyond ROW_CAP
         self._rows: dict[int, list] = {}
 
     def card(self, ty: Ty) -> int:
-        hit = self._card.get(ty.uid)
-        if hit is not None:
-            return hit
-        if isinstance(ty, TyAtom):
-            n = self.base
-        elif isinstance(ty, TyArrow):
-            cd = self.card(ty.cod)
-            cc = self.card(ty.dom)
-            if cc * (cd.bit_length() - 1) > 64 and cd > 1:
-                raise Overflow(f"cardinality of {S.show_type(ty)} exceeds the cap")
-            n = cd ** cc
-            if n > CARD_CAP:
-                raise Overflow(f"cardinality of {S.show_type(ty)} exceeds the cap")
-        else:
-            raise IllTyped("hierarchy types are built from atoms and arrows only")
-        self._card[ty.uid] = n
-        return n
+        return _card(self.base, ty)
 
     def functional(self, ty: Ty, code: int) -> "Functional":
         if not 0 <= code < self.card(ty):
@@ -123,10 +152,7 @@ class PModel:
 
     def enum(self, ty: Ty):
         """All elements of the given hierarchy type in code order."""
-        n = self.card(ty)
-        if n > ENUM_CAP:
-            raise Overflow(f"refusing to enumerate {n} elements of {S.show_type(ty)}")
-        return (self.element(ty, c) for c in range(n))
+        return (self.element(ty, c) for c in range(_enum_size(self.base, ty)))
 
     def __repr__(self):
         return f"PModel(base={self.base})"
@@ -186,33 +212,50 @@ def from_table(model: PModel, ty: TyArrow, digits: list[int]) -> Functional:
 
 
 class MClosure:
-    """A lazy semantic function, a lambda's compiled body with its
-    environment: applies without materializing a table."""
+    """The value of a lambda in a model: a view of the evaluator's
+    closure, which applies without materializing a table."""
 
-    __slots__ = ("model", "ty", "env", "body")
+    __slots__ = ("model", "ty", "value")
 
-    def __init__(self, model, ty, env, body):
+    def __init__(self, model, ty, value):
         self.model = model
         self.ty = ty
-        self.env = env
-        self.body = body
+        self.value = value
 
     def __call__(self, arg):
-        return self.body(self.env + (arg,))
+        body, env = self.value
+        return _view(self.model, self.ty.cod, body(env + (_raw(arg),)))
 
 
 def materialize(v) -> Functional:
     """Force a lazy value into its coded form (may enumerate the domain)."""
     if isinstance(v, Functional):
         return v
-    digits = [materialize(v(x)).code for x in v.model.enum(v.ty.dom)]
-    return from_table(v.model, v.ty, digits)
+    return v.model.element(v.ty, _force(v.value, v.model.base, v.ty))
+
+
+def _view(model: PModel, ty: Ty, v):
+    return model.element(ty, v) if type(v) is int else MClosure(model, ty, v)
+
+
+def _raw(v):
+    return v.code if isinstance(v, Functional) else v.value
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
+#
+# A value is an int, the code of an element, or a pair (body, env), the
+# value of a lambda: its compiled body with the environment it closed
+# over.  Nothing in a value refers to a model, and the compiled code of a
+# node depends on the node and the base alone.
 
 Assignment = dict  # variable name -> Functional
+
+
+def evaluate(t: Term, base: int):
+    """The value of the closed term ``t`` over a base of ``base``."""
+    return _compile(t, base)(())
 
 
 def eval_term(a: Term, model: PModel, assignment: Assignment | None = None):
@@ -222,55 +265,92 @@ def eval_term(a: Term, model: PModel, assignment: Assignment | None = None):
     extended assignment."""
     if a.scope:
         raise IllTyped("a term to evaluate has a loose de Bruijn index")
-    return _compile(a, model, assignment or {}, {})(())
+    # the assignment sits below every binder's value, where no index reaches
+    return _view(model, a.ty, _compile(a, model.base)((assignment or {},)))
 
 
-def _compile(t: Term, model: PModel, assignment: Assignment, code: dict):
+def _compile(t: Term, base: int):
     """``run(env)`` for ``t``: it evaluates ``t`` in an environment tuple,
-    one value per enclosing binder, innermost last.  ``code`` holds the
-    nodes compiled so far by uid, so a shared node compiles once.  A node
-    is checked when it runs: a missing or ill-typed assignment, or a
-    product node, raises only where evaluation reaches it."""
-    out = code.get(t.uid)
+    one value per enclosing binder, innermost last.  Each node compiles
+    once per base.  A node is checked when it runs: a missing or
+    ill-typed assignment, or a product node, raises only where evaluation
+    reaches it."""
+    key = (t.uid, base)
+    out = _CODE.get(key)
     if out is not None:
         return out
     cls = type(t)
     if cls is Var:
         out = itemgetter(-1 - t.index)
     elif cls is Free:
-        out = _free(t, assignment)
+        out = _free(t.name, t.ty)
     elif cls is Lam:
-        out = _lam(model, t.ty, _compile(t.body, model, assignment, code))
+        out = _lam(_compile(t.body, base))
     elif cls is App:
-        out = _app(_compile(t.fun, model, assignment, code),
-                   _compile(t.arg, model, assignment, code))
+        out = _app(_compile(t.fun, base), _compile(t.arg, base), base, t)
     else:
         out = _product
-    code[t.uid] = out
+    _CODE[key] = out
     return out
 
 
-def _free(t, assignment):
+def _free(name, ty):
     def free(env):
-        val = assignment.get(t.name)
+        val = env[0].get(name)
         if val is None:
-            raise UnboundVariable(f"no assignment for '{t.name}'")
-        if materialize(val).ty is not t.ty:
-            raise TypeMismatch(f"assignment for '{t.name}' has the wrong type")
-        return val
+            raise UnboundVariable(f"no assignment for '{name}'")
+        if val.ty is not ty:
+            raise TypeMismatch(f"assignment for '{name}' has the wrong type")
+        return _raw(val)
     return free
 
 
-def _lam(model, ty, body):
-    return lambda env: MClosure(model, ty, env, body)
+def _lam(body):
+    return lambda env: (body, env)
 
 
-def _app(fun, arg):
-    return lambda env: fun(env)(arg(env))
+def _app(fun, arg, base, t):
+    """Apply a lambda by running its body, and a code by digit extraction,
+    after forcing a lambda argument to its code."""
+    dom = t.arg.ty
+    n = _card_if_any(base, t.ty)
+
+    def app(env):
+        f = fun(env)
+        x = arg(env)
+        if type(f) is tuple:
+            return f[0](f[1] + (x,))
+        if type(x) is tuple:
+            x = _force(x, base, dom)
+        return f // n ** x % n
+    return app
 
 
 def _product(env):
     raise IllTyped("hierarchy evaluation is defined for product-free terms only")
+
+
+def _card_if_any(base: int, ty: Ty) -> int | None:
+    """The card of ``ty``, or None where it has none: then no function into
+    ``ty`` has a code, and only a lambda is applied to give a ``ty``."""
+    try:
+        return _card(base, ty)
+    except (Overflow, IllTyped):
+        return None
+
+
+def _force(v, base: int, ty: Ty) -> int:
+    """The code of the value ``v`` of type ``ty``: a lambda's table, one
+    digit per element of the domain, least significant first."""
+    if type(v) is int:
+        return v
+    body, env = v
+    digits = [_force(body(env + (x,)), base, ty.cod) for x in range(_enum_size(base, ty.dom))]
+    cod_n = _card(base, ty.cod)
+    code = 0
+    for d in reversed(digits):
+        code = code * cod_n + d
+    return code
 
 
 def eval_closed(a: Term, model: PModel) -> Functional:
@@ -304,30 +384,40 @@ def _relabel_perm(base: int, ra: int, rb: int) -> list[int]:
 def transport(phi: Functional, perm: list[int], inv: list[int]) -> Functional:
     """Rename the base elements of a hierarchy element along ``perm``."""
     model = phi.model
-    if isinstance(phi.ty, TyAtom):
-        return model.element(phi.ty, perm[phi.code])
-    digits = []
-    for x_new in model.enum(phi.ty.dom):
-        x_old = transport(x_new, inv, perm)
-        y_new = transport(phi(x_old), perm, inv)
-        digits.append(y_new.code)
-    return from_table(model, phi.ty, digits)
+    return model.element(phi.ty, _transport(phi.code, phi.ty, model.base, perm, inv))
+
+
+def _transport(code: int, ty: Ty, base: int, perm: list[int], inv: list[int]) -> int:
+    """The code ``code`` of type ``ty`` with its base elements renamed
+    along ``perm``, whose inverse is ``inv``."""
+    if isinstance(ty, TyAtom):
+        return perm[code]
+    xs = reversed(range(_enum_size(base, ty.dom)))
+    cod_n = _card(base, ty.cod)
+    out = 0
+    for x_new in xs:  # most significant digit first
+        y = code // cod_n ** _transport(x_new, ty.dom, base, inv, perm) % cod_n
+        out = out * cod_n + _transport(y, ty.cod, base, perm, inv)
+    return out
 
 
 def distinguish(a: Term, b: Term, max_base: int) -> Distinguished | None:
     """Search the hierarchies of base 2..max_base for argument elements
     on which the values of ``a`` and ``b`` differ.  The witness comes
     back relabeled so the two observed base values are 0 (for a) and 1
-    (for b).  Returns None when every searched hierarchy agrees.
+    (for b), as elements of a new ``PModel``.  Returns None when every
+    searched hierarchy agrees.
 
-    Each base compiles ``a`` and ``b`` once.  Its argument tuples are
-    tried in lexicographic order of their codes, the first argument
-    slowest, and the first that tells the terms apart is the witness; a
-    certificate states it as ``model_args``, so the order is part of the
-    certificate format.  A base whose tuples exceed ``TUPLE_CAP`` raises
-    Overflow before either term is evaluated there.  A pair of one
-    interned node is evaluated at no base, and an equal pair of two nodes
-    gets the full search: the search does not consult normalization."""
+    The search runs on int codes.  Each node of ``a`` and ``b`` is
+    compiled once per base for the life of the process, so a repeated
+    search compiles nothing.  A base's argument tuples are tried in
+    lexicographic order of their codes, the first argument slowest, and
+    the first that tells the terms apart is the witness; a certificate
+    states it as ``model_args``, so the order is part of the certificate
+    format.  A base whose tuples exceed ``TUPLE_CAP`` raises Overflow
+    before either term is evaluated there.  A pair of one interned node
+    is evaluated at no base, and an equal pair of two nodes gets the full
+    search: the search does not consult normalization."""
     if a.ty is not b.ty:
         raise TypeMismatch("terms to distinguish must share a type")
     if not (S.is_closed(a) and S.is_closed(b)):
@@ -337,73 +427,85 @@ def distinguish(a: Term, b: Term, max_base: int) -> Distinguished | None:
         raise IllTyped("the result type must be an atom")
 
     for base in range(2, max_base + 1):
-        model = PModel(base)
-        sizes = [model.card(ty) for ty in arg_tys]
-        total = math.prod(sizes)
+        sizes, ns, total = _search_cards(a.ty, base)
         if total > TUPLE_CAP:
             raise Overflow(f"argument search space of {total} tuples exceeds the cap")
         if a is b:  # one interned node: no model tells it from itself
             continue
-        va = eval_term(a, model)
-        vb = eval_term(b, model)
-        found = _first_difference(va, vb, model, arg_tys, sizes)
+        va = evaluate(a, base)
+        vb = evaluate(b, base)
+        found = _first_difference(va, vb, ns, sizes)
         if found is not None:
-            args, ra, rb = found
+            codes, ra, rb = found
             perm = _relabel_perm(base, ra, rb)
             inv = [0] * base
             for src, dst in enumerate(perm):
                 inv[dst] = src
-            new_args = [transport(arg, perm, inv) for arg in args]
-            _check_relabeled(va, vb, new_args)
-            return Distinguished(base, model, new_args, perm)
+            codes = [_transport(c, ty, base, perm, inv) for c, ty in zip(codes, arg_tys)]
+            _check_relabeled(va, vb, codes, ns)
+            model = PModel(base)
+            return Distinguished(base, model, [model.element(ty, c)
+                                               for ty, c in zip(arg_tys, codes)], perm)
     return None
 
 
-def _first_difference(va, vb, model, arg_tys, sizes):
-    """The first argument tuple on which the values ``va`` and ``vb``
-    differ, with both base codes, or None.  Tuples run in lexicographic
-    order of their codes, the first argument slowest.  They form a prefix
-    tree: when an argument changes, only the applications from it on are
-    redone, those of ``va`` before those of ``vb``, as if each tuple were
-    applied in full.  A value of atom type is a Functional."""
-    k = len(arg_tys)
+def _search_cards(ty: Ty, base: int):
+    """For a search at ``ty``: the card of each argument type, the card of
+    the result after each argument, and the number of argument tuples."""
+    key = (ty.uid, base)
+    out = _SEARCH_CARDS.get(key)
+    if out is None:
+        sizes, ns = [], []
+        while isinstance(ty, TyArrow):
+            sizes.append(_card(base, ty.dom))
+            ty = ty.cod
+            ns.append(_card_if_any(base, ty))
+        out = _SEARCH_CARDS[key] = tuple(sizes), tuple(ns), math.prod(sizes)
+    return out
+
+
+def _first_difference(va, vb, ns, sizes):
+    """The first tuple of argument codes on which the values ``va`` and
+    ``vb`` differ, with both base codes, or None.  ``ns[j]`` is the card
+    of the result after ``j + 1`` arguments and ``sizes[j]`` that of the
+    j-th argument's type.  Tuples run in lexicographic order, the first
+    argument slowest.  They form a prefix tree: when an argument changes,
+    only the applications from it on are redone, those of ``va`` before
+    those of ``vb``, as if each tuple were applied in full."""
+    k = len(sizes)
     codes = [0] * k
-    args = [model.element(ty, 0) for ty in arg_tys]
     ra = [va] + [None] * k  # ra[j]: va applied to the first j arguments
     rb = [vb] + [None] * k
     changed = 0  # the first argument that changed since the last tuple
     while True:
-        for j in range(changed, k):
-            ra[j + 1] = ra[j](args[j])
-        for j in range(changed, k):
-            rb[j + 1] = rb[j](args[j])
-        if ra[k].code != rb[k].code:
-            return args, ra[k].code, rb[k].code
-        if k:  # the rest of the last argument's elements on this prefix
-            fa, fb, last = ra[k - 1], rb[k - 1], arg_tys[-1]
+        for r in (ra, rb):
+            for j in range(changed, k):
+                f, x = r[j], codes[j]
+                r[j + 1] = f[0](f[1] + (x,)) if type(f) is tuple else f // ns[j] ** x % ns[j]
+        if ra[k] != rb[k]:
+            return codes, ra[k], rb[k]
+        if k:  # the rest of the last argument's codes on this prefix
+            fa, fb, n = ra[k - 1], rb[k - 1], ns[k - 1]
             for c in range(1, sizes[-1]):
-                x = model.element(last, c)
-                ca = fa(x).code
-                cb = fb(x).code
+                ca = fa[0](fa[1] + (c,)) if type(fa) is tuple else fa // n ** c % n
+                cb = fb[0](fb[1] + (c,)) if type(fb) is tuple else fb // n ** c % n
                 if ca != cb:
-                    args[-1] = x
-                    return args, ca, cb
+                    codes[-1] = c
+                    return codes, ca, cb
         changed = k - 2
         while changed >= 0 and codes[changed] + 1 == sizes[changed]:
             codes[changed] = 0
-            args[changed] = model.element(arg_tys[changed], 0)
             changed -= 1
         if changed < 0:
             return None
         codes[changed] += 1
-        args[changed] = model.element(arg_tys[changed], codes[changed])
 
 
-def _check_relabeled(va, vb, args):
+def _check_relabeled(va, vb, codes, ns):
     for v, want in ((va, 0), (vb, 1)):
-        for arg in args:
-            v = v(arg)
-        if materialize(v).code != want:
+        for x, n in zip(codes, ns):
+            v = v[0](v[1] + (x,)) if type(v) is tuple else v // n ** x % n
+        if v != want:
             raise AssertionError("relabeled witness failed to re-evaluate")
 
 
@@ -516,6 +618,7 @@ def define_functional(phi: Functional, i: int) -> Term:
     chain of conditionals compares the probe against each branch code
     and returns the defining term of the corresponding output.
     """
+    _the_atom(phi.ty)
     if i < 0:
         raise SideConditionViolated("level must be a natural number")
     model = phi.model

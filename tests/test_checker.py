@@ -91,8 +91,7 @@ def test_decoding_and_replaying_loads_no_producer(certificate_paths):
 
 
 def test_the_verify_command_loads_no_producer(certificate_paths):
-    # numerals may load: the combinator command draws its choices from it.
-    # Then eq, normalize and separate --two-valued run in the same process,
+    # then eq, normalize and separate --two-valued run in the same process,
     # and none of these commands loads dataclasses
     out = run_in_child(
         "import sys\n"
@@ -106,7 +105,7 @@ def test_the_verify_command_loads_no_producer(certificate_paths):
         "print('dataclasses' in sys.modules)\n").splitlines()
     assert out[:3] == ["pass"] * 3
     assert "betaeta.cli" in _loaded(out[3])
-    assert not _loaded(out[3]) & (PRODUCERS - {"betaeta.numerals"})
+    assert not _loaded(out[3]) & PRODUCERS
     assert "dataclasses" not in out[3].split()
     assert out[-1] == "False"
 

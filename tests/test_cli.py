@@ -286,6 +286,19 @@ def test_combinator_command(capsys):
     assert S.parse_term(out.strip()) is cond(0)
 
 
+def test_combinator_kinds_are_the_builders_tags(capsys):
+    from betaeta.numerals import TAGS
+    assert cli.COMBINATOR_KINDS == TAGS
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["combinator", "--kind", "Bogus", "--level", "1"])
+    assert exc.value.code == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("usage: betaeta combinator [-h] --kind\n"
+                          "                          {Cond,Lower,Expo,Add,Mul,Pair,")
+    assert err.endswith("error: argument --kind: invalid choice: 'Bogus' (choose from "
+                        f"{', '.join(map(repr, TAGS))})\n")
+
+
 def test_combinator_side_condition_exit(capsys):
     code, _, err = run(capsys, "combinator", "--kind", "Check", "--level", "2",
                        "--check", "1")
@@ -308,6 +321,11 @@ def test_combinator_output_stays_small_at_a_high_level(capsys):
      "level must be a natural number"),
     (("define", "--model", "2", "--type", "p", "--functional", "0", "--level", "-1"),
      "level must be a natural number"),
+    # a type over two atoms, refused before kappa at any level
+    (("define", "--model", "2", "--type", "p->q", "--functional", "1", "--level", "4"),
+     "hierarchy types must be built over a single atom"),
+    (("define", "--model", "2", "--type", "p->q", "--functional", "1", "--level", "8"),
+     "hierarchy types must be built over a single atom"),
 ])
 def test_define_refuses_a_bad_model_code_or_level(capsys, argv, message):
     assert run(capsys, *argv) == (cli.EXIT_TYPE, "", f"type error: {message}\n")

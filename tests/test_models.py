@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import random
+import re
 import weakref
 
 import pytest
@@ -132,6 +133,20 @@ def test_distinguish_equal_terms_none():
     assert M.distinguish(t, eta, 3) is None
 
 
+def test_distinguish_applies_a_coded_partial_application():
+    # an eta-short side applies its coded argument to one argument at a
+    # time, so the card of each partial result type is used; pinned from
+    # the search that applied Functional objects
+    got = [M.distinguish(S.parse_term(a), S.parse_term(b), 3) for a, b in (
+        ("\\f:p->p->p. f", "\\f:p->p->p. \\x:p. \\y:p. f y x"),
+        ("\\f:p->p. f", "\\f:p->p. \\x:p. f (f x)"),
+        ("\\f:p->p. f", "\\f:p->p. \\x:p. f (f (f x))"))]  # equal at base 2
+    assert [_payload(found) for found in got] == [
+        [2, [["p -> p -> p", 11], ["p", 1], ["p", 0]], [1, 0]],
+        [2, [["p -> p", 1], ["p", 1]], [1, 0]],
+        [3, [["p -> p", 4], ["p", 2]], [0, 1, 2]]]
+
+
 def test_distinguish_requires_closed_terms():
     with pytest.raises(IllTyped):
         M.distinguish(S.free("x", pp), S.free("x", pp), 2)
@@ -151,12 +166,46 @@ def test_eval_closed_rejects_a_loose_index():
 
 
 def test_transport_round_trip():
+    for base, ty, perm, inv in ((3, pp, [2, 0, 1], [1, 2, 0]), (2, ppp, [1, 0], [1, 0])):
+        m = M.PModel(base)
+        moved = [M.transport(phi, perm, inv) for phi in m.enum(ty)]
+        # a permutation of the elements, and not the identity
+        assert sorted(f.code for f in moved) == list(range(m.card(ty)))
+        assert moved != list(m.enum(ty))
+        for phi, there in zip(m.enum(ty), moved):
+            assert M.transport(there, inv, perm) == phi
+            # renaming commutes with application
+            for x in m.enum(ty.dom):
+                assert there(M.transport(x, perm, inv)) == M.transport(phi(x), perm, inv)
+
+
+def test_coded_application_is_the_elements_digit_extraction():
+    # the evaluator applies a code f to x as f // n**x % n; the producers
+    # keep Functional application, which must agree with it
     m = M.PModel(3)
-    perm = [2, 0, 1]
-    inv = [1, 2, 0]
-    for phi in m.enum(S.arrow(p, p)):
-        back = M.transport(M.transport(phi, perm, inv), inv, perm)
-        assert back == phi
+    apply_ = M.eval_term(S.parse_term("\\f:p->p. \\x:p. f x"), m)
+    for f in m.enum(pp):
+        for x in m.enum(p):
+            assert apply_(f)(x).code == f(x).code
+    # a lambda passed to a code is materialized first
+    m = M.PModel(2)
+    ident = M.from_table(m, pp, [0, 1])
+    at_ident = M.eval_term(S.parse_term("\\g:(p->p)->p. g (\\y:p. y)"), m)
+    for g in m.enum(ppp):
+        assert at_ident(g) == g(ident)
+
+
+@pytest.mark.parametrize("text, base, message", [
+    ("\\x:p->p->p->p->p->p. \\y:p. y", 2,
+     "refusing to enumerate 4294967296 elements of p -> p -> p -> p -> p -> p"),
+    ("\\g:(p->p->p->p)->p. \\y:p. y", 2,
+     "cardinality of (p -> p -> p -> p) -> p exceeds the cap"),
+    ("\\F:(p->p)->p. \\x:p. (\\g:(p->p)->p. g (\\y:p. F (\\z:p. y))) F", 3,
+     "refusing to enumerate 7625597484987 elements of (p -> p) -> p"),
+], ids=["domain", "table", "nested-domain"])
+def test_materializing_a_lambda_is_capped(text, base, message):
+    with pytest.raises(Overflow, match=f"^{re.escape(message)}$"):
+        M.eval_closed(S.parse_term(text), M.PModel(base))
 
 
 def test_branch_order_matches_catalogued_listing():
@@ -409,15 +458,15 @@ def test_distinguish_searches_every_tuple_of_an_equal_pair(pair):
 
 @pytest.fixture
 def evaluated(monkeypatch):
-    """The model base of every ``eval_term`` call ``distinguish`` makes."""
+    """The base of every ``evaluate`` call ``distinguish`` makes."""
     bases = []
-    real = M.eval_term
+    real = M.evaluate
 
-    def spy(t, model, assignment=None):
-        bases.append(model.base)
-        return real(t, model, assignment)
+    def spy(t, base):
+        bases.append(base)
+        return real(t, base)
 
-    monkeypatch.setattr(M, "eval_term", spy)
+    monkeypatch.setattr(M, "evaluate", spy)
     return bases
 
 
@@ -455,6 +504,20 @@ def test_distinguish_finds_nothing_on_an_eta_expanded_copy(evaluated, rng):
         evaluated.clear()
         assert M.distinguish(t, copy, 3) is None
         assert sorted(set(evaluated)) == [2, 3]
+
+
+def test_repeating_a_search_grows_nothing():
+    pairs = [worked_pair(), (S.parse_term("\\x:p->p. \\y:p. x y"),
+                             S.parse_term("\\x:p->p. \\y:p. x (x y)"))]
+    first = [_payload(M.distinguish(a, b, 3)) for a, b in pairs]
+    assert None not in first and (pairs[0][0].uid, 2) in M._CODE
+    tables = M._CODE, M._CARDS, M._SEARCH_CARDS
+    sizes = [len(t) for t in tables], memo_sizes(), S.interned_term_count()
+    assert [_payload(M.distinguish(a, b, 3)) for a, b in pairs] == first
+    assert ([len(t) for t in tables], memo_sizes(), S.interned_term_count()) == sizes
+    # keyed by uids and bases alone, so no key keeps a term or a model alive
+    for table in tables:
+        assert all(type(key) is tuple and {type(i) for i in key} == {int} for key in table)
 
 
 def test_distinguish_tuple_cap(monkeypatch):
