@@ -7,19 +7,20 @@ numeral level.
 Elements are canonically encoded: an element of P is its own code, and
 an element of A -> B is the base-|B| numeral whose digit at position
 ``code(x)`` is ``code(f(x))``, least significant digit first.  With that
-encoding application is digit extraction.  A model builds each element
-object of a small type once and hands the same object out after.
+encoding application is digit extraction.  A hierarchy element is a
+``Functional``: a model, a type and a code, built where it is asked for.
 
 Evaluation works on int codes.  A value is an element's code, or the
 value of a lambda: its compiled body with its environment, applied
-without a table.  A table is materialized only when such a value is
-passed to a coded function, and applying a coded function ``f`` to
-``x`` is ``f // n**x % n``, with ``n`` the card of its codomain, looked
-up when the application node compiles.  Each node compiles once per
-base into a process table keyed by its uid and the base, so a repeated
-evaluation compiles nothing.  ``eval_term``, ``eval_closed`` and
-``MClosure`` show these values as the elements of a given model.  The
-evaluator needs nothing from ``numerals`` or ``normalize``.
+without a table.  A table is built only when such a value is passed to
+a coded function, and applying a coded function ``f`` to ``x`` is
+``f // n**x % n``, with ``n`` the card of its codomain, looked up when
+the application node compiles.  Each node compiles once per base into a
+process table keyed by its uid and the base, so a repeated evaluation
+compiles nothing.  A closed term is evaluated without an assignment: a
+free variable raises where evaluation reaches it.  ``eval_closed`` is
+the one entry that returns an element.  The evaluator needs nothing
+from ``numerals`` or ``normalize``.
 
 The model search walks the argument codes as a prefix tree, first
 argument slowest, so a partial application is computed once per prefix.
@@ -110,24 +111,23 @@ def _enum_size(base: int, ty: Ty) -> int:
     return n
 
 
+def _pack(digits, n: int) -> int:
+    """The base-``n`` number with the given digits, least significant first."""
+    code = 0
+    for d in reversed(digits):
+        code = code * n + d
+    return code
+
+
 class PModel:
-    """The full type hierarchy over a base of ``base`` elements.
-
-    Each element of a type of at most ``ROW_CAP`` elements is one object
-    per model, built when first used; a larger type gets a new object per
-    use, so that no large domain is held.  The elements refer back to
-    their model, so the collector frees a model and its elements
-    together."""
-
-    ROW_CAP = 1 << 16
+    """The full type hierarchy over a base of ``base`` elements.  It holds
+    nothing but its base: each element is a ``Functional``, built where it
+    is asked for, and a card is read from a process table keyed by ints."""
 
     def __init__(self, base: int):
         if base < 2:
             raise SideConditionViolated("model base must be at least 2")
         self.base = base
-        # per type uid: its elements by code, each None until first used;
-        # an empty list for a type beyond ROW_CAP
-        self._rows: dict[int, list] = {}
 
     def card(self, ty: Ty) -> int:
         return _card(self.base, ty)
@@ -135,24 +135,15 @@ class PModel:
     def functional(self, ty: Ty, code: int) -> "Functional":
         if not 0 <= code < self.card(ty):
             raise SideConditionViolated(f"code {code} out of range for {S.show_type(ty)}")
-        return self.element(ty, code)
+        return Functional(self, ty, code)
 
     def element(self, ty: Ty, code: int) -> "Functional":
         """The element of ``ty`` with the given code, which must be in range."""
-        row = self._rows.get(ty.uid)
-        if row is None:
-            n = self.card(ty)
-            row = self._rows[ty.uid] = [None] * n if n <= self.ROW_CAP else []
-        if not row:
-            return Functional(self, ty, code)
-        out = row[code]
-        if out is None:
-            out = row[code] = Functional(self, ty, code)
-        return out
+        return Functional(self, ty, code)
 
     def enum(self, ty: Ty):
         """All elements of the given hierarchy type in code order."""
-        return (self.element(ty, c) for c in range(_enum_size(self.base, ty)))
+        return (Functional(self, ty, c) for c in range(_enum_size(self.base, ty)))
 
     def __repr__(self):
         return f"PModel(base={self.base})"
@@ -180,17 +171,14 @@ class Functional:
             c //= cod_n
         return out
 
-    def __call__(self, arg: "Functional | MClosure") -> "Functional":
+    def __call__(self, arg: "Functional") -> "Functional":
         ty = self.ty
         if not isinstance(ty, TyArrow):
             raise IllTyped("cannot apply a base element")
-        arg = materialize(arg)
         if arg.ty is not ty.dom:
             raise TypeMismatch("argument type does not match the function's domain")
-        model = self.model
-        cod = ty.cod
-        cod_n = model.card(cod)
-        return model.element(cod, (self.code // (cod_n ** arg.code)) % cod_n)
+        cod_n = self.model.card(ty.cod)
+        return Functional(self.model, ty.cod, self.code // cod_n ** arg.code % cod_n)
 
     def __eq__(self, other):
         return (isinstance(other, Functional) and self.model.base == other.model.base
@@ -204,42 +192,7 @@ class Functional:
 
 
 def from_table(model: PModel, ty: TyArrow, digits: list[int]) -> Functional:
-    cod_n = model.card(ty.cod)
-    code = 0
-    for d in reversed(digits):
-        code = code * cod_n + d
-    return model.element(ty, code)
-
-
-class MClosure:
-    """The value of a lambda in a model: a view of the evaluator's
-    closure, which applies without materializing a table."""
-
-    __slots__ = ("model", "ty", "value")
-
-    def __init__(self, model, ty, value):
-        self.model = model
-        self.ty = ty
-        self.value = value
-
-    def __call__(self, arg):
-        body, env = self.value
-        return _view(self.model, self.ty.cod, body(env + (_raw(arg),)))
-
-
-def materialize(v) -> Functional:
-    """Force a lazy value into its coded form (may enumerate the domain)."""
-    if isinstance(v, Functional):
-        return v
-    return v.model.element(v.ty, _force(v.value, v.model.base, v.ty))
-
-
-def _view(model: PModel, ty: Ty, v):
-    return model.element(ty, v) if type(v) is int else MClosure(model, ty, v)
-
-
-def _raw(v):
-    return v.code if isinstance(v, Functional) else v.value
+    return Functional(model, ty, _pack(digits, model.card(ty.cod)))
 
 
 # ---------------------------------------------------------------------------
@@ -250,31 +203,26 @@ def _raw(v):
 # over.  Nothing in a value refers to a model, and the compiled code of a
 # node depends on the node and the base alone.
 
-Assignment = dict  # variable name -> Functional
-
-
 def evaluate(t: Term, base: int):
     """The value of the closed term ``t`` over a base of ``base``."""
     return _compile(t, base)(())
 
 
-def eval_term(a: Term, model: PModel, assignment: Assignment | None = None):
-    """The unique compositional value of a product-free term: variables
-    from the assignment, application pointwise, abstraction as the
-    function sending each element to the value of the body under the
-    extended assignment."""
+def eval_closed(a: Term, model: PModel) -> Functional:
+    """The element of ``model`` that the closed product-free term ``a``
+    denotes: application pointwise, and abstraction as the function
+    sending each element to the value of the body with it bound."""
     if a.scope:
         raise IllTyped("a term to evaluate has a loose de Bruijn index")
-    # the assignment sits below every binder's value, where no index reaches
-    return _view(model, a.ty, _compile(a, model.base)((assignment or {},)))
+    base = model.base
+    return model.functional(a.ty, _force(evaluate(a, base), base, a.ty))
 
 
 def _compile(t: Term, base: int):
     """``run(env)`` for ``t``: it evaluates ``t`` in an environment tuple,
     one value per enclosing binder, innermost last.  Each node compiles
-    once per base.  A node is checked when it runs: a missing or
-    ill-typed assignment, or a product node, raises only where evaluation
-    reaches it."""
+    once per base.  A node is checked when it runs: a free variable or a
+    product node raises only where evaluation reaches it."""
     key = (t.uid, base)
     out = _CODE.get(key)
     if out is not None:
@@ -283,7 +231,7 @@ def _compile(t: Term, base: int):
     if cls is Var:
         out = itemgetter(-1 - t.index)
     elif cls is Free:
-        out = _free(t.name, t.ty)
+        out = _free(t.name)
     elif cls is Lam:
         out = _lam(_compile(t.body, base))
     elif cls is App:
@@ -294,14 +242,9 @@ def _compile(t: Term, base: int):
     return out
 
 
-def _free(name, ty):
+def _free(name):
     def free(env):
-        val = env[0].get(name)
-        if val is None:
-            raise UnboundVariable(f"no assignment for '{name}'")
-        if val.ty is not ty:
-            raise TypeMismatch(f"assignment for '{name}' has the wrong type")
-        return _raw(val)
+        raise UnboundVariable(f"no assignment for '{name}'")
     return free
 
 
@@ -346,15 +289,7 @@ def _force(v, base: int, ty: Ty) -> int:
         return v
     body, env = v
     digits = [_force(body(env + (x,)), base, ty.cod) for x in range(_enum_size(base, ty.dom))]
-    cod_n = _card(base, ty.cod)
-    code = 0
-    for d in reversed(digits):
-        code = code * cod_n + d
-    return code
-
-
-def eval_closed(a: Term, model: PModel) -> Functional:
-    return materialize(eval_term(a, model))
+    return _pack(digits, _card(base, ty.cod))
 
 
 # ---------------------------------------------------------------------------
@@ -379,12 +314,6 @@ def _relabel_perm(base: int, ra: int, rb: int) -> list[int]:
     send(ra, 0)
     send(rb, 1)
     return perm
-
-
-def transport(phi: Functional, perm: list[int], inv: list[int]) -> Functional:
-    """Rename the base elements of a hierarchy element along ``perm``."""
-    model = phi.model
-    return model.element(phi.ty, _transport(phi.code, phi.ty, model.base, perm, inv))
 
 
 def _transport(code: int, ty: Ty, base: int, perm: list[int], inv: list[int]) -> int:
@@ -444,7 +373,7 @@ def distinguish(a: Term, b: Term, max_base: int) -> Distinguished | None:
             codes = [_transport(c, ty, base, perm, inv) for c, ty in zip(codes, arg_tys)]
             _check_relabeled(va, vb, codes, ns)
             model = PModel(base)
-            return Distinguished(base, model, [model.element(ty, c)
+            return Distinguished(base, model, [Functional(model, ty, c)
                                                for ty, c in zip(arg_tys, codes)], perm)
     return None
 
@@ -519,11 +448,7 @@ def _is_constant(phi: Functional) -> int | None:
 
 
 def _big_endian(phi: Functional) -> int:
-    cod_n = phi.model.card(phi.ty.cod)
-    code = 0
-    for d in phi.table():
-        code = code * cod_n + d
-    return code
+    return _pack(phi.table()[::-1], phi.model.card(phi.ty.cod))
 
 
 def branch_order(model: PModel, ty: Ty) -> list[Functional]:

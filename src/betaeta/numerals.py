@@ -16,21 +16,22 @@ negative one with ``SideConditionViolated``.
 
 from __future__ import annotations
 
-from functools import cache, wraps
+from functools import wraps
 
 from .errors import LevelTooSmall, SideConditionViolated
-from .syntax import Record, Term, app, apps, lams, numeral_type, tower_type
+from .syntax import Record, Term, app, apps, lams, memo, numeral_type, tower_type
 
 
 def _leveled(builder):
-    """``builder``, memoized, refusing a negative level (its last argument)."""
-    cached = cache(builder)
+    """``builder``, memoized by ``syntax.memo`` on its int arguments,
+    refusing a negative level (its last argument) before the table."""
+    memoized = memo(lambda *args: args)(builder)
 
     @wraps(builder)
     def build(*args):
         if args[-1] < 0:
             raise SideConditionViolated("level must be a natural number")
-        return cached(*args)
+        return memoized(*args)
     return build
 
 

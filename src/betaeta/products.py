@@ -9,7 +9,7 @@ complexity measure, which witnesses termination.  An isomorphism pair of
 closed terms is constructed per step, lifted from the redex to the whole
 type along the step's path, and composed along the trace; the type after a
 step is the codomain of its lifted forward witness.  A type's pair is built
-once per process and shared, so the witness is frozen.
+once per process and shared, so the witness is read-only.
 
 Separation of unequal product-bearing terms moves them through the
 isomorphism, splits the long normal form into components, finds one
@@ -20,15 +20,13 @@ the two projections of a fresh pair variable as final targets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .checker import ProductCertificate, instance_sub, instantiate, replayed, verify_product
 from .errors import EqualTerms, IllTyped, Overflow, SideConditionViolated, TypeMismatch
 from . import separator as Sep
 from . import syntax as S
 from .normalize import decide_eq, long_nf
 from .syntax import (
-    Term, Ty, TyArrow, TyAtom, TyProd, TyTerminal, TERMINAL, UNIT,
+    Record, Term, Ty, TyArrow, TyAtom, TyProd, TyTerminal, TERMINAL, UNIT,
     app, apps, arrow, lams, pair, prod, proj1, proj2,
 )
 
@@ -147,20 +145,24 @@ def show_measure(m: int | None) -> str:
     return f"<{m.bit_length()} bits>" if m is not None and m >= _UNPRINTABLE else str(m)
 
 
-@dataclass(frozen=True)
-class TypeStep:
+def _read_only(self, name, value):
+    raise AttributeError(f"cannot assign to '{name}': {type(self).__name__} is read-only")
+
+
+class TypeStep(Record):
     path: tuple
     rule: str
     before: int | None
     after: int | None
+
+    __setattr__ = _read_only
 
     def __repr__(self):
         return (f"TypeStep(path={self.path!r}, rule={self.rule!r}, "
                 f"before={show_measure(self.before)}, after={show_measure(self.after)})")
 
 
-@dataclass
-class TypeNFTrace:
+class TypeNFTrace(Record):
     input: Ty
     steps: list[TypeStep]
     output: Ty
@@ -209,12 +211,13 @@ def is_product_nf(ty: Ty) -> bool:
 # ---------------------------------------------------------------------------
 # Isomorphism witnesses
 
-@dataclass(frozen=True)
-class IsoWitness:
+class IsoWitness(Record):
     source: Ty
     target: Ty
     forward: Term
     backward: Term
+
+    __setattr__ = _read_only
 
 
 def _primitive_iso(ty: Ty, rule: str) -> tuple[Term, Term]:

@@ -110,6 +110,21 @@ def test_the_verify_command_loads_no_producer(certificate_paths):
     assert out[-1] == "False"
 
 
+def test_no_command_loads_dataclasses():
+    # the product, type normal form, isomorphism and collapse commands run
+    # the producers, whose records are syntax.Records too
+    out = run_in_child(
+        "import sys\n"
+        "from betaeta import cli\n"
+        "for args in (['separate', '--product', r'\\x:p*p. <p1 x, p2 x>',\n"
+        "              r'\\x:p*p. <p2 x, p1 x>'],\n"
+        "             ['type-nf', '(p*p)->q', '--trace'], ['iso', 'p*T'],\n"
+        "             ['ccc', 'collapse', 'p1[p, p]', 'p2[p, p]']):\n"
+        "    assert cli.main(args) == 0, args\n"
+        "print('dataclasses' in sys.modules)\n").splitlines()
+    assert out[-1] == "False"
+
+
 def test_importing_the_cli_loads_no_producer():
     out = run_in_child("import sys\nfrom betaeta import cli\nprint(*sys.modules)\n")
     assert "betaeta.cli" in _loaded(out)

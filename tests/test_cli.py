@@ -571,6 +571,10 @@ def test_repeated_work_grows_nothing():
 
     first = round_trip()
     sizes, nodes = memo_sizes(), S.interned_term_count()
+    # the numeral builders' tables are memo tables too, and the worked
+    # pair's defining terms fill them
+    assert {"betaeta.numerals.church", "betaeta.numerals.check"} <= {
+        name for name, n in sizes.items() if name.startswith("betaeta.numerals.") and n}
     assert round_trip() == first
     assert (memo_sizes(), S.interned_term_count()) == (sizes, nodes)
 
