@@ -215,28 +215,36 @@ def show_arrow(f: ArrowTerm) -> str:
 
 def parse_arrow(text: str) -> ArrowTerm:
     """The arrow term that ``show_arrow`` prints as ``text``."""
-    toks = S._Tokens(text)
-    out = _parse_compose(toks)
-    if toks.peek() is not None:
-        raise ParseError(f"trailing input '{toks.peek()}'", toks.pos)
+    toks = S._tokenize(text)
+    out, i = _parse_compose(text, toks, 0)
+    if toks[i] is not None:
+        raise ParseError(f"trailing input '{toks[i]}'", S._start(text, toks, i))
     return out
 
 
-def _parse_compose(toks) -> ArrowTerm:
-    left = _parse_arrow_atom(toks)
-    if toks.peek() == ".":
-        toks.take(".")
-        return ACompose(left, _parse_compose(toks))
-    return left
+# each reader takes the text, its tokens and the index of the first token
+# it reads, and returns what it read with the index past it
+
+def _parse_compose(text, toks, i) -> tuple[ArrowTerm, int]:
+    left, i = _parse_arrow_atom(text, toks, i)
+    if toks[i] == ".":
+        right, i = _parse_compose(text, toks, i + 1)
+        return ACompose(left, right), i
+    return left, i
 
 
-def _bracket_types(toks, n) -> list[Ty]:
+def _take(text, toks, i, want) -> int:
+    if toks[i] != want:
+        raise S._expected(text, toks, i, want)
+    return i + 1
+
+
+def _bracket_types(text, toks, i, n) -> tuple[list[Ty], int]:
     tys = []
     for opener in "[" + "," * (n - 1):
-        toks.take(opener)
-        tys.append(S._parse_type(toks, None))
-    toks.take("]")
-    return tys
+        ty, i = S._read_type(text, toks, _take(text, toks, i, opener), None)
+        tys.append(ty)
+    return tys, _take(text, toks, i, "]")
 
 
 # the arrow atoms written NAME[A] or NAME[A, B]: (type count, constructor)
@@ -246,35 +254,31 @@ _BRACKETED = {
 }
 
 
-def _parse_arrow_atom(toks) -> ArrowTerm:
-    tok = toks.peek()
+def _parse_arrow_atom(text, toks, i) -> tuple[ArrowTerm, int]:
+    tok = toks[i]
     if tok is None:
-        raise ParseError("expected an arrow term", toks.pos)
+        raise ParseError("expected an arrow term", S._start(text, toks, i))
     if tok == "(":
-        return _parenthesized(toks)
+        return _parenthesized(text, toks, i)
     if tok == "<":
-        toks.take("<")
-        f = _parse_compose(toks)
-        toks.take(",")
-        g = _parse_compose(toks)
-        toks.take(">")
-        return APairing(f, g)
+        f, i = _parse_compose(text, toks, i + 1)
+        g, i = _parse_compose(text, toks, _take(text, toks, i, ","))
+        i = _take(text, toks, i, ">")
+        return APairing(f, g), i
     if tok in _BRACKETED:
-        toks.take()
         n, make = _BRACKETED[tok]
-        return make(*_bracket_types(toks, n))
+        tys, i = _bracket_types(text, toks, i + 1, n)
+        return make(*tys), i
     if tok == "curry":
-        toks.take()
-        c, a = _bracket_types(toks, 2)
-        return ACurry(c, a, _parenthesized(toks))
-    raise ParseError(f"unexpected '{tok}' in arrow term", toks.pos)
+        (c, a), i = _bracket_types(text, toks, i + 1, 2)
+        f, i = _parenthesized(text, toks, i)
+        return ACurry(c, a, f), i
+    raise ParseError(f"unexpected '{tok}' in arrow term", S._start(text, toks, i))
 
 
-def _parenthesized(toks) -> ArrowTerm:
-    toks.take("(")
-    inner = _parse_compose(toks)
-    toks.take(")")
-    return inner
+def _parenthesized(text, toks, i) -> tuple[ArrowTerm, int]:
+    inner, i = _parse_compose(text, toks, _take(text, toks, i, "("))
+    return inner, _take(text, toks, i, ")")
 
 
 # ---------------------------------------------------------------------------

@@ -47,20 +47,20 @@ class ResourceExhausted(BetaEtaError):
 
 
 class TermTooDeep(ResourceExhausted):
-    """Python's recursion limit stopped the parser or a normalization call."""
+    """Python's recursion limit stopped a normalization call."""
 
-    def __init__(self, stage: str = "evaluator"):
-        super().__init__(f"term too deep for the recursive {stage}")
+    def __init__(self):
+        super().__init__("term too deep for the recursive evaluator")
 
 
-def not_too_deep(fn, stage: str = "evaluator"):
-    """``fn``, raising ``TermTooDeep(stage)`` instead of a raw ``RecursionError``."""
+def not_too_deep(fn):
+    """``fn``, raising ``TermTooDeep`` instead of a raw ``RecursionError``."""
     @wraps(fn)
     def guarded(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
         except RecursionError:
-            raise TermTooDeep(stage) from None
+            raise TermTooDeep() from None
     return guarded
 
 

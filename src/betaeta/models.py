@@ -137,10 +137,6 @@ class PModel:
             raise SideConditionViolated(f"code {code} out of range for {S.show_type(ty)}")
         return Functional(self, ty, code)
 
-    def element(self, ty: Ty, code: int) -> "Functional":
-        """The element of ``ty`` with the given code, which must be in range."""
-        return Functional(self, ty, code)
-
     def enum(self, ty: Ty):
         """All elements of the given hierarchy type in code order."""
         return (Functional(self, ty, c) for c in range(_enum_size(self.base, ty)))

@@ -16,8 +16,8 @@ body each binder's index directly, so building interns no throwaway
 name.  Every term node carries its type, computed at construction;
 building an ill-typed application or projection raises immediately.
 
-Term text is read in one pass over its tokens, with an explicit stack,
-straight to interned nodes; type text by recursive descent.
+Term and type text are each read in one pass over their tokens, with an
+explicit stack, straight to interned nodes.
 
 The interning tables and the ``memo`` tables, which keep a pure
 builder's results for the life of the process, are module-level and
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import re
 import sys
-from functools import partial, wraps
+from functools import wraps
 from operator import attrgetter
 
 from .errors import (
@@ -46,7 +46,6 @@ from .errors import (
     ResourceExhausted,
     TypeMismatch,
     UnboundVariable,
-    not_too_deep,
 )
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
@@ -755,6 +754,16 @@ def type_of(a: Term, ctx: Context = EMPTY) -> Ty:
 # can; an atom is "(TERM)", "<TERM, TERM>", "p1 ATOM", "p2 ATOM", "k" or a
 # name.  A type is "TY -> TY" (to the right), "TY * TY" (to the left, and
 # binding tighter), "(TY)", "T" or a name.
+#
+# A text is read as its list of tokens, ending in None, by index, with no
+# cursor object: ``_read_type`` reads a type, also each binder annotation
+# from inside the term pass ``_term_pass``.  Both keep their open frames
+# on a list, so nesting depth is no limit, and intern each node as it
+# closes.  A token's kind is looked up in the module's constant sets, to
+# which a non-ASCII text adds its characters that are no letter.  An
+# error's position is worked out from the text and the token's index only
+# when the error is raised.  After a type error ``_read_term`` reads the
+# text again without building, so a syntax error anywhere in it wins.
 
 # a token is "->", a name, or any other character that is not a space; a
 # name starts with a letter or "_" and goes on with letters, digits, "_"
@@ -768,219 +777,219 @@ def _is_name(tok: str) -> bool:
     return tok[0].isalpha() or tok[0] == "_"
 
 
-def _tokenize(text: str) -> list[str]:
+def _tokenize(text: str) -> list:
+    """The tokens of ``text``, then None for the end."""
     if str.isascii(text):  # a TypeError for text that is no string
-        return _ASCII_TOKEN.findall(text)
-    toks = _TOKEN.findall(text)
-    # [^\W\d] also matches a numeric character that is no digit, such as
-    # "²", and that starts no name: it is a token on its own
-    out = []
-    for tok in toks:
-        if len(tok) > 1 and not _is_name(tok) and tok != "->":
-            out.append(tok[0])
-            out.extend(_tokenize(tok[1:]))
+        toks = _ASCII_TOKEN.findall(text)
+    else:
+        toks, pos = [], 0
+        while (m := _TOKEN.search(text, pos)) is not None:
+            tok = m.group()
+            # [^\W\d] also matches a numeric character that is no digit,
+            # such as "²", and that starts no name: it is a token on its own
+            if len(tok) > 1 and not _is_name(tok) and tok != "->":
+                tok = tok[0]
+            toks.append(tok)
+            pos = m.start() + len(tok)
+    toks.append(None)
+    return toks
+
+
+def _start(text: str, toks: list, i: int) -> int:
+    """Where token ``i`` starts, past the spaces before it; the end of the
+    text for the end token."""
+    pos = 0
+    for tok in toks[:i]:
+        pos = _SPACE.match(text, pos).end() + len(tok)
+    return _SPACE.match(text, pos).end()
+
+
+def _expected(text: str, toks: list, i: int, want: str) -> ParseError:
+    """The error for token ``i``, which is not ``want``."""
+    found = toks[i]
+    return ParseError("unexpected end of input" if found is None
+                      else f"expected '{want}', found '{found}'", _start(text, toks, i))
+
+
+def _read_type(text: str, toks: list, i: int, aliases) -> tuple[Ty, int]:
+    """The type whose text starts at token ``i``, and the index past it.
+    The stack holds the domains of the arrows open at each level, above a
+    one-tuple for each open parenthesis with the product read before it."""
+    stack = []
+    left = None  # the product read so far at the innermost level
+    while True:
+        tok = toks[i]
+        i += 1
+        if tok == "(":
+            stack.append((left,))
+            left = None
+            continue
+        if tok == "T":
+            ty = TERMINAL
+        elif tok is not None and _is_name(tok):
+            ty = aliases and aliases.get(tok) or atom(tok)
         else:
-            out.append(tok)
-    return out
+            raise ParseError("expected a type" if tok is None else f"unexpected '{tok}' in type",
+                             _start(text, toks, i - 1))
+        while True:  # the atom ``ty`` is complete
+            left = ty if left is None else prod(left, ty)
+            tok = toks[i]
+            if tok == "*" or tok == "->":
+                if tok == "->":
+                    stack.append(left)
+                    left = None
+                i += 1
+                break
+            # the level ends: its arrows, to the right
+            while stack and type(stack[-1]) is not tuple:
+                left = arrow(stack.pop(), left)
+            if not stack:
+                return left, i
+            if tok != ")":
+                raise _expected(text, toks, i, ")")
+            i += 1
+            ty = left
+            (left,) = stack.pop()
 
 
-class _Tokens:
-    """The tokens of a text, scanned once: ``peek`` at the next one,
-    ``take`` it.  ``pos``, where the next token starts, is worked out only
-    when asked for, which is when an error is raised."""
-
-    def __init__(self, text, aliases=None):
-        self.text = text
-        self.aliases = aliases
-        self.toks = _tokenize(text)
-        self.toks.append(None)  # the end; never taken
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def take(self, expected=None):
-        tok = self.toks[self.i]
-        if tok is None:
-            raise ParseError("unexpected end of input", self.pos)
-        if expected is not None and tok != expected:
-            raise ParseError(f"expected '{expected}', found '{tok}'", self.pos)
-        self.i += 1
-        return tok
-
-    def start(self, i: int) -> int:
-        """Where token ``i`` starts, past the spaces before it; the end of
-        the text for the end token."""
-        pos = 0
-        for tok in self.toks[:i]:
-            pos = _SPACE.match(self.text, pos).end() + len(tok)
-        return _SPACE.match(self.text, pos).end()
-
-    @property
-    def pos(self) -> int:
-        return self.start(self.i)
-
-
-def _parse_type(toks: _Tokens, aliases) -> Ty:
-    left = _parse_type_prod(toks, aliases)
-    if toks.peek() == "->":
-        toks.i += 1
-        return arrow(left, _parse_type(toks, aliases))
-    return left
-
-
-def _parse_type_prod(toks: _Tokens, aliases) -> Ty:
-    left = _parse_type_atom(toks, aliases)
-    while toks.peek() == "*":
-        toks.i += 1
-        left = prod(left, _parse_type_atom(toks, aliases))
-    return left
-
-
-def _parse_type_atom(toks: _Tokens, aliases) -> Ty:
-    tok = toks.peek()
-    if tok is None:
-        raise ParseError("expected a type", toks.pos)
-    if tok == "(":
-        toks.i += 1
-        ty = _parse_type(toks, aliases)
-        toks.take(")")
-        return ty
-    if tok == "T":
-        toks.i += 1
-        return TERMINAL
-    if _is_name(tok):
-        toks.i += 1
-        if aliases and tok in aliases:
-            return aliases[tok]
-        return atom(tok)
-    raise ParseError(f"unexpected '{tok}' in type", toks.pos)
-
-
-@partial(not_too_deep, stage="parser")
 def parse_type(text: str, aliases: dict[str, Ty] | None = None) -> Ty:
-    toks = _Tokens(text)
-    ty = _parse_type(toks, aliases)
-    if toks.peek() is not None:
-        raise ParseError(f"trailing input '{toks.peek()}'", toks.pos)
+    toks = _tokenize(text)
+    ty, i = _read_type(text, toks, 0, aliases)
+    if toks[i] is not None:
+        raise ParseError(f"trailing input '{toks[i]}'", _start(text, toks, i))
     return ty
 
 
-@partial(not_too_deep, stage="parser")
-def parse(text: str, aliases: dict[str, Ty] | None = None) -> _Tokens:
+def parse(text: str, aliases: dict[str, Ty] | None = None) -> tuple:
     """Term text as tokens for ``elaborate``, with the type ``aliases``."""
-    return _Tokens(text, aliases)
+    return text, _tokenize(text), aliases
 
 
-@partial(not_too_deep, stage="parser")
-def elaborate(toks: _Tokens, ctx: Context = EMPTY) -> Term:
-    """The nameless interned term of lexed text, typed against ``ctx``; a
-    syntax error anywhere in the text wins over a type error before it."""
-    try:
-        return _read_term(toks, ctx, True)
-    except (IllTyped, UnboundVariable, ResourceExhausted):
-        # read the text again without building: a syntax error is raised
-        # from there, and this error only when there is none
-        _read_term(toks, ctx, False)
-        raise
+def elaborate(lexed: tuple, ctx: Context = EMPTY) -> Term:
+    """The nameless interned term of lexed text, typed against ``ctx``."""
+    return _read_term(*lexed, ctx)
 
 
 def parse_term(text: str, ctx: Context = EMPTY,
                aliases: dict[str, Ty] | None = None) -> Term:
-    return elaborate(parse(text, aliases), ctx)
+    return _read_term(text, _tokenize(text), aliases, ctx)
 
 
-# every token of an ASCII text that is no name, and the end; on other text
-# a character that is no letter may also be a token on its own
+def _read_term(text: str, toks: list, aliases, ctx: Context) -> Term:
+    """The term that ``toks`` spell, typed against ``ctx``; a syntax error
+    anywhere in the text wins over a type error before it."""
+    try:
+        return _term_pass(text, toks, aliases, ctx, _BUILD)
+    except (IllTyped, UnboundVariable, ResourceExhausted):
+        # read the text again without building: a syntax error is raised
+        # from there, and this error only when there is none
+        _term_pass(text, toks, aliases, ctx, _CHECK)
+        raise
+
+
+def _free_in(name: str, ctx: Context) -> Free:
+    return free(name, ctx.lookup(name))
+
+
+# the node makers of a pass that builds, and of one that only checks the
+# syntax: var, free, app, lam, pair, proj1, proj2
+_BUILD = (var, _free_in, app, lam, pair, proj1, proj2)
+_CHECK = (lambda *_: UNIT,) * 7
+
+# the tokens of an ASCII text that are no name (the end among them), that
+# are no variable, and that start no atom; in other text a character that
+# is no letter may also be a token on its own
 _NOT_NAMES = frozenset([c for c in map(chr, range(128)) if not _is_name(c)] + ["->", None])
+_NOT_VARIABLES = _NOT_NAMES | {"p1", "p2", "k"}
+_ENDS = _NOT_NAMES - {"(", "\\", "<"}
 
-# The open frames of ``_read_term`` are lists [tag, the application read
-# so far in the frame, ...]; a lambda's frame adds its binder type and
-# name, and the second half of a pair its first component.  A frame that
-# waits for a closing token is tagged with it: ")" for a parenthesis, ","
-# and ">" for the halves of a pair, and None, the end, for the whole text.
+# A frame of ``_term_pass`` is (tag, the application read so far in it,
+# extra).  A frame that waits for a closing token is tagged with it: ")"
+# for a parenthesis, "," and ">" for the halves of a pair (the second
+# half's extra is the first), and None, the end, for the whole text.  A
+# lambda's extra is its binder type, its name and the binding the name
+# had before; a projection's is its maker.
 _LAM, _PROJ = "lam", "proj"
 
 
-def _read_term(toks: _Tokens, ctx: Context, build: bool) -> Term:
-    """The one pass of ``elaborate``: each open frame on a stack holds the
-    application read so far in it, and its node is interned as it closes."""
-    ts, aliases = toks.toks, toks.aliases or {}
-    names = set(ts) - _NOT_NAMES
-    if not toks.text.isascii():
-        names = {tok for tok in names if _is_name(tok)}
-    variables = names.difference(("p1", "p2", "k"))
-    mk_var, mk_free, lookup, mk_app, mk_lam, mk_pair, mk_proj1, mk_proj2 = (
-        (var, free, ctx.lookup, app, lam, pair, proj1, proj2) if build else (lambda *_: UNIT,) * 8)
-    bound: dict = {}  # name -> [(binder level, type)], its innermost binder last
+def _term_pass(text: str, toks: list, aliases, ctx: Context, make) -> Term:
+    """The innermost open frame is in three locals and the outer ones on a
+    stack; a frame's node is made as it closes."""
+    mk_var, mk_free, mk_app, mk_lam, mk_pair, mk_proj1, mk_proj2 = make
+    not_variables, ends = _NOT_VARIABLES, _ENDS
+    if not text.isascii():
+        odd = {tok for tok in toks[:-1] if tok not in _NOT_NAMES and not _is_name(tok)}
+        not_variables, ends = not_variables | odd, ends | odd
+    bound: dict = {}  # name -> (binder level, type) of its innermost binder
     depth = 0  # binders open
-    stack: list[list] = [[None, None]]
+    stack = []
+    tag = acc = extra = None
     i = 0
     while True:
         # an atom comes next, or a lambda unless right after p1 or p2
-        tok = ts[i]
+        tok = toks[i]
         i += 1
-        if tok in variables:
+        if tok not in not_variables:
             hit = bound.get(tok)
-            a = mk_var(depth - 1 - hit[-1][0], hit[-1][1]) if hit else mk_free(tok, lookup(tok))
-        elif tok == "\\" and stack[-1][0] is not _PROJ:
-            name = ts[i]
-            if name in variables and name != "T" and ts[i + 1] == ":" and ts[i + 2] in names \
-                    and ts[i + 3] == ".":
-                ty = TERMINAL if ts[i + 2] == "T" else aliases.get(ts[i + 2]) or atom(ts[i + 2])
-                i += 4
-            else:  # an annotation that is no single name, or an error
-                toks.i = i
-                name = toks.take()
-                if name not in variables or name == "T":
-                    raise ParseError(f"bad binder name '{name}'", toks.start(i) + len(name))
-                toks.take(":")
-                ty = _parse_type(toks, aliases)
-                toks.take(".")
-                i = toks.i
-            stack.append([_LAM, None, ty, name])
-            bound.setdefault(name, []).append((depth, ty))
+            a = mk_var(depth - 1 - hit[0], hit[1]) if hit else mk_free(tok, ctx)
+        elif tok == "\\" and tag is not _PROJ:
+            name = toks[i]
+            if name in not_variables or name == "T":
+                if name is None:
+                    raise ParseError("unexpected end of input", _start(text, toks, i))
+                raise ParseError(f"bad binder name '{name}'", _start(text, toks, i) + len(name))
+            if toks[i + 1] != ":":
+                raise _expected(text, toks, i + 1, ":")
+            ty, i = _read_type(text, toks, i + 2, aliases)
+            if toks[i] != ".":
+                raise _expected(text, toks, i, ".")
+            i += 1
+            stack.append((tag, acc, extra))
+            tag, acc, extra = _LAM, None, (ty, name, bound.get(name))
+            bound[name] = (depth, ty)
             depth += 1
             continue
         elif tok == "(" or tok == "<":
-            stack.append([")" if tok == "(" else ",", None])
+            stack.append((tag, acc, extra))
+            tag, acc = (")" if tok == "(" else ","), None
             continue
         elif tok == "p1" or tok == "p2":
-            stack.append([_PROJ, mk_proj1 if tok == "p1" else mk_proj2])
+            stack.append((tag, acc, extra))
+            tag, acc, extra = _PROJ, None, (mk_proj1 if tok == "p1" else mk_proj2)
             continue
         elif tok == "k":
             a = UNIT
         else:
             raise ParseError("expected a term" if tok is None else f"unexpected '{tok}'",
-                             toks.start(i - 1))
+                             _start(text, toks, i - 1))
         while True:  # the atom ``a`` is complete
-            while stack[-1][0] is _PROJ:
-                a = stack.pop()[1](a)
-            frame = stack[-1]
-            frame[1] = a if frame[1] is None else mk_app(frame[1], a)
-            tok = ts[i]
-            if tok in names or tok == "(" or tok == "\\" or tok == "<":
+            while tag is _PROJ:
+                a = extra(a)
+                tag, acc, extra = stack.pop()
+            acc = a if acc is None else mk_app(acc, a)
+            tok = toks[i]
+            if tok not in ends:
                 break
-            # the term in ``frame`` ends before ``tok``
-            if frame[0] is _LAM:
-                stack.pop()
-                bound[frame[3]].pop()
+            # the term of the innermost frame ends before ``tok``
+            if tag is _LAM:
+                ty, name, outer = extra
+                bound[name] = outer
                 depth -= 1
-                a = mk_lam(frame[2], frame[1])  # the last atom of the term around it
+                a = mk_lam(ty, acc)  # the last atom of the term around it
+                tag, acc, extra = stack.pop()
                 continue
-            if tok != frame[0]:
-                if frame[0] is None:
-                    raise ParseError(f"trailing input '{tok}'", toks.start(i))
-                toks.i = i
-                toks.take(frame[0])
+            if tok != tag:
+                if tag is None:
+                    raise ParseError(f"trailing input '{tok}'", _start(text, toks, i))
+                raise _expected(text, toks, i, tag)
             if tok is None:
-                return frame[1]
+                return acc
             i += 1
             if tok == ",":
-                stack[-1] = [">", None, frame[1]]
+                tag, acc, extra = ">", None, acc
                 break
-            stack.pop()
-            a = frame[1] if tok == ")" else mk_pair(frame[2], frame[1])
+            a = acc if tok == ")" else mk_pair(extra, acc)
+            tag, acc, extra = stack.pop()
 
 
 # ---------------------------------------------------------------------------

@@ -513,9 +513,8 @@ def test_mem_budget_from_the_environment(capsys, monkeypatch):
 
 def test_deep_term_exits_with_budget_code(tmp_path):
     # a deep recursion could take the test process down, so run a child.
-    # Term text of any depth parses; comparing two terms that differ only
-    # 60,000 applications down outruns the recursive evaluator, and a type
-    # in 40,000 parentheses the recursive type parser
+    # Term and type text of any depth parses; comparing two terms that
+    # differ only 60,000 applications down outruns the recursive evaluator
     def deep(n):
         return "\\f:p->p. \\x:p. " + "f (" * n + "x" + ")" * n
 
@@ -524,13 +523,13 @@ def test_deep_term_exits_with_budget_code(tmp_path):
     deep_type = "(" * 40_000 + "p" + ")" * 40_000
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    for argv, stage in ((["eq", "--pair-file", str(pair_file)], "evaluator"),
-                        (["eq", "y", "y", "--ctx", f"y:{deep_type}"], "parser")):
+    for argv, code, out, err in (
+            (["eq", "--pair-file", str(pair_file)], cli.EXIT_BUDGET, "",
+             "budget: term too deep for the recursive evaluator"),
+            (["eq", "y", "y", "--ctx", f"y:{deep_type}"], 0, "equal\n", "")):
         proc = subprocess.run([sys.executable, "-m", "betaeta", *argv],
                               capture_output=True, text=True, env=env, timeout=300)
-        assert proc.returncode == cli.EXIT_BUDGET
-        assert proc.stdout == ""
-        assert proc.stderr.strip() == f"budget: term too deep for the recursive {stage}"
+        assert (proc.returncode, proc.stdout, proc.stderr.strip()) == (code, out, err)
 
 
 # sha256 of the canonical bytes; any change to alias-table order, binder

@@ -264,7 +264,7 @@ def test_memos_keep_no_model_alive():
 
     model = separate()
     gc.collect()
-    assert model() is None  # no memo key or value holds the model's element rows
+    assert model() is None  # no memo key or value holds the model or its elements
 
 
 def test_define_functions_on_points():

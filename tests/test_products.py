@@ -327,7 +327,7 @@ def test_built_terms_are_pinned():
         n = model.card(ty)
         codes = range(n) if n <= 256 else sorted(random.Random(n).sample(range(n), 16))
         for code in codes:
-            phi = model.element(ty, code)
+            phi = model.functional(ty, code)
             terms.append(M.define_functional(phi, M.kappa(phi)))
     rng = random.Random(9)
     for _ in range(60):

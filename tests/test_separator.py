@@ -186,7 +186,7 @@ def test_separate_returns_only_what_verify_accepts(monkeypatch):
     from betaeta import models as M
     real = M.define_functional
     monkeypatch.setattr(M, "define_functional", lambda phi, i: real(
-        phi.model.element(phi.ty, (phi.code + 1) % phi.model.card(phi.ty)), i))
+        phi.model.functional(phi.ty, (phi.code + 1) % phi.model.card(phi.ty)), i))
     one, two = church(1, 0), church(2, 0)
     with pytest.raises(AssertionError, match="^verify rejected the certificate just built$"):
         Sep.separate_two(one, two)

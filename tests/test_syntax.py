@@ -245,6 +245,49 @@ def test_parse_error_position_in_the_middle():
         assert str(info.value) == f"{message} (at position {pos})"
 
 
+def test_a_binder_annotation_of_many_tokens_reads_its_aliases():
+    pp, pq = S.arrow(p, p), S.prod(p, q)
+    aliases = {"A": pp, "B": pq}
+    t = S.parse_term("\\f:(A -> B) * T. \\x:A -> B * A. p1 f", aliases=aliases)
+    fty = S.prod(S.arrow(pp, pq), S.TERMINAL)
+    assert t is S.lam(fty, S.lam(S.arrow(pp, S.prod(pq, pp)), S.proj1(S.var(1, fty))))
+    # the alias names are type text only: without the table they are atoms
+    assert S.parse_term("\\x:A. x").ty is S.arrow(S.atom("A"), S.atom("A"))
+
+
+def test_an_error_inside_a_binder_annotation_carries_its_position():
+    for text, message, pos in (("\\x:p -> . x", "unexpected '.' in type", 8),
+                               ("\\x:p -> (q * ). x", "unexpected ')' in type", 13),
+                               ("\\x:(p. x", "expected ')', found '.'", 5)):
+        with pytest.raises(ParseError) as info:
+            S.parse_term(text)
+        assert (str(info.value), info.value.position) == (f"{message} (at position {pos})", pos)
+
+
+def test_a_name_bound_at_two_types_means_its_innermost_binder():
+    pp = S.arrow(p, p)
+    inner = S.parse_term("\\x:p. \\x:p -> p. x")
+    assert inner is S.lam(p, S.lam(pp, S.var(0, pp)))
+    # after the inner binder closes, the name is the outer one again
+    t = S.parse_term("\\x:p->p. \\y:p. <(\\x:p. x) y, x y>")
+    y = S.var(0, p)
+    assert t is S.lam(pp, S.lam(p, S.pair(S.app(S.lam(p, S.var(0, p)), y),
+                                          S.app(S.var(1, pp), y))))
+    with pytest.raises(IllTyped):
+        S.parse_term("\\x:p. (\\x:p -> p. x) x")
+
+
+def test_a_lambda_cannot_follow_a_projection():
+    for text, pos in (("p1 \\x:p. x", 3), ("\\z:p*p. p2 \\x:p. x", 11)):
+        with pytest.raises(ParseError) as info:
+            S.parse_term(text)
+        assert (str(info.value), info.value.position) == (
+            f"unexpected '\\' (at position {pos})", pos)
+    # parenthesized, it is read, and the projection is then ill-typed
+    with pytest.raises(IllTyped):
+        S.parse_term("p1 (\\x:p. x)")
+
+
 # ---------------------------------------------------------------------------
 # Parser differential pin
 
@@ -375,23 +418,18 @@ def test_closed_terms_are_not_walked_for_names(monkeypatch):
 
 
 def test_a_text_too_deep_raises_the_documented_error():
-    # the term parser keeps its open frames on a list, so a term nested
-    # 60,000 deep parses; the recursive type parser still stops at a type
-    # in 40,000 parentheses.  A child runs them, since a deep recursion
-    # could take the test process down.  Afterwards the parser works as
-    # before.
+    # the term and type readers keep their open frames on a list, so a
+    # term nested 60,000 deep and a type in 40,000 parentheses parse.  A
+    # child runs them, since a deep recursion could take the test process
+    # down.  Afterwards the parser works as before.
     out = run_in_child(
         "from betaeta import syntax as S\n"
-        "from betaeta.errors import TermTooDeep\n"
         "n = 60_000\n"
         "term = '\\\\f:p->p. \\\\x:p. ' + 'f (' * n + 'x' + ')' * n\n"
         "print(S.show_type(S.parse_term(term).ty))\n"
-        "try:\n"
-        "    S.parse_type('(' * 40_000 + 'p' + ')' * 40_000)\n"
-        "except TermTooDeep as exc:\n"
-        "    print(exc)\n"
+        "print(S.show_type(S.parse_type('(' * 40_000 + 'p' + ')' * 40_000)))\n"
         "print(S.show_term(S.parse_term('\\\\f:p->p. \\\\x:p. f (f x)')))\n")
-    assert out.splitlines() == ["(p -> p) -> p -> p", "term too deep for the recursive parser",
+    assert out.splitlines() == ["(p -> p) -> p -> p", "p",
                                 "\\x1:p -> p. \\x2:p. x1 (x1 x2)"]
 
 
