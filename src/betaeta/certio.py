@@ -5,8 +5,10 @@ producer.
 
 Certificates are wrapped in a versioned envelope and serialized with a
 shared type-alias table, which keeps iterated arrow types linear in the
-output instead of exponential.  Serialization is canonical (sorted keys,
-fixed separators), so a decoded envelope re-encodes bit-exactly.
+output instead of exponential.  Serialization is canonical: ``certio``
+writes the bytes itself, the same bytes as ``json.dumps(envelope,
+sort_keys=True, indent=2)`` plus a newline, so a decoded envelope
+re-encodes bit-exactly.
 """
 
 from __future__ import annotations
@@ -191,7 +193,35 @@ def serialize_certificate(cert) -> str:
         "toolchain": {"name": "betaeta", "version": __version__},
         "payload": encode(cert),
     }
-    return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+    return _json(envelope, "\n") + "\n"
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json(v, nl: str) -> str:
+    """``v`` as ``json.dumps(v, sort_keys=True, indent=2)`` writes it, for
+    the values a payload holds, where ``nl`` is a newline and the indent of
+    ``v``'s line.  Any other value is a ``TypeError``."""
+    cls = type(v)
+    if cls is str:
+        return _quote(v)
+    if cls is int:
+        return int.__repr__(v)
+    if cls is bool:
+        return "true" if v else "false"
+    inner = nl + "  "
+    # a string item is written here, without a call
+    if cls is list:
+        items = [_quote(x) if type(x) is str else _json(x, inner) for x in v]
+        ends = "[]"
+    elif cls is dict:
+        items = [f"{_quote(k)}: {_quote(x) if type(x) is str else _json(x, inner)}"
+                 for k, x in sorted(v.items())]
+        ends = "{}"
+    else:
+        raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+    return f"{ends[0]}{inner}{(',' + inner).join(items)}{nl}{ends[1]}" if items else ends
 
 
 def parse_certificate(text: str):

@@ -216,7 +216,16 @@ def show_arrow(f: ArrowTerm) -> str:
 def parse_arrow(text: str) -> ArrowTerm:
     """The arrow term that ``show_arrow`` prints as ``text``."""
     toks = S._tokenize(text)
-    out, i = _parse_compose(text, toks, 0)
+    try:
+        out, i = _parse_compose(text, toks, 0)
+    except RecursionError:
+        # reported at the first token of the most deeply nested group
+        depth = deepest = at = 0
+        for j, tok in enumerate(toks[:-1]):
+            depth += (tok == "(" or tok == "<") - (tok == ")" or tok == ">")
+            if depth > deepest:
+                deepest, at = depth, j + 1
+        raise ParseError("arrow term nested too deeply", S._start(text, toks, at)) from None
     if toks[i] is not None:
         raise ParseError(f"trailing input '{toks[i]}'", S._start(text, toks, i))
     return out

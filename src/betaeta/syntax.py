@@ -1011,45 +1011,46 @@ def show_type(ty: Ty, names: dict[int, str] | None = None, _prec: int = 0) -> st
 
 
 def show_term(t: Term, type_names: dict[int, str] | None = None) -> str:
-    """Render a term in surface syntax.  Binders are named x1, x2, ... by
-    depth, skipping any names already taken by free variables."""
-    taken = set(free_vars(t))
-
-    def binder_name(depth):
-        n = depth + 1
-        while f"x{n}" in taken:
-            n += 1
-        return f"x{n}"
-
+    """Render a term in surface syntax.  The binder at depth d is named
+    x<n>, where n is the least number above the one of depth d-1 (above 0
+    at depth 0) such that no free variable is named x<n>; with no free
+    x<n>, that is x1, x2, ...  Distinct depths get distinct names, so the
+    text parses back to ``t``."""
+    taken = free_vars(t)
+    names: list[str] = []  # names[d]: the binder at depth d
     binder_types: dict[Ty, str] = {}  # each distinct binder type, rendered once
 
-    def go(u, env, prec):
+    def go(u, depth, prec):
         # prec 0 = top, 1 = left of an application, 2 = argument position
         cls = type(u)
         if cls is App:
-            s = f"{go(u.fun, env, 1)} {go(u.arg, env, 2)}"
+            arg = u.arg  # a variable argument is named here, without a call
+            arg = names[depth + ~arg.index] if type(arg) is Var else go(arg, depth, 2)
+            s = f"{go(u.fun, depth, 1)} {arg}"
             return f"({s})" if prec > 1 else s
         if cls is Var:
-            return env[u.index]
+            return names[depth + ~u.index]
         if cls is Lam:
-            name = binder_name(len(env))
-            body = go(u.body, (name,) + env, 0)
+            if depth == len(names):  # the first binder this deep
+                n = int(names[-1][1:]) + 1 if names else 1
+                while f"x{n}" in taken:
+                    n += 1
+                names.append(f"x{n}")
+            body = go(u.body, depth + 1, 0)
             ty = binder_types.get(u.binder) or binder_types.setdefault(
                 u.binder, show_type(u.binder, type_names))
-            s = f"\\{name}:{ty}. {body}"
+            s = f"\\{names[depth]}:{ty}. {body}"
             return f"({s})" if prec > 0 else s
         if cls is Free:
             return u.name
         if cls is Unit:
             return "k"
         if cls is Pair:
-            return f"<{go(u.fst, env, 0)}, {go(u.snd, env, 0)}>"
-        s = f"{'p1' if cls is Proj1 else 'p2'} {go(u.arg, env, 2)}"
+            return f"<{go(u.fst, depth, 0)}, {go(u.snd, depth, 0)}>"
+        s = f"{'p1' if cls is Proj1 else 'p2'} {go(u.arg, depth, 2)}"
         return f"({s})" if prec > 1 else s
 
-    # Depth-indexed naming: binder at nesting depth d gets x(d+1).  The env
-    # tuple keeps innermost-first names so Var indices look up directly.
-    return go(t, (), 0)
+    return go(t, 0, 0)
 
 
 def type_alias_table(roots: list[Term | Ty]) -> tuple[list[tuple[str, str]], dict[int, str]]:
@@ -1066,7 +1067,7 @@ def type_alias_table(roots: list[Term | Ty]) -> tuple[list[tuple[str, str]], dic
             annotations.append(r)
         else:
             annotations.extend(_annotations(r))
-    nodes = list(subtypes(*annotations))
+    nodes = list(subtypes(*dict.fromkeys(annotations)))  # each root once
     order = [ty for ty in nodes if type(ty) in (TyArrow, TyProd)]
     atom_names = {ty.name for ty in nodes if type(ty) is TyAtom}
     prefix = "ty"
@@ -1084,8 +1085,9 @@ def type_alias_table(roots: list[Term | Ty]) -> tuple[list[tuple[str, str]], dic
 
 @memo(lambda root: root.uid)
 def _annotations(root: Term) -> tuple[Ty, ...]:
-    return tuple(u.binder if type(u) is Lam else u.ty
-                 for u in subterms(root) if type(u) in (Var, Free, Lam))
+    """The distinct types annotating ``root``'s variables and binders."""
+    return tuple(dict.fromkeys([u.binder if type(u) is Lam else u.ty
+                                for u in subterms(root) if type(u) in (Var, Free, Lam)]))
 
 
 def parse_alias_table(defs: list[tuple[str, str]]) -> dict[str, Ty]:

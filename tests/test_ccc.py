@@ -7,7 +7,7 @@ from betaeta import syntax as S
 from betaeta.errors import BadCertificate, EqualArrows, IllFormed, TypeMismatch
 from betaeta.normalize import decide_eq
 
-from conftest import log_calls
+from conftest import log_calls, run_in_child
 
 p, q, r = S.atom("p"), S.atom("q"), S.atom("r")
 
@@ -199,6 +199,19 @@ def test_a_left_nested_composition_round_trips():
     assert decoded.f == f
     assert certio.serialize_certificate(decoded) == text
     assert C.replay_collapse(decoded)
+
+
+def test_a_deeply_nested_arrow_is_a_parse_error():
+    # in a child, since the reader's recursion runs out of frames; the
+    # error points at the first token of the innermost group
+    out = run_in_child(
+        "from betaeta import checker\n"
+        "from betaeta.errors import ParseError\n"
+        "try:\n"
+        "    checker.parse_arrow('(' * 40_000 + 'id[p]' + ')' * 40_000)\n"
+        "except ParseError as exc:\n"
+        "    print(exc)\n")
+    assert out == "arrow term nested too deeply (at position 40000)\n"
 
 
 def test_replay_collapse_requires_the_translations_as_sources():

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from betaeta import cli
+from betaeta import certio, cli
 from betaeta import ccc as C
 from betaeta import models as M
 from betaeta import products as P
@@ -530,6 +530,50 @@ def test_deep_term_exits_with_budget_code(tmp_path):
         proc = subprocess.run([sys.executable, "-m", "betaeta", *argv],
                               capture_output=True, text=True, env=env, timeout=300)
         assert (proc.returncode, proc.stdout, proc.stderr.strip()) == (code, out, err)
+
+
+def test_a_deep_arrow_exits_with_the_parse_code():
+    # an arrow nested past the reader's recursion is a parse error, exit 2,
+    # not a budget refusal from the evaluator, which never runs
+    deep = "(" * 40_000 + "id[p]" + ")" * 40_000
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-m", "betaeta", "ccc", "collapse", deep, "id[p]"],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=300)
+    assert (proc.returncode, proc.stdout, proc.stderr.strip()) == (
+        cli.EXIT_PARSE, "", "parse error: arrow term nested too deeply (at position 40000)")
+
+
+def test_a_free_x_name_leaves_the_binder_names_distinct(tmp_path, capsys):
+    # x2 is free, so the binders print as x1, x3 and x4; before, the third
+    # binder was x3 again and both sources printed as the same text
+    ctx = ("--ctx", "x2:p->p->p")
+    code, text, _ = run(capsys, "separate", "--two-valued", *ctx,
+                        "\\a:p. \\b:p. \\c:p. x2 b c", "\\a:p. \\b:p. \\c:p. x2 c b")
+    assert code == 0
+    assert json.loads(text)["payload"]["a_source"] == "\\x1:p. \\x3:p. \\x4:p. x2 x3 x4"
+    cert_file = tmp_path / "cert.json"
+    cert_file.write_text(text)
+    assert run(capsys, "verify", str(cert_file))[:2] == (0, "pass\n")
+
+
+WRITER_VALUES = [
+    [], {}, [[]], [{}], {"a": []}, [["x1", "p"], ["ty0", "p -> p"]], [[1, [2, []]], {"k": {}}],
+    True, False, [True, False], 0, -1, -(2 ** 70), 2 ** 64 + 1, "", '"quoted"', "back\\slash",
+    "\x00\x01\x1f\t\n\r\b\f\x7f", "\u00e9", "\u03bbx:p. x", "\U0001d4ab",
+    {"b": [True, 0], "a": "x", "\u00e9": -5, "": [], "B": {"z": 1, "a": [""]}},
+]
+
+
+@pytest.mark.parametrize("value", WRITER_VALUES)
+def test_the_certificate_writer_writes_the_bytes_of_json_dumps(value):
+    assert certio._json(value, "\n") == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, None, (1,), {1: "a"}, b"x", [1, None], {"a": {"b": 0.5}}])
+def test_the_certificate_writer_refuses_other_values(value):
+    with pytest.raises(TypeError):
+        certio._json(value, "\n")
 
 
 # sha256 of the canonical bytes; any change to alias-table order, binder

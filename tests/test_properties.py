@@ -5,13 +5,18 @@ for certificates and the decision procedure: certificate text round
 trips, tampered certificates fail, and ``decide_eq`` agrees with the
 finite-model search."""
 
+import json
 import random
 import re
 
+import pytest
+
 from hypothesis import assume, given, settings, strategies as st
 
+from betaeta import ccc as C
 from betaeta import cli
 from betaeta import models as M
+from betaeta import products as P
 from betaeta import separator as Sep
 from betaeta import syntax as S
 from betaeta.errors import BadCertificate, IllTyped
@@ -87,6 +92,16 @@ def test_empty_type_substitution_is_identity(t):
 
 
 @SETTINGS
+@given(closed_terms(), st.sampled_from(["x1", "x2", "x3", "x4"]))
+def test_parse_inverts_show_under_a_free_binder_name(t, name):
+    # the binders of t skip the free name, and still get distinct names at
+    # distinct depths
+    f = S.free(name, S.arrow(t.ty, S.atom("p")))
+    u = S.app(f, t)
+    assert S.parse_term(S.show_term(u), S.Context([(name, f.ty)])) is u
+
+
+@SETTINGS
 @given(open_terms())
 def test_bind_then_apply_gives_the_body(case):
     body, args = case
@@ -111,6 +126,45 @@ def test_certificate_text_round_trips(case):
     a, b, _ = case
     text = cli.serialize_certificate(Sep.separate_two(a, b))
     assert cli.serialize_certificate(cli.parse_certificate(text)) == text
+
+
+def _json_dumps_text(text):
+    """``text`` read as JSON and written by ``json.dumps`` as the
+    certificate format specifies: the bytes ``serialize_certificate``
+    must write."""
+    return json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+@CERT_SETTINGS
+@given(open_unequal_pairs())
+def test_certificate_text_is_json_dumps_text(case):
+    a, b, _ = case
+    text = cli.serialize_certificate(Sep.separate_two(a, b))
+    assert text == _json_dumps_text(text)
+
+
+SWAP_B = "\\x:p*p. <p2 x, p1 x>"
+ONE, TWO = "\\f:p->p. \\x:p. f x", "\\f:p->p. \\x:p. f (f x)"
+# the pairs of the product criterion
+PRODUCT_PAIRS = [
+    ("\\x:p*p. <p1 x, p2 x>", SWAP_B),
+    ("\\x:p*p. x", SWAP_B),
+    (f"<{ONE}, {ONE}>", f"<{ONE}, {TWO}>"),
+    ("\\x:p*p. p1 x", "\\x:p*p. p2 x"),
+    ("\\u:T*p. \\v:p. p2 u", "\\u:T*p. \\v:p. v"),
+]
+
+
+@pytest.mark.parametrize("a, b", PRODUCT_PAIRS)
+def test_product_certificate_text_is_json_dumps_text(a, b):
+    text = cli.serialize_certificate(P.separate_prod(S.parse_term(a), S.parse_term(b)))
+    assert text == _json_dumps_text(text)
+
+
+def test_collapse_certificate_text_is_json_dumps_text():
+    text = cli.serialize_certificate(C.collapse(C.parse_arrow("p1[p, p]"),
+                                                C.parse_arrow("p2[p, p]")))
+    assert text == _json_dumps_text(text)
 
 
 @CERT_SETTINGS

@@ -87,6 +87,15 @@ def test_substitute_term_avoids_capture():
     assert S.free_vars(out) == {"y": p}
 
 
+def test_binder_names_skip_free_names_and_stay_distinct():
+    # x2 is free: the binders take x1, then the least numbers above the
+    # last one that no free variable takes
+    ctx = S.Context([("x2", S.arrows(p, p, p))])
+    t = S.parse_term("\\a:p. \\b:p. \\c:p. x2 b c", ctx)
+    assert S.show_term(t) == "\\x1:p. \\x3:p. \\x4:p. x2 x3 x4"
+    assert S.parse_term(S.show_term(t), ctx) is t
+
+
 def test_substitute_term_no_occurrence():
     t = S.parse_term("\\y:p. y")
     assert S.substitute_term(t, "x", S.free("z", p)) is t
