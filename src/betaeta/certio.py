@@ -14,6 +14,8 @@ re-encodes bit-exactly.
 from __future__ import annotations
 
 import json
+import re
+from itertools import accumulate
 
 from . import __version__
 from . import syntax as S
@@ -224,11 +226,30 @@ def _json(v, nl: str) -> str:
     return f"{ends[0]}{inner}{(',' + inner).join(items)}{nl}{ends[1]}" if items else ends
 
 
+# ``json.loads`` recurses in C once per open bracket, so a text nested deep
+# enough overflows the C stack before Python's recursion limit stops it;
+# a certificate nests a few levels, and a text nested deeper than this is
+# refused before it is decoded
+MAX_NESTING = 10_000
+_STRING = re.compile(r'"(?:[^"\\]|\\.)*"', re.S)
+
+
+def _nesting(text: str) -> int:
+    brackets = re.findall(r"[][{}]", _STRING.sub("", text))
+    return max(accumulate(1 if c in "[{" else -1 for c in brackets), default=0)
+
+
 def parse_certificate(text: str):
+    # the bracket count bounds the depth, so the exact scan runs only
+    # where that count is high
+    if text.count("[") + text.count("{") > MAX_NESTING and _nesting(text) > MAX_NESTING:
+        raise BadCertificate(f"not JSON: nested more than {MAX_NESTING} deep")
     try:
         envelope = json.loads(text)
     except json.JSONDecodeError as exc:
         raise BadCertificate(f"not JSON: {exc}") from exc
+    except RecursionError:
+        raise BadCertificate("not JSON: nested too deeply for the decoder") from None
     if not isinstance(envelope, dict) or "schema" not in envelope:
         raise BadCertificate("missing envelope fields")
     if type(envelope["schema"]) is not int or envelope["schema"] != SCHEMA_VERSION:

@@ -187,10 +187,6 @@ class Functional:
         return f"Functional({S.show_type(self.ty)}, {self.code})"
 
 
-def from_table(model: PModel, ty: TyArrow, digits: list[int]) -> Functional:
-    return Functional(model, ty, _pack(digits, model.card(ty.cod)))
-
-
 # ---------------------------------------------------------------------------
 # Evaluation
 #
@@ -603,22 +599,3 @@ def i_defines_check(a: Term, phi: Functional, i: int, depth: int) -> bool:
         if not i_defines_check(S.app(a, witness), phi(psi), i, depth - 1):
             return False
     return True
-
-
-def min_check_level(phi: Functional) -> int:
-    """A level high enough to run i_defines_check on ``phi`` with full
-    recursion depth."""
-    level = kappa(phi)
-    if isinstance(phi.ty, TyArrow):
-        for psi in phi.model.enum(phi.ty.dom):
-            level = max(level, min_check_level(psi), min_check_level(phi(psi)))
-    return level
-
-
-def type_order(ty: Ty) -> int:
-    """Arrow-nesting depth; bounds the recursion needed by the check."""
-    order: dict[int, int] = {}
-    for t in S.subtypes(ty):  # children first
-        order[t.uid] = (max(order[t.dom.uid] + 1, order[t.cod.uid])
-                        if type(t) is TyArrow else 0)
-    return order[ty.uid]

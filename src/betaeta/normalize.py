@@ -17,7 +17,9 @@ Evaluation is call-by-need.  An argument that is itself an application
 with a free de Bruijn index becomes a ``Thunk``: its environment and its
 code, evaluated at most once, where a value's shape is first needed (in
 function position, under a projection, in ``values_equal``, in either
-readback, and as the result of ``eval_term`` or of a closed node).  So a
+readback, and as the result of ``eval_term`` or of a closed node, where
+a forced thunk is read as ``t.value or _force(t)``, with no call, since
+no value class defines ``__bool__`` or ``__len__``).  So a
 numeral conditional of a separating context evaluates only the branch it
 keeps.  Every other argument (a variable, a lambda, a closed term) is
 evaluated where it stands.
@@ -32,8 +34,17 @@ and its shared value.  Where a closure misses the application table and
 its body is an open lambda, the spine's next argument goes straight
 into the environment and evaluation moves on to the inner body, so the
 closures in between are never built: the arity rule of eval/apply
-(Marlow and Peyton Jones, "Making a fast curry", 2004).  Lambda bodies,
-closed nodes and delayed arguments are the entry points.
+(Marlow and Peyton Jones, "Making a fast curry", 2004).  As there, the
+entry is picked by arity when the spine is compiled: nearly every spine
+has one or two arguments, and each of those has straight-line code (so
+does ``apply_value``, the one-argument entry); a spine of three or more
+runs the general loop.  All of them count steps, check the budget, take
+serials and fill the application table in the same order.  A lambda or
+a delayed argument compiles to a ``functools.partial`` of its value's
+constructor, with the environment as the last argument, so building one
+is one Python call; no C-level callable that evaluates sits on the
+recursive path, where it would add C stack to every level.  Lambda
+bodies, closed nodes and delayed arguments are the entry points.
 
 Terms are hash-consed, so a closed subterm (``scope`` 0: no free de
 Bruijn index) has one value whatever environment it meets; it is
@@ -86,7 +97,7 @@ raises ``TermTooDeep``, a ``ResourceExhausted``, instead of a raw
 from __future__ import annotations
 
 import gc
-from functools import wraps
+from functools import partial, wraps
 from itertools import count
 from operator import itemgetter
 
@@ -160,13 +171,17 @@ def closed_value_scope(fn):
 # ---------------------------------------------------------------------------
 # Semantic domain
 
-# every value has a serial number, ``sid``, the key of the application table
+# every value has a serial number, ``sid``, the key of the application
+# table.  No value class defines ``__bool__`` or ``__len__``, so every
+# value is true, and a thunk's shape is read as ``t.value or _force(t)``
 
 class VClosure:
-    # code: the compiled body, (run, steps, body); it runs on env + (argument,)
+    # code: the compiled body, (run, steps, body); it runs on env + (argument,).
+    # The environment comes last, so that ``partial(VClosure, binder, code)``
+    # builds a closure in one call
     __slots__ = ("env", "binder", "code", "sid")
 
-    def __init__(self, env, binder, code):
+    def __init__(self, binder, code, env):
         self.env = env
         self.binder = binder
         self.code = code
@@ -179,7 +194,7 @@ class Thunk:
     # takes the value's serial, so the application table sees the value
     __slots__ = ("env", "code", "value", "sid")
 
-    def __init__(self, env, code):
+    def __init__(self, code, env):
         self.env = env
         self.code = code
         self.value = None
@@ -187,18 +202,17 @@ class Thunk:
 
 
 def _force(t):
-    v = t.value
-    if v is None:
-        run, steps, _ = t.code  # the delayed spine is counted now
-        _WORK[0] += steps
-        if _WORK[0] > _WORK_LIMIT[0]:
-            _exhausted()
-        v = run(t.env)
-        if type(v) is Thunk:
-            v = _force(v)
-        t.value = v
-        t.env = t.code = None
-        t.sid = v.sid
+    # the value of a thunk not yet forced
+    run, steps, _ = t.code  # the delayed spine is counted now
+    _WORK[0] += steps
+    if _WORK[0] > _WORK_LIMIT[0]:
+        _exhausted()
+    v = run(t.env)
+    if type(v) is Thunk:
+        v = v.value or _force(v)
+    t.value = v
+    t.env = t.code = None
+    t.sid = v.sid
     return v
 
 
@@ -324,31 +338,40 @@ def _closed(uid, run, steps):
         if out is None:
             out = run(())
             if type(out) is Thunk:
-                out = _force(out)
+                out = out.value or _force(out)
             _CLOSED[uid] = out
         return out
     return closed
 
 
+# a closure or a delayed argument is built by one constructor call on the
+# environment; a partial of a constructor adds no C frame that recurses
+
 def _lam(binder, body):
-    return lambda env: VClosure(env, binder, body)
+    return partial(VClosure, binder, body)
 
 
 def _delay(code):
-    return lambda env: Thunk(env, code)
+    return partial(Thunk, code)
 
 
 def _spine(head, args):
     # apply the head to each argument in turn; a closure that misses the
     # table and whose body is an open lambda takes the next arguments
     # straight into its environment, and only an application that bound
-    # one argument is kept in the table
+    # one argument is kept in the table.  One and two arguments have
+    # entries of their own, which do the same in the same order
+    if len(args) == 1:
+        return _spine1(head, args[0])
+    if len(args) == 2:
+        return _spine2(head, *args)
+
     def spine(env):
         f = head(env)
         rest = iter(args)
         for arg in rest:
             if type(f) is Thunk:
-                f = _force(f)
+                f = f.value or _force(f)
             a = arg(env)
             if type(f) is not VClosure:
                 # neutral application: track the argument's type for readback
@@ -377,6 +400,71 @@ def _spine(head, args):
     return spine
 
 
+def _spine1(head, arg):
+    def spine(env):
+        f = head(env)
+        if type(f) is Thunk:
+            f = f.value or _force(f)
+        a = arg(env)
+        if type(f) is not VClosure:
+            fty = f.ty
+            return VNe(NApp(f.ne, a, fty.dom), fty.cod)
+        key = f.sid << 64 | a.sid
+        out = _APPLIED.get(key)
+        if out is None:
+            run, steps, _ = f.code
+            _WORK[0] += steps
+            if _WORK[0] > _WORK_LIMIT[0]:
+                _exhausted()
+            out = _APPLIED[key] = run(f.env + (a,))
+        return out
+    return spine
+
+
+def _spine2(head, arg1, arg2):
+    def spine(env):
+        f = head(env)
+        if type(f) is Thunk:
+            f = f.value or _force(f)
+        a = arg1(env)
+        if type(f) is not VClosure:
+            fty = f.ty
+            g = VNe(NApp(f.ne, a, fty.dom), fty.cod)
+        else:
+            key = f.sid << 64 | a.sid
+            g = _APPLIED.get(key)
+            if g is None:
+                run, steps, body = f.code
+                if body is not None:  # a chain: no closure and no entry for f a
+                    _WORK[0] += steps
+                    env_ = f.env + (a, arg2(env))
+                    run, steps, _ = body
+                    _WORK[0] += steps
+                    if _WORK[0] > _WORK_LIMIT[0]:
+                        _exhausted()
+                    return run(env_)
+                _WORK[0] += steps
+                if _WORK[0] > _WORK_LIMIT[0]:
+                    _exhausted()
+                g = _APPLIED[key] = run(f.env + (a,))
+            if type(g) is Thunk:
+                g = g.value or _force(g)
+        b = arg2(env)
+        if type(g) is not VClosure:
+            fty = g.ty
+            return VNe(NApp(g.ne, b, fty.dom), fty.cod)
+        key = g.sid << 64 | b.sid
+        out = _APPLIED.get(key)
+        if out is None:
+            run, steps, _ = g.code
+            _WORK[0] += steps
+            if _WORK[0] > _WORK_LIMIT[0]:
+                _exhausted()
+            out = _APPLIED[key] = run(g.env + (b,))
+        return out
+    return spine
+
+
 def _pair(fst, snd):
     return lambda env: VPair(fst(env), snd(env))
 
@@ -389,7 +477,7 @@ def eval_term(t: Term, env: tuple):
     run, steps, _ = _compile(t)
     _tick(steps)
     v = run(env)
-    return _force(v) if type(v) is Thunk else v
+    return (v.value or _force(v)) if type(v) is Thunk else v
 
 
 def apply_value(f, a):
@@ -403,7 +491,7 @@ _APPLY = _spine(itemgetter(0), (itemgetter(1),))
 
 def do_proj(which, v):
     if type(v) is Thunk:
-        v = _force(v)
+        v = v.value or _force(v)
     if type(v) is VPair:
         return v.fst if which == 1 else v.snd
     ty = v.ty
@@ -423,7 +511,7 @@ def readback(v, ty: Ty, depth: int) -> Term:
     if tcls is TyTerminal:
         return UNIT
     if type(v) is Thunk:
-        v = _force(v)
+        v = v.value or _force(v)
     if tcls is TyArrow:
         body = readback(apply_value(v, _fresh(depth, ty.dom)), ty.cod, depth + 1)
         return S.lam(ty.dom, body)
@@ -450,7 +538,7 @@ def readback_beta(v, depth: int) -> Term:
     lambda stays a lambda and nothing else grows one."""
     _tick()
     if type(v) is Thunk:
-        v = _force(v)
+        v = v.value or _force(v)
     cls = type(v)
     if cls is VClosure:
         fresh = _fresh(depth, v.binder)
@@ -481,9 +569,9 @@ def values_equal(u, v, ty: Ty, depth: int) -> bool:
     if tcls is TyTerminal:
         return True
     if type(u) is Thunk:
-        u = _force(u)
+        u = u.value or _force(u)
     if type(v) is Thunk:
-        v = _force(v)
+        v = v.value or _force(v)
     if u is v:
         # One value object denotes one element; this shortcut is what keeps
         # comparison linear when both sides get probed with the same fresh

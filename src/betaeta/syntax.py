@@ -48,7 +48,12 @@ from .errors import (
     UnboundVariable,
 )
 
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
+# From Python 3.11 a call between Python functions takes no C stack, so a
+# deep recursion stops at the limit.  Before 3.11 every call takes C stack,
+# and on an 8 MB stack (3.10.13) a limit of 20,000 already let deep input
+# crash the interpreter; 10,000 keeps a margin of two
+sys.setrecursionlimit(max(sys.getrecursionlimit(),
+                          100_000 if sys.version_info >= (3, 11) else 10_000))
 
 
 # ---------------------------------------------------------------------------
@@ -1070,8 +1075,12 @@ def type_alias_table(roots: list[Term | Ty]) -> tuple[list[tuple[str, str]], dic
     nodes = list(subtypes(*dict.fromkeys(annotations)))  # each root once
     order = [ty for ty in nodes if type(ty) in (TyArrow, TyProd)]
     atom_names = {ty.name for ty in nodes if type(ty) is TyAtom}
+    # an alias is the prefix and a numeral below len(order), as an f-string
+    # writes it, so only an atom named so clashes; the prefix holds no
+    # regex syntax
     prefix = "ty"
-    while any(f"{prefix}{i}" in atom_names for i in range(len(order))):
+    while any(re.fullmatch(prefix + "(0|[1-9][0-9]*)", name)
+              and int(name[len(prefix):]) < len(order) for name in atom_names):
         prefix += "_"
 
     names: dict[int, str] = {}

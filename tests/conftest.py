@@ -13,6 +13,7 @@ import sys
 
 import pytest
 
+from betaeta import models as M
 from betaeta import syntax as S
 from betaeta.syntax import Term, Ty, TyArrow, TyAtom
 
@@ -81,6 +82,30 @@ def log_calls(monkeypatch, *targets):
 def memo_sizes() -> dict[str, int]:
     """The number of entries in each ``syntax.memo`` table, by builder."""
     return {name: len(table) for name, table in S._MEMOS.items()}
+
+
+def from_table(model: M.PModel, ty: TyArrow, digits: list[int]) -> M.Functional:
+    """The element of ``ty`` whose table of outputs is ``digits``."""
+    return M.Functional(model, ty, M._pack(digits, model.card(ty.cod)))
+
+
+def min_check_level(phi: M.Functional) -> int:
+    """A level high enough to run i_defines_check on ``phi`` with full
+    recursion depth."""
+    level = M.kappa(phi)
+    if isinstance(phi.ty, TyArrow):
+        for psi in phi.model.enum(phi.ty.dom):
+            level = max(level, min_check_level(psi), min_check_level(phi(psi)))
+    return level
+
+
+def type_order(ty: Ty) -> int:
+    """Arrow-nesting depth; bounds the recursion needed by the check."""
+    order: dict[int, int] = {}
+    for t in S.subtypes(ty):  # children first
+        order[t.uid] = (max(order[t.dom.uid] + 1, order[t.cod.uid])
+                        if type(t) is TyArrow else 0)
+    return order[ty.uid]
 
 
 @pytest.fixture

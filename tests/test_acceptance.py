@@ -16,7 +16,7 @@ from betaeta.errors import Overflow
 from betaeta.normalize import decide_eq
 from betaeta.numerals import church
 
-from conftest import PRODUCT_FREE_ROSTER, gen_closed_term, random_mixed_type
+from conftest import PRODUCT_FREE_ROSTER, gen_closed_term, random_mixed_type, type_order
 
 p = S.atom("p")
 
@@ -106,7 +106,7 @@ def test_criterion_3_definability_exhaustive_at_base_2():
     ppp = S.arrow(pp, p)
     counted = 0
     for ty in (p, pp, ppp):
-        depth = M.type_order(ty)
+        depth = type_order(ty)
         for phi in model.enum(ty):
             i = M.kappa(phi)
             witness = M.define_functional(phi, i)

@@ -544,6 +544,20 @@ def test_a_deep_arrow_exits_with_the_parse_code():
         cli.EXIT_PARSE, "", "parse error: arrow term nested too deeply (at position 40000)")
 
 
+def test_a_deeply_nested_certificate_is_refused_as_not_json(tmp_path):
+    # json.loads recurses in C once per bracket, so 70,000 of them crashed
+    # the interpreter (exit 139) before any Python recursion limit; a
+    # child runs it, since a crash would take the test process down
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 70_000 + "]" * 70_000 + "\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-m", "betaeta", "verify", str(deep)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=300)
+    assert (proc.returncode, proc.stdout, proc.stderr.strip()) == (
+        cli.EXIT_FAIL, "", "certificate: not JSON: nested more than 10000 deep")
+
+
 def test_a_free_x_name_leaves_the_binder_names_distinct(tmp_path, capsys):
     # x2 is free, so the binders print as x1, x3 and x4; before, the third
     # binder was x3 again and both sources printed as the same text

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import os
 import random
 import re
 import weakref
@@ -16,7 +17,10 @@ from betaeta.errors import (
 )
 from betaeta.normalize import beta_eta_nf, decide_eq
 
-from conftest import PRODUCT_FREE_ROSTER, gen_closed_term, memo_sizes, run_in_child
+from conftest import (
+    PRODUCT_FREE_ROSTER, from_table, gen_closed_term, memo_sizes, min_check_level, run_in_child,
+    type_order,
+)
 
 p = S.atom("p")
 pp = S.arrow(p, p)
@@ -59,7 +63,7 @@ def test_encode_decode_round_trip():
         m = M.PModel(base)
         for ty in (pp, S.arrow(p, pp)):
             for f in m.enum(ty):
-                assert M.from_table(m, ty, f.table()).code == f.code
+                assert from_table(m, ty, f.table()).code == f.code
 
 
 def test_application_is_digit_extraction():
@@ -101,7 +105,7 @@ def test_eval_rejects_products():
 def test_worked_example_values():
     a, b = worked_pair()
     m = M.PModel(2)
-    phi = M.from_table(m, ppp, [1, 0, 0, 0])  # 1 on the constant-zero branch
+    phi = from_table(m, ppp, [1, 0, 0, 0])  # 1 on the constant-zero branch
     assert M.eval_closed(a, m)(phi).code == 0
     assert M.eval_closed(b, m)(phi).code == 1
 
@@ -197,7 +201,7 @@ def test_coded_application_is_the_elements_digit_extraction():
             assert inner(inner_env + (x.code,)) == f(x).code
     # a lambda passed to a code is forced to its code first
     m = M.PModel(2)
-    ident = M.from_table(m, pp, [0, 1])
+    ident = from_table(m, pp, [0, 1])
     at_ident = M.eval_closed(S.parse_term("\\g:(p->p)->p. g (\\y:p. y)"), m)
     for g in m.enum(ppp):
         assert at_ident(g) == g(ident)
@@ -325,7 +329,7 @@ def test_first_order_definability_at_kappa_and_above():
     for psi in m.enum(pp):
         for i in (M.kappa(psi), M.kappa(psi) + 1):
             assert M.i_defines_check(M.define_functional(psi, i), psi, i,
-                                     depth=M.type_order(pp))
+                                     depth=type_order(pp))
 
 
 def test_second_order_definability_above_kappa():
@@ -344,7 +348,7 @@ def test_nth_prime():
 def test_second_order_codec_round_trip():
     m = M.PModel(2)
     for f in m.enum(ppp):
-        assert M.from_table(m, ppp, f.table()).code == f.code
+        assert from_table(m, ppp, f.table()).code == f.code
 
 
 def test_closed_terms_define_their_values():
@@ -356,10 +360,10 @@ def test_closed_terms_define_their_values():
         for _ in range(3):
             a = gen_closed_term(ty, rng, fuel=2)
             value = M.eval_closed(a, m)
-            i = M.min_check_level(value)
+            i = min_check_level(value)
             i += i % 2
             inst = S.substitute_types(a, {"p": S.numeral_type(i)})
-            assert M.i_defines_check(inst, value, i, depth=M.type_order(ty))
+            assert M.i_defines_check(inst, value, i, depth=type_order(ty))
 
 
 # ---------------------------------------------------------------------------
@@ -540,10 +544,13 @@ def test_distinguish_tuple_cap(monkeypatch):
 
 def test_type_order_walks_a_shared_type_once_per_node():
     # tower_type(200) is a tree of 2**201 nodes shared as 201
-    out = run_in_child("import time\n"
-                       "from betaeta import models as M, syntax as S\n"
+    tests = os.path.dirname(os.path.abspath(__file__))
+    out = run_in_child("import sys, time\n"
+                       f"sys.path.insert(0, {tests!r})\n"
+                       "from betaeta import syntax as S\n"
+                       "from conftest import type_order\n"
                        "start = time.perf_counter()\n"
-                       "order = M.type_order(S.tower_type(200))\n"
+                       "order = type_order(S.tower_type(200))\n"
                        "print(order, time.perf_counter() - start)\n")
     order, seconds = out.split()
     assert order == "200" and float(seconds) < 1.0

@@ -496,3 +496,84 @@ def test_the_application_table_keeps_a_shared_application_linear():
         return Nz._WORK[0]
 
     assert steps(4) == steps(12) == 15
+
+
+# the evaluator by spine shape: the normal form, the steps, the serials
+# taken and the application table entries of one long_nf, with the term
+# compiled beforehand.  The table is read before the scope closes, and
+# readback's own applications keep entries too
+SPINE_SHAPES = [
+    # one argument
+    ("\\y:p. (\\x:p. x) y", "\\x1:p. x1", 9, 3, 2),
+    # two arguments, unchained: the head's body is no lambda
+    ("\\g:p->p. \\y:p. (\\x:p->p. x) g y", "\\x1:p -> p. \\x2:p. x1 x2", 16, 6, 3),
+    ("\\y:p. (\\x:p->p. x) (\\z:p. z) y", "\\x1:p. x1", 13, 4, 3),
+    # two arguments, chained: both go straight into the environment
+    ("\\a:p. \\b:p. (\\x:p. \\y:p. x) a b", "\\x1:p. \\x2:p. x1", 16, 5, 2),
+    # a neutral head with two arguments
+    ("\\f:p->p->p. \\a:p. \\b:p. f a b", "\\x1:p -> p -> p. \\x2:p. \\x3:p. x1 x2 x3", 19, 8, 3),
+    # a thunk head, forced to a neutral and to a closure
+    ("\\w:p->p->p->p. \\a:p. \\b:p. \\c:p. (\\z:p->p->p. z a b) (w c)",
+     "\\x1:p -> p -> p -> p. \\x2:p. \\x3:p. \\x4:p. x1 x4 x2 x3", 30, 13, 5),
+    ("\\a:p. (\\z:p->p. z a) ((\\u:p. \\v:p. u) a)", "\\x1:p. x1", 17, 6, 4),
+    # three arguments
+    ("\\a:p. \\b:p. (\\x:p. \\y:p. \\z:p. z) a b a", "\\x1:p. \\x2:p. x1", 20, 7, 5),
+]
+
+
+@pytest.mark.parametrize("src, nf, steps, serials, entries", SPINE_SHAPES)
+def test_a_spine_shape_takes_pinned_steps_serials_and_entries(src, nf, steps, serials, entries):
+    t = S.parse_term(src)
+    Nz.long_nf(t)  # compiles
+    Nz._WORK[0] = 0
+    Nz._scope(1)
+    try:
+        before = next(Nz._SERIAL)
+        out = Nz.readback(Nz.eval_term(t, ()), t.ty, 0)
+        got = (S.show_term(out), Nz._WORK[0], next(Nz._SERIAL) - before - 1, len(Nz._APPLIED))
+    finally:
+        Nz._scope(-1)
+    assert got == (nf, steps, serials, entries)
+    try:
+        Nz.set_work_budget(steps)
+        assert S.show_term(Nz.long_nf(t).term) == nf
+        Nz.set_work_budget(steps - 1)
+        with pytest.raises(ResourceExhausted):
+            Nz.long_nf(t)
+    finally:
+        Nz.set_work_budget(500_000_000)
+
+
+def test_evaluation_results_and_steps_are_pinned(monkeypatch):
+    # (result, steps) of decide_eq, long_nf and beta_nf on seeded random
+    # pairs at every roster type, and of each decide_eq that the replays
+    # of the worked pair and a product swap run, in one digest
+    import hashlib
+    from betaeta import products as P, separator as Sep
+    digest, records = hashlib.sha256(), []
+
+    def record(result):
+        records.append(Nz._WORK[0])
+        digest.update(f"{result} {Nz._WORK[0]}\n".encode())
+
+    for ty in PRODUCT_FREE_ROSTER:
+        rng = random.Random(29)
+        for _ in range(25):
+            a, b = gen_closed_term(ty, rng), gen_closed_term(ty, rng)
+            record(Nz.decide_eq(a, b))
+            record(S.show_term(Nz.long_nf(a).term))
+            record(S.show_term(Nz.beta_nf(b).term))
+    worked = Sep.separate_two(S.parse_term("\\x:(p->p)->p. x \\y:p. x \\z:p. y"),
+                              S.parse_term("\\x:(p->p)->p. x \\y:p. x \\z:p. z"))
+    swap = P.separate_prod(S.parse_term("\\x:p*p. x"), S.parse_term("\\x:p*p. <p2 x, p1 x>"))
+    real = Nz.decide_eq
+
+    def decide_eq(a, b):
+        out = real(a, b)
+        record(out)
+        return out
+
+    monkeypatch.setattr(Nz, "decide_eq", decide_eq)
+    assert Sep.verify(worked) and P.verify_product(swap)
+    assert (len(records), sum(records), digest.hexdigest()) == (
+        306, 24_839, "ec8a1964f77e48b7392a311e5fc2ad2b5b51b319b6e08e05b80a1f43b167951b")

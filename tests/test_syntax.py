@@ -202,6 +202,26 @@ def test_subtypes_post_order_with_one_seen_set():
     assert defs == [("ty0", "p -> q"), ("ty1", "q -> p"), ("ty2", "ty0 -> ty1")]
 
 
+@pytest.mark.parametrize("names", [
+    ("ty0",), ("ty1",), ("ty2",), ("ty3",), ("ty5",), ("ty00",), ("ty01",), ("ty\u0661",),
+    ("ty_0",), ("ty0", "ty_1"), ("ty0", "ty_1", "ty__2"), ("tyx",), ("Ty0",),
+])
+def test_alias_names_step_around_atoms_named_like_them(names):
+    # one alias per compound node, 2 + len(names) of them, so an atom
+    # clashes where its name is the prefix and a numeral below that count
+    # as an f-string writes it: the old rule, which built each name
+    atoms = [S.atom(name) for name in names]
+    aa = S.arrow(atoms[0], atoms[0])
+    ty = S.arrow(aa, S.arrows(aa, *atoms))
+    defs, _ = S.type_alias_table([ty])
+    prefix = "ty"
+    while any(f"{prefix}{i}" in names for i in range(len(defs))):
+        prefix += "_"
+    assert [name for name, _ in defs] == [f"{prefix}{i}" for i in range(len(defs))]
+    assert len(defs) == 2 + len(names)
+    assert S.parse_alias_table(defs)[defs[-1][0]] is ty
+
+
 def test_context_rejects_duplicates():
     with pytest.raises(IllTyped):
         S.Context([("x", p), ("x", q)])
