@@ -66,7 +66,10 @@ def _typed(data: dict, key: str, shape):
     value = data[key]
     if not _fits(value, shape):
         name = repr(shape).replace("<class '", "").replace("'>", "")
-        raise TypeError(f"'{key}' must be {name}, not {json.dumps(value)}")
+        shown = json.dumps(value)  # the value may be as large as the input
+        if len(shown) > 100:
+            shown = shown[:100] + "..."
+        raise TypeError(f"'{key}' must be {name}, not {shown}")
     return value
 
 

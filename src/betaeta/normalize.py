@@ -13,13 +13,24 @@ obtained from the long form by a maximal eta-contraction pass.  A plain
 beta normal form (no eta in either direction) is available as a
 diagnostic to exhibit equalities whose proofs genuinely need eta.
 
+Values are plain containers with their serial number first, so ``v[0]``
+is the serial of every value, and the two built most often, closures and
+delayed arguments, call no class constructor.  A closure is the tuple ``(sid, code, env, binder)``, a delayed argument (a
+thunk) is the list ``[sid, code, env, value]``, and the rarer neutrals,
+pairs and unit are the named tuples ``VNe(sid, ne, ty)``,
+``VPair(sid, fst, snd)`` and ``VUnit(sid)``.  The evaluator dispatches on
+the exact type: ``tuple`` is a closure, ``list`` a thunk, and a named
+tuple is neither.  The finite-model evaluator in ``models`` also
+represents a closure as a tuple, ``(body, env)``, so both evaluators
+build closures without a class.
+
 Evaluation is call-by-need.  An argument that is itself an application
-with a free de Bruijn index becomes a ``Thunk``: its environment and its
+with a free de Bruijn index becomes a thunk: its environment and its
 code, evaluated at most once, where a value's shape is first needed (in
 function position, under a projection, in ``values_equal``, in either
 readback, and as the result of ``eval_term`` or of a closed node, where
-a forced thunk is read as ``t.value or _force(t)``, with no call, since
-no value class defines ``__bool__`` or ``__len__``).  So a
+a thunk is read as ``t[3] or _force(t)``, with no call for a forced one,
+since every value is a non-empty container and so true).  So a
 numeral conditional of a separating context evaluates only the branch it
 keeps.  Every other argument (a variable, a lambda, a closed term) is
 evaluated where it stands.
@@ -40,11 +51,11 @@ has one or two arguments, and each of those has straight-line code (so
 does ``apply_value``, the one-argument entry); a spine of three or more
 runs the general loop.  All of them count steps, check the budget, take
 serials and fill the application table in the same order.  A lambda or
-a delayed argument compiles to a ``functools.partial`` of its value's
-constructor, with the environment as the last argument, so building one
-is one Python call; no C-level callable that evaluates sits on the
-recursive path, where it would add C stack to every level.  Lambda
-bodies, closed nodes and delayed arguments are the entry points.
+a delayed argument compiles to a Python lambda that builds its tuple or
+list on the environment, one frame with no constructor call; no C-level
+callable that evaluates sits on the recursive path, where it would add
+C stack to every level.  Lambda bodies, closed nodes and delayed
+arguments are the entry points.
 
 Terms are hash-consed, so a closed subterm (``scope`` 0: no free de
 Bruijn index) has one value whatever environment it meets; it is
@@ -76,8 +87,8 @@ thunk and cannot reach it, and forcing drops the environment.  So no
 reference cycle forms, and when a scope closes reference counting frees
 everything it built.  The outermost scope therefore pauses the cyclic
 collector, which could free nothing there, and re-enables it as it
-closes, only if it was enabled at open.
-``test_verify_leaves_no_cyclic_garbage`` pins the invariant.
+closes, only if it was enabled at open.  The ``*_leaves_no_cyclic_garbage``
+tests pin the invariant: after a check the collector finds nothing.
 
 The step budget is per entry call.  A step is one term node evaluated,
 one application, one readback node or one comparison node.  Running a
@@ -97,7 +108,8 @@ raises ``TermTooDeep``, a ``ResourceExhausted``, instead of a raw
 from __future__ import annotations
 
 import gc
-from functools import partial, wraps
+from collections import namedtuple
+from functools import wraps
 from itertools import count
 from operator import itemgetter
 
@@ -171,77 +183,30 @@ def closed_value_scope(fn):
 # ---------------------------------------------------------------------------
 # Semantic domain
 
-# every value has a serial number, ``sid``, the key of the application
-# table.  No value class defines ``__bool__`` or ``__len__``, so every
-# value is true, and a thunk's shape is read as ``t.value or _force(t)``
-
-class VClosure:
-    # code: the compiled body, (run, steps, body); it runs on env + (argument,).
-    # The environment comes last, so that ``partial(VClosure, binder, code)``
-    # builds a closure in one call
-    __slots__ = ("env", "binder", "code", "sid")
-
-    def __init__(self, binder, code, env):
-        self.env = env
-        self.binder = binder
-        self.code = code
-        self.sid = next(_SERIAL)
-
-
-class Thunk:
-    # a delayed argument: ``code`` run on ``env`` once, where the value's
-    # shape is needed; forcing keeps the value, drops env and code and
-    # takes the value's serial, so the application table sees the value
-    __slots__ = ("env", "code", "value", "sid")
-
-    def __init__(self, code, env):
-        self.env = env
-        self.code = code
-        self.value = None
-        self.sid = next(_SERIAL)
-
+# v[0] is every value's serial, the key of the application table.  A
+# closure is the tuple (sid, code, env, binder), whose code, the compiled
+# body (run, steps, body), runs on env + (argument,).  A thunk is the list
+# [sid, code, env, value]; forcing fills value, drops code and env and
+# takes the value's serial, so the application table sees the value
 
 def _force(t):
     # the value of a thunk not yet forced
-    run, steps, _ = t.code  # the delayed spine is counted now
+    run, steps, _ = t[1]  # the delayed spine is counted now
     _WORK[0] += steps
     if _WORK[0] > _WORK_LIMIT[0]:
         _exhausted()
-    v = run(t.env)
-    if type(v) is Thunk:
-        v = v.value or _force(v)
-    t.value = v
-    t.env = t.code = None
-    t.sid = v.sid
+    v = run(t[2])
+    if type(v) is list:
+        v = v[3] or _force(v)
+    t[:] = v[0], None, None, v
     return v
 
 
-class VPair:
-    __slots__ = ("fst", "snd", "sid")
+VPair = namedtuple("VPair", "sid fst snd")
+VUnit = namedtuple("VUnit", "sid")
+VNe = namedtuple("VNe", "sid ne ty")
 
-    def __init__(self, fst, snd):
-        self.fst = fst
-        self.snd = snd
-        self.sid = next(_SERIAL)
-
-
-class VUnit:
-    __slots__ = ("sid",)
-
-    def __init__(self):
-        self.sid = next(_SERIAL)
-
-
-VUNIT = VUnit()
-
-
-class VNe:
-    __slots__ = ("ne", "ty", "sid")
-
-    def __init__(self, ne, ty):
-        self.ne = ne
-        self.ty = ty
-        self.sid = next(_SERIAL)
+VUNIT = VUnit(next(_SERIAL))
 
 
 class NVar:
@@ -319,7 +284,7 @@ def _compile(t: Term):
         arg, n, _ = _compile(t.arg)
         out = _proj(1 if cls is Proj1 else 2, arg), n + 1, None
     elif cls is Free:
-        value = VNe(NFree(t.name, t.ty), t.ty)
+        value = VNe(next(_SERIAL), NFree(t.name, t.ty), t.ty)
         out = (lambda env: value), 1, None
     else:
         out = (lambda env: VUNIT), 1, None
@@ -337,22 +302,22 @@ def _closed(uid, run, steps):
             _exhausted()
         if out is None:
             out = run(())
-            if type(out) is Thunk:
-                out = out.value or _force(out)
+            if type(out) is list:
+                out = out[3] or _force(out)
             _CLOSED[uid] = out
         return out
     return closed
 
 
-# a closure or a delayed argument is built by one constructor call on the
-# environment; a partial of a constructor adds no C frame that recurses
+# a closure or a delayed argument is built on the environment by one
+# Python frame and no class constructor
 
 def _lam(binder, body):
-    return partial(VClosure, binder, body)
+    return lambda env: (next(_SERIAL), body, env, binder)
 
 
 def _delay(code):
-    return partial(Thunk, code)
+    return lambda env: [next(_SERIAL), code, env, None]
 
 
 def _spine(head, args):
@@ -370,19 +335,19 @@ def _spine(head, args):
         f = head(env)
         rest = iter(args)
         for arg in rest:
-            if type(f) is Thunk:
-                f = f.value or _force(f)
+            if type(f) is list:
+                f = f[3] or _force(f)
             a = arg(env)
-            if type(f) is not VClosure:
+            if type(f) is not tuple:
                 # neutral application: track the argument's type for readback
                 fty = f.ty
-                f = VNe(NApp(f.ne, a, fty.dom), fty.cod)
+                f = VNe(next(_SERIAL), NApp(f.ne, a, fty.dom), fty.cod)
                 continue
-            key = f.sid << 64 | a.sid  # one int for the pair, and no value kept
+            key = f[0] << 64 | a[0]  # one int for the pair, and no value kept
             out = _APPLIED.get(key)
             if out is None:  # the caller counted the application steps
-                run, steps, body = f.code
-                env_ = f.env + (a,)
+                run, steps, body = f[1]
+                env_ = f[2] + (a,)
                 chained = False
                 while body is not None and (arg := next(rest, None)) is not None:
                     _WORK[0] += steps  # the inner Lam node, as if run
@@ -403,20 +368,20 @@ def _spine(head, args):
 def _spine1(head, arg):
     def spine(env):
         f = head(env)
-        if type(f) is Thunk:
-            f = f.value or _force(f)
+        if type(f) is list:
+            f = f[3] or _force(f)
         a = arg(env)
-        if type(f) is not VClosure:
+        if type(f) is not tuple:
             fty = f.ty
-            return VNe(NApp(f.ne, a, fty.dom), fty.cod)
-        key = f.sid << 64 | a.sid
+            return VNe(next(_SERIAL), NApp(f.ne, a, fty.dom), fty.cod)
+        key = f[0] << 64 | a[0]
         out = _APPLIED.get(key)
         if out is None:
-            run, steps, _ = f.code
+            run, steps, _ = f[1]
             _WORK[0] += steps
             if _WORK[0] > _WORK_LIMIT[0]:
                 _exhausted()
-            out = _APPLIED[key] = run(f.env + (a,))
+            out = _APPLIED[key] = run(f[2] + (a,))
         return out
     return spine
 
@@ -424,20 +389,20 @@ def _spine1(head, arg):
 def _spine2(head, arg1, arg2):
     def spine(env):
         f = head(env)
-        if type(f) is Thunk:
-            f = f.value or _force(f)
+        if type(f) is list:
+            f = f[3] or _force(f)
         a = arg1(env)
-        if type(f) is not VClosure:
+        if type(f) is not tuple:
             fty = f.ty
-            g = VNe(NApp(f.ne, a, fty.dom), fty.cod)
+            g = VNe(next(_SERIAL), NApp(f.ne, a, fty.dom), fty.cod)
         else:
-            key = f.sid << 64 | a.sid
+            key = f[0] << 64 | a[0]
             g = _APPLIED.get(key)
             if g is None:
-                run, steps, body = f.code
+                run, steps, body = f[1]
                 if body is not None:  # a chain: no closure and no entry for f a
                     _WORK[0] += steps
-                    env_ = f.env + (a, arg2(env))
+                    env_ = f[2] + (a, arg2(env))
                     run, steps, _ = body
                     _WORK[0] += steps
                     if _WORK[0] > _WORK_LIMIT[0]:
@@ -446,27 +411,30 @@ def _spine2(head, arg1, arg2):
                 _WORK[0] += steps
                 if _WORK[0] > _WORK_LIMIT[0]:
                     _exhausted()
-                g = _APPLIED[key] = run(f.env + (a,))
-            if type(g) is Thunk:
-                g = g.value or _force(g)
+                g = _APPLIED[key] = run(f[2] + (a,))
+            if type(g) is list:
+                g = g[3] or _force(g)
         b = arg2(env)
-        if type(g) is not VClosure:
+        if type(g) is not tuple:
             fty = g.ty
-            return VNe(NApp(g.ne, b, fty.dom), fty.cod)
-        key = g.sid << 64 | b.sid
+            return VNe(next(_SERIAL), NApp(g.ne, b, fty.dom), fty.cod)
+        key = g[0] << 64 | b[0]
         out = _APPLIED.get(key)
         if out is None:
-            run, steps, _ = g.code
+            run, steps, _ = g[1]
             _WORK[0] += steps
             if _WORK[0] > _WORK_LIMIT[0]:
                 _exhausted()
-            out = _APPLIED[key] = run(g.env + (b,))
+            out = _APPLIED[key] = run(g[2] + (b,))
         return out
     return spine
 
 
 def _pair(fst, snd):
-    return lambda env: VPair(fst(env), snd(env))
+    def pair(env):
+        u, v = fst(env), snd(env)  # the components take their serials first
+        return VPair(next(_SERIAL), u, v)
+    return pair
 
 
 def _proj(which, arg):
@@ -477,7 +445,7 @@ def eval_term(t: Term, env: tuple):
     run, steps, _ = _compile(t)
     _tick(steps)
     v = run(env)
-    return (v.value or _force(v)) if type(v) is Thunk else v
+    return (v[3] or _force(v)) if type(v) is list else v
 
 
 def apply_value(f, a):
@@ -490,19 +458,19 @@ _APPLY = _spine(itemgetter(0), (itemgetter(1),))
 
 
 def do_proj(which, v):
-    if type(v) is Thunk:
-        v = v.value or _force(v)
+    if type(v) is list:
+        v = v[3] or _force(v)
     if type(v) is VPair:
         return v.fst if which == 1 else v.snd
     ty = v.ty
-    return VNe(NProj(which, v.ne), ty.left if which == 1 else ty.right)
+    return VNe(next(_SERIAL), NProj(which, v.ne), ty.left if which == 1 else ty.right)
 
 
 # ---------------------------------------------------------------------------
 # Readback
 
 def _fresh(level, ty):
-    return VNe(NVar(level, ty), ty)
+    return VNe(next(_SERIAL), NVar(level, ty), ty)
 
 
 def readback(v, ty: Ty, depth: int) -> Term:
@@ -510,8 +478,8 @@ def readback(v, ty: Ty, depth: int) -> Term:
     tcls = type(ty)
     if tcls is TyTerminal:
         return UNIT
-    if type(v) is Thunk:
-        v = v.value or _force(v)
+    if type(v) is list:
+        v = v[3] or _force(v)
     if tcls is TyArrow:
         body = readback(apply_value(v, _fresh(depth, ty.dom)), ty.cod, depth + 1)
         return S.lam(ty.dom, body)
@@ -537,12 +505,12 @@ def readback_beta(v, depth: int) -> Term:
     """Beta-normal readback: no eta-expansion and no terminal rule, so a
     lambda stays a lambda and nothing else grows one."""
     _tick()
-    if type(v) is Thunk:
-        v = v.value or _force(v)
+    if type(v) is list:
+        v = v[3] or _force(v)
     cls = type(v)
-    if cls is VClosure:
-        fresh = _fresh(depth, v.binder)
-        return S.lam(v.binder, readback_beta(apply_value(v, fresh), depth + 1))
+    if cls is tuple:
+        fresh = _fresh(depth, v[3])
+        return S.lam(v[3], readback_beta(apply_value(v, fresh), depth + 1))
     if cls is VPair:
         return S.pair(readback_beta(v.fst, depth), readback_beta(v.snd, depth))
     if cls is VUnit:
@@ -554,9 +522,9 @@ def readback_beta(v, depth: int) -> Term:
     if ncls is NFree:
         return S.free(ne.name, ne.ty)
     if ncls is NApp:
-        return S.app(readback_beta(VNe(ne.fn, None), depth),
+        return S.app(readback_beta(VNe(next(_SERIAL), ne.fn, None), depth),
                      readback_beta(ne.arg, depth))
-    inner = readback_beta(VNe(ne.arg, None), depth)
+    inner = readback_beta(VNe(next(_SERIAL), ne.arg, None), depth)
     return S.proj1(inner) if ne.which == 1 else S.proj2(inner)
 
 
@@ -568,10 +536,10 @@ def values_equal(u, v, ty: Ty, depth: int) -> bool:
     tcls = type(ty)
     if tcls is TyTerminal:
         return True
-    if type(u) is Thunk:
-        u = u.value or _force(u)
-    if type(v) is Thunk:
-        v = v.value or _force(v)
+    if type(u) is list:
+        u = u[3] or _force(u)
+    if type(v) is list:
+        v = v[3] or _force(v)
     if u is v:
         # One value object denotes one element; this shortcut is what keeps
         # comparison linear when both sides get probed with the same fresh

@@ -120,7 +120,10 @@ def _find_redex(ty: Ty, innermost: bool):
         clean.add(t.uid)
         return None
 
-    return go(ty, ())
+    try:
+        return go(ty, ())
+    finally:
+        del go
 
 
 def _apply_at(ty: Ty, path: tuple, rule: str) -> Ty:
@@ -322,7 +325,10 @@ def split(a: Term):
             return walk(t.fst) + [t.snd]
         return [t]
 
-    return walk(nf)
+    try:
+        return walk(nf)
+    finally:
+        del walk
 
 
 def differing_component(a: Term, b: Term, iso: IsoWitness) -> int:

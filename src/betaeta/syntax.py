@@ -596,7 +596,10 @@ def map_term(t: Term, leaf, binder=None, depth: int | None = None,
         memo[key] = out
         return out
 
-    return go(t, depth or 0)
+    try:
+        return go(t, depth or 0)
+    finally:
+        del go  # go reaches itself through its cell: break the cycle, leave no garbage
 
 
 def free_vars(t: Term) -> dict[str, Ty]:
@@ -745,7 +748,10 @@ def type_of(a: Term, ctx: Context = EMPTY) -> Ty:
             return ty.left if cls is Proj1 else ty.right
         return TERMINAL
 
-    ty = go(a, ())
+    try:
+        ty = go(a, ())
+    finally:
+        del go
     if ty is not a.ty:
         raise IllTyped("term annotation disagrees with the computed type")
     return ty
@@ -1055,7 +1061,10 @@ def show_term(t: Term, type_names: dict[int, str] | None = None) -> str:
         s = f"{'p1' if cls is Proj1 else 'p2'} {go(u.arg, depth, 2)}"
         return f"({s})" if prec > 1 else s
 
-    return go(t, 0, 0)
+    try:
+        return go(t, 0, 0)
+    finally:
+        del go
 
 
 def type_alias_table(roots: list[Term | Ty]) -> tuple[list[tuple[str, str]], dict[int, str]]:

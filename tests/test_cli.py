@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -556,6 +557,28 @@ def test_a_deeply_nested_certificate_is_refused_as_not_json(tmp_path):
                           timeout=300)
     assert (proc.returncode, proc.stdout, proc.stderr.strip()) == (
         cli.EXIT_FAIL, "", "certificate: not JSON: nested more than 10000 deep")
+
+
+@pytest.mark.parametrize("level", [
+    "[" * 9_900 + "]" * 9_900,  # under the nesting limit on Python 3.10 as well
+    "[" + ", ".join(["0"] * 50_000) + "]",
+], ids=["deep", "long"])
+def test_a_misfit_field_is_shown_in_bounded_text(tmp_path, level):
+    # the message names the field and its shape and shows the start of
+    # the value; the whole value made a stderr line of some 20-150 KB
+    cert = Sep.separate_two(S.parse_term("\\x:p->p.\\y:p. x y"),
+                            S.parse_term("\\x:p->p.\\y:p. x (x y)"))
+    text, n = re.subn(r'"level": \d+', '"level": ' + level, cli.serialize_certificate(cert))
+    assert n == 1
+    path = tmp_path / "cert.json"
+    path.write_text(text)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-m", "betaeta", "verify", str(path)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=300)
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_FAIL, "")
+    assert "'level' must be int, not " + level[:20] in proc.stderr
+    assert len(proc.stderr.encode()) < 4096
 
 
 def test_a_free_x_name_leaves_the_binder_names_distinct(tmp_path, capsys):
