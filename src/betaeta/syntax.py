@@ -775,6 +775,20 @@ def type_of(a: Term, ctx: Context = EMPTY) -> Ty:
 # error's position is worked out from the text and the token's index only
 # when the error is raised.  After a type error ``_read_term`` reads the
 # text again without building, so a syntax error anywhere in it wins.
+#
+# The token pattern reads a text, but an ASCII text longer than
+# ``_LONG_TEXT`` is tokenized by C string passes: each character that is
+# always a token on its own (the ASCII punctuation but "_", "'", "-" and
+# ">") is spaced out, the text is split at whitespace, and each distinct
+# piece must be one token of the pattern.  No token of the pattern spans a
+# space or such a character, so the pieces are then the pattern's tokens.
+# If a piece is more than one token ("1x", "a->b"), the pattern reads the
+# text after all.  On a certificate's term text the passes take about 0.6
+# of the pattern's time from some 300 characters up and break even near
+# 130; a text that falls back pays both, so the threshold is 512.  A text
+# with a "<" goes to the pattern at once: a pair as ``show_term`` prints
+# it ends in a piece such as "x2>", two tokens, since ">" is not spaced
+# out (it may end "->").
 
 # a token is "->", a name, or any other character that is not a space; a
 # name starts with a letter or "_" and goes on with letters, digits, "_"
@@ -788,10 +802,28 @@ def _is_name(tok: str) -> bool:
     return tok[0].isalpha() or tok[0] == "_"
 
 
+_LONG_TEXT = 512
+# each ASCII character that is always a token on its own, spaced out: the
+# punctuation but "_" and "'", which go on names, and "-" and ">" of "->"
+_SOLO = [(c, f" {c} ") for c in map(chr, range(33, 127)) if not (c.isalnum() or c in "_'->")]
+
+
+def _split(text: str) -> list | None:
+    """The tokens of an ASCII text read by C string passes, or None when
+    some piece between spaces is not one token (``1x``, ``a->b``)."""
+    for c, spaced in _SOLO:
+        if c in text:  # a search, where replace would count through the text
+            text = text.replace(c, spaced)
+    toks = text.split()
+    return toks if all(map(_ASCII_TOKEN.fullmatch, set(toks))) else None
+
+
 def _tokenize(text: str) -> list:
     """The tokens of ``text``, then None for the end."""
     if str.isascii(text):  # a TypeError for text that is no string
-        toks = _ASCII_TOKEN.findall(text)
+        toks = _split(text) if len(text) > _LONG_TEXT and "<" not in text else None
+        if toks is None:
+            toks = _ASCII_TOKEN.findall(text)
     else:
         toks, pos = [], 0
         while (m := _TOKEN.search(text, pos)) is not None:
@@ -951,10 +983,15 @@ def _term_pass(text: str, toks: list, aliases, ctx: Context, make) -> Term:
                 raise ParseError(f"bad binder name '{name}'", _start(text, toks, i) + len(name))
             if toks[i + 1] != ":":
                 raise _expected(text, toks, i + 1, ":")
-            ty, i = _read_type(text, toks, i + 2, aliases)
-            if toks[i] != ".":
-                raise _expected(text, toks, i, ".")
-            i += 1
+            ty = toks[i + 2]
+            if ty not in not_variables and toks[i + 3] == ".":  # one name, read as _read_type would
+                ty = TERMINAL if ty == "T" else aliases and aliases.get(ty) or atom(ty)
+                i += 4
+            else:
+                ty, i = _read_type(text, toks, i + 2, aliases)
+                if toks[i] != ".":
+                    raise _expected(text, toks, i, ".")
+                i += 1
             stack.append((tag, acc, extra))
             tag, acc, extra = _LAM, None, (ty, name, bound.get(name))
             bound[name] = (depth, ty)
@@ -1026,13 +1063,16 @@ def show_term(t: Term, type_names: dict[int, str] | None = None) -> str:
     x<n>, where n is the least number above the one of depth d-1 (above 0
     at depth 0) such that no free variable is named x<n>; with no free
     x<n>, that is x1, x2, ...  Distinct depths get distinct names, so the
-    text parses back to ``t``."""
+    text parses back to ``t``.  ``type_names`` maps the uids of compound
+    types to alias identifiers, as ``type_alias_table`` gives them."""
     taken = free_vars(t)
     names: list[str] = []  # names[d]: the binder at depth d
-    binder_types: dict[Ty, str] = {}  # each distinct binder type, rendered once
+    last = 0  # the number in the deepest binder's name
+    binder_types: dict[Ty, str] = {}  # each distinct binder type but an atom, rendered once
 
     def go(u, depth, prec):
         # prec 0 = top, 1 = left of an application, 2 = argument position
+        nonlocal last
         cls = type(u)
         if cls is App:
             arg = u.arg  # a variable argument is named here, without a call
@@ -1043,13 +1083,14 @@ def show_term(t: Term, type_names: dict[int, str] | None = None) -> str:
             return names[depth + ~u.index]
         if cls is Lam:
             if depth == len(names):  # the first binder this deep
-                n = int(names[-1][1:]) + 1 if names else 1
-                while f"x{n}" in taken:
-                    n += 1
-                names.append(f"x{n}")
+                last += 1
+                while (name := f"x{last}") in taken:
+                    last += 1
+                names.append(name)
             body = go(u.body, depth + 1, 0)
-            ty = binder_types.get(u.binder) or binder_types.setdefault(
-                u.binder, show_type(u.binder, type_names))
+            ty = u.binder  # an atom is never aliased
+            ty = ty.name if type(ty) is TyAtom else (
+                binder_types.get(ty) or binder_types.setdefault(ty, show_type(ty, type_names)))
             s = f"\\{names[depth]}:{ty}. {body}"
             return f"({s})" if prec > 0 else s
         if cls is Free:

@@ -385,6 +385,64 @@ def _mutate(rng, text):
     return text
 
 
+_ASCII_SPACES = ("", " ", "  ", "\t", "\n", "\x1c", " \x1d\n", "\x1e\x1f ")
+
+
+def _gen_long(rng, size, wide=False, pairs=True):
+    """Term text of type p over the context of ``_parser_outcomes``, nested
+    until it is ``size`` characters long: its functions applied, lambdas
+    with one-name and compound binder types, pairs and projections.  Its
+    spaces are ASCII runs, U+001C-U+001F among them, and a space precedes
+    each ">", so that some texts have no piece of two tokens; ``wide`` adds
+    U+00A0 and names that are no ASCII, and ``pairs=False`` leaves out the
+    pairs, and with them every "<"."""
+    sp = lambda: rng.choice(_SPACES if wide else _ASCII_SPACES)
+    funs = ("y", "(g x)", "(g (p1 z))") + (("é", "(p1 y²)") if wide else ())
+    names = ("v", "w", "x", "x'", "_b") + (("λ",) if wide else ())
+    leaves = ["x", "x'", "p1 z"]  # of type p, and the p binders so far
+    heads, tails, length = [], [], 0
+    while length < size:
+        roll = rng.random()
+        if roll < 0.3:
+            head, tail = f"{rng.choice(funs)}{sp()}({sp()}", f"{sp()})"
+        elif roll < 0.55:
+            name = rng.choice(names)
+            ty = rng.choice(("p", "p", "p", "(p)"))
+            head, tail = f"f{sp()}(\\{sp()}{name}{sp()}:{sp()}{ty}{sp()}.{sp()}", ")"
+            leaves.append(name)
+        elif roll < 0.7:
+            ty = rng.choice(("A", "p -> p", "(p) -> p", "p\t->\x1cp"))
+            head, tail = f"(\\h:{sp()}{ty}.{sp()}h{sp()}(", f")){sp()}y"
+        elif roll < 0.8:
+            head, tail = f"(\\t{sp()}:{rng.choice(('T', 'T ', '(T)'))}.{sp()}", f"){sp()}u"
+        elif roll < 0.9 and pairs:
+            head, tail = f"p2{sp()}<{rng.choice(('u', 'k'))},{sp()}", f"{sp()} >"
+        else:
+            head, tail = f"g{sp()}(", f"){sp()}({rng.choice(leaves)})"
+        heads.append(head)
+        tails.append(tail)
+        length += len(head) + len(tail)
+    return "".join(heads) + rng.choice(leaves) + "".join(reversed(tails))
+
+
+# pieces that are no one token between spaces, and characters that are a
+# token on their own only between spaces
+_TRICKY = ("1x", "a->b", "-->", "->>", "x''", "-", ">", "'")
+_RUNS = ("\t", "\n", "\x1c", "\x1d", "\x1e", "\x1f", "\t\n\x1c\x1d\x1e\x1f ")
+
+
+def _put_tricky(rng, text):
+    """``text`` with up to three tricky pieces or whitespace runs put in at
+    random places, each alone or between spaces."""
+    for _ in range(rng.randrange(4)):
+        at = rng.randrange(len(text) + 1)
+        piece = rng.choice(_TRICKY + _RUNS)
+        if rng.random() < 0.5:
+            piece = f" {piece}{rng.choice(_RUNS)}"
+        text = text[:at] + piece + text[at:]
+    return text
+
+
 def _parser_outcomes(kind, seed, n):
     import hashlib
     from betaeta import ccc as C
@@ -393,18 +451,22 @@ def _parser_outcomes(kind, seed, n):
                      ("z", S.prod(p, q)), ("u", S.TERMINAL), ("x'", p), ("é", pp),
                      ("y²", S.prod(pp, p))])
     aliases = {"A": pp, "ty0": S.prod(p, S.TERMINAL)}
-    gen = {"term": _gen_term, "type": _gen_type, "arrow": _gen_arrow}[kind]
+    gen = {"term": _gen_term, "type": _gen_type, "arrow": _gen_arrow}.get(kind)
     rng = random.Random(seed)
     digest, ok = hashlib.sha256(), 0
     for i in range(n):
-        if i % 4 == 3:  # token soup
+        if kind == "long":  # every text past the long-text threshold
+            text = _gen_long(rng, rng.randrange(530, 1500), wide=i % 5 == 0)
+            text = _mutate(rng, text) if i % 2 else _put_tricky(rng, text) if i % 4 else text
+            assert len(text) > S._LONG_TEXT
+        elif i % 4 == 3:  # token soup
             text = "".join(rng.choice(_PIECES + _SPACES) for _ in range(rng.randrange(1, 9)))
         else:
             text = gen(rng, rng.randrange(1, 5))
             if i % 2:
                 text = _mutate(rng, text)
         try:
-            if kind == "term":
+            if kind in ("term", "long"):
                 t = S.parse_term(text, ctx, aliases if i % 3 else None)
                 out = f"ok {S.show_term(t)} : {S.show_type(t.ty)}"
             elif kind == "type":
@@ -422,12 +484,94 @@ def _parser_outcomes(kind, seed, n):
     ("term", 701, 412, "239b2f8f1da77a3cd7e85e88de7fcae21bab87b3a17f67d33caab8a55093bd9a"),
     ("type", 702, 1059, "8b434e85d73733d558dbeba6c53518d939a25e14a0cabcb8507daa7c8d56c0ac"),
     ("arrow", 703, 433, "0b28257e2251847324ed166675443924fe99a30e8b72cf664293c1f73dbad0ca"),
+    ("long", 704, 606, "65f86f059fd8ac20c8ade61fd042adf453aff5ec00f07c9d85fea93b5dc4473c"),
 ])
 def test_parser_results_are_pinned(kind, seed, ok, digest):
     # fuzzed texts (whitespace runs including U+00A0 and U+001C, split
     # arrows, primes, non-ASCII names, stray characters) and the result of
-    # each, or the class, message and position of its error, in one digest
+    # each, or the class, message and position of its error, in one digest;
+    # the "long" texts are all past the long-text threshold
     assert _parser_outcomes(kind, seed, 1500) == (ok, digest)
+
+
+def _long_texts(seed, n, wide=False, pairs=True):
+    """``n`` term texts of 513 to 20,000 characters with tricky pieces."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        size = rng.randrange(513, 20_001)
+        yield _put_tricky(rng, _gen_long(rng, size, wide, pairs)[:size])
+
+
+def test_long_text_tokens_are_the_token_patterns():
+    # a long ASCII text with no "<" is split at spaces after each solo
+    # character is spaced out, and read by the token pattern when some
+    # piece is not one token; both ways give the pattern's tokens, and so
+    # does the split of a text that holds pairs wherever it succeeds
+    split = pattern = 0
+    for text in [*_long_texts(705, 300), *_long_texts(709, 150, pairs=False)]:
+        assert len(text) > S._LONG_TEXT and text.isascii()
+        toks = S._ASCII_TOKEN.findall(text)
+        assert S._tokenize(text) == toks + [None]
+        by_split = S._split(text)
+        assert by_split in (None, toks)
+        if by_split is None or "<" in text:
+            pattern += 1
+        else:
+            split += 1
+    assert split > 50 and pattern > 50
+
+
+def test_long_text_that_is_no_ascii_has_its_pinned_tokens():
+    import hashlib
+    digest = hashlib.sha256()
+    for text in _long_texts(706, 40, wide=True):
+        assert not text.isascii()
+        digest.update(repr(S._tokenize(text)).encode())
+    assert digest.hexdigest() == "5fe5113e3046497a20621815005ce8818391848f0e4222c91e4cf1827421a294"
+
+
+def test_a_long_head_argument_is_split_and_a_long_pair_text_is_not(monkeypatch):
+    # the worked pair's defining head argument is read by string passes; a
+    # long text that holds a pair goes straight to the token pattern, since
+    # a pair printed by show_term ends in a piece such as "x2>", which is
+    # two tokens
+    from betaeta import cli, separator as Sep
+    a, b = (S.parse_term("\\x:(p->p)->p. x \\y:p. x \\z:p. " + v) for v in "yz")
+    text = cli.serialize_certificate(Sep.separate_two(a, b))
+    calls = []
+    split = S._split
+
+    def logged_split(text):
+        toks = split(text)
+        calls.append((len(text), toks is not None))
+        return toks
+
+    monkeypatch.setattr(S, "_split", logged_split)
+    assert cli.serialize_certificate(cli.parse_certificate(text)) == text
+    assert calls == [(11_979, True)]
+
+    def tree(d):
+        return "x1" if d == 0 else f"<{tree(d - 1)}, {tree(d - 1)}>"
+
+    pairs = "\\x1:p. " + tree(7)
+    calls.clear()
+    assert len(pairs) > S._LONG_TEXT and S.show_term(S.parse_term(pairs)) == pairs
+    assert calls == [] and split(pairs) is None
+
+
+def test_tokenizing_long_texts_keeps_no_table():
+    def sizes():
+        tables = {name: len(v) for name, v in vars(S).items()
+                  if isinstance(v, (dict, list, set, frozenset))}
+        return tables, memo_sizes()
+
+    base = _gen_long(random.Random(708), 600, pairs=False)
+    texts = [f"{base} x{i}" for i in range(500)] + [f"{base} 1x{i}" for i in range(500)]
+    assert "<" not in base and S._split(texts[0]) is not None and S._split(texts[-1]) is None
+    before = sizes()
+    for text in texts:
+        S._tokenize(text)
+    assert sizes() == before
 
 
 def test_closed_terms_are_not_walked_for_names(monkeypatch):
