@@ -38,6 +38,11 @@ class Overflow(BetaEtaError):
     """A cardinality, code or measure exceeded the configured budget."""
 
 
+class TooLargeToPrint(Overflow):
+    """A term whose types, written out, exceed ``syntax.PRINT_NODES`` was
+    printed without a type-alias table."""
+
+
 class LevelAboveMax(Overflow):
     """A separation needs a numeral level above the caller's ``max_level``."""
 

@@ -18,9 +18,11 @@ is the serial of every value, and the two built most often, closures and
 delayed arguments, call no class constructor.  A closure is the tuple ``(sid, code, env, binder)``, a delayed argument (a
 thunk) is the list ``[sid, code, env, value]``, and the rarer neutrals,
 pairs and unit are the named tuples ``VNe(sid, ne, ty)``,
-``VPair(sid, fst, snd)`` and ``VUnit(sid)``.  The evaluator dispatches on
-the exact type: ``tuple`` is a closure, ``list`` a thunk, and a named
-tuple is neither.  The finite-model evaluator in ``models`` also
+``VPair(sid, fst, snd)`` and ``VUnit(sid)``; a neutral, the most common
+of the three in comparisons, is built by ``tuple.__new__``, without the
+Python-level constructor that ``namedtuple`` generates.  The evaluator
+dispatches on the exact type: ``tuple`` is a closure, ``list`` a thunk,
+and a named tuple is neither.  The finite-model evaluator in ``models`` also
 represents a closure as a tuple, ``(body, env)``, so both evaluators
 build closures without a class.
 
@@ -33,7 +35,14 @@ a thunk is read as ``t[3] or _force(t)``, with no call for a forced one,
 since every value is a non-empty container and so true).  So a
 numeral conditional of a separating context evaluates only the branch it
 keeps.  Every other argument (a variable, a lambda, a closed term) is
-evaluated where it stands.
+evaluated where it stands.  A thunk's code may return another unforced
+thunk, whose code may return a third, and so on; forcing follows such a
+chain in a loop, so its length takes no Python stack, and then writes
+the final value and its serial into every thunk of the chain, the rule
+of lazy graph reducers that update a whole indirection chain (Peyton
+Jones, "Implementing lazy functional languages on stock hardware", 1992).
+The steps are counted in the order a recursion would count them, and a
+budget that trips part way leaves every thunk of the chain unforced.
 
 Each interned term node is compiled once, on first evaluation, into a
 Python closure that evaluates it in an environment tuple: a variable is
@@ -79,6 +88,18 @@ normalization scope: one entry call
 ``replay_collapse``).  That scope empties them when it opens and when it
 closes, also by an exception, so nothing is carried from ``separate``
 into ``verify``.
+
+Equality is decided by ``values_equal``, which walks an arrow type's
+spine, and a product's right factor, in one loop: at an arrow it applies
+both sides to one fresh neutral, counting each application as
+``apply_value`` does, and goes on at the codomain.  Only a product's left
+factor and, through ``_ne_equal``, a neutral's arguments are compared by
+recursion; the loop is the recursion's tail call made a jump (Danvy and
+Nielsen, "Defunctionalization at work", 2001).  Its entry ``decide_eq``
+checks, in this order, that the two types are one, that neither side has
+a loose de Bruijn index, whether the two sides are one term, and, only
+where a side has a named free variable, that each name has one type: a
+closed pair is never walked for names.
 
 Values point only at values built before them.  A thunk is the one
 object that gains a reference later, to its value; but that value is
@@ -158,7 +179,7 @@ def _scope(step: int):
     # value tables as it opens (count 1) and as it closes (count 0), and
     # pauses the cyclic collector in between
     _SCOPES[0] += step
-    if _SCOPES[0] == max(step, 0):
+    if _SCOPES[0] == (step > 0):  # 1 as the outermost scope opens, 0 as it closes
         _CLOSED.clear()
         _APPLIED.clear()
         if step > 0:
@@ -190,21 +211,34 @@ def closed_value_scope(fn):
 # takes the value's serial, so the application table sees the value
 
 def _force(t):
-    # the value of a thunk not yet forced
-    run, steps, _ = t[1]  # the delayed spine is counted now
-    _WORK[0] += steps
-    if _WORK[0] > _WORK_LIMIT[0]:
-        _exhausted()
-    v = run(t[2])
-    if type(v) is list:
-        v = v[3] or _force(v)
-    t[:] = v[0], None, None, v
+    # the value of a thunk not yet forced; a chain of thunks, each code
+    # returning the next unforced one, is followed in this loop, and each
+    # thunk of it takes the final value.  A budget trip leaves all unforced
+    chain = [t]
+    while True:
+        run, steps, _ = t[1]  # the delayed spine is counted now
+        _WORK[0] += steps
+        if _WORK[0] > _WORK_LIMIT[0]:
+            _exhausted()
+        v = run(t[2])
+        if type(v) is not list:
+            break
+        if v[3] is not None:
+            v = v[3]
+            break
+        t = v
+        chain.append(t)
+    for t in chain:
+        t[:] = v[0], None, None, v
     return v
 
 
 VPair = namedtuple("VPair", "sid fst snd")
 VUnit = namedtuple("VUnit", "sid")
 VNe = namedtuple("VNe", "sid ne ty")
+# a neutral is built as _new(VNe, (sid, ne, ty)), without the Python-level
+# __new__ that namedtuple generates
+_new = tuple.__new__
 
 VUNIT = VUnit(next(_SERIAL))
 
@@ -284,7 +318,7 @@ def _compile(t: Term):
         arg, n, _ = _compile(t.arg)
         out = _proj(1 if cls is Proj1 else 2, arg), n + 1, None
     elif cls is Free:
-        value = VNe(next(_SERIAL), NFree(t.name, t.ty), t.ty)
+        value = _new(VNe, (next(_SERIAL), NFree(t.name, t.ty), t.ty))
         out = (lambda env: value), 1, None
     else:
         out = (lambda env: VUNIT), 1, None
@@ -341,7 +375,7 @@ def _spine(head, args):
             if type(f) is not tuple:
                 # neutral application: track the argument's type for readback
                 fty = f.ty
-                f = VNe(next(_SERIAL), NApp(f.ne, a, fty.dom), fty.cod)
+                f = _new(VNe, (next(_SERIAL), NApp(f.ne, a, fty.dom), fty.cod))
                 continue
             key = f[0] << 64 | a[0]  # one int for the pair, and no value kept
             out = _APPLIED.get(key)
@@ -373,7 +407,7 @@ def _spine1(head, arg):
         a = arg(env)
         if type(f) is not tuple:
             fty = f.ty
-            return VNe(next(_SERIAL), NApp(f.ne, a, fty.dom), fty.cod)
+            return _new(VNe, (next(_SERIAL), NApp(f.ne, a, fty.dom), fty.cod))
         key = f[0] << 64 | a[0]
         out = _APPLIED.get(key)
         if out is None:
@@ -394,7 +428,7 @@ def _spine2(head, arg1, arg2):
         a = arg1(env)
         if type(f) is not tuple:
             fty = f.ty
-            g = VNe(next(_SERIAL), NApp(f.ne, a, fty.dom), fty.cod)
+            g = _new(VNe, (next(_SERIAL), NApp(f.ne, a, fty.dom), fty.cod))
         else:
             key = f[0] << 64 | a[0]
             g = _APPLIED.get(key)
@@ -417,7 +451,7 @@ def _spine2(head, arg1, arg2):
         b = arg2(env)
         if type(g) is not tuple:
             fty = g.ty
-            return VNe(next(_SERIAL), NApp(g.ne, b, fty.dom), fty.cod)
+            return _new(VNe, (next(_SERIAL), NApp(g.ne, b, fty.dom), fty.cod))
         key = g[0] << 64 | b[0]
         out = _APPLIED.get(key)
         if out is None:
@@ -443,7 +477,9 @@ def _proj(which, arg):
 
 def eval_term(t: Term, env: tuple):
     run, steps, _ = _compile(t)
-    _tick(steps)
+    _WORK[0] += steps
+    if _WORK[0] > _WORK_LIMIT[0]:
+        _exhausted()
     v = run(env)
     return (v[3] or _force(v)) if type(v) is list else v
 
@@ -463,15 +499,11 @@ def do_proj(which, v):
     if type(v) is VPair:
         return v.fst if which == 1 else v.snd
     ty = v.ty
-    return VNe(next(_SERIAL), NProj(which, v.ne), ty.left if which == 1 else ty.right)
+    return _new(VNe, (next(_SERIAL), NProj(which, v.ne), ty.left if which == 1 else ty.right))
 
 
 # ---------------------------------------------------------------------------
 # Readback
-
-def _fresh(level, ty):
-    return VNe(next(_SERIAL), NVar(level, ty), ty)
-
 
 def readback(v, ty: Ty, depth: int) -> Term:
     _tick()
@@ -481,7 +513,8 @@ def readback(v, ty: Ty, depth: int) -> Term:
     if type(v) is list:
         v = v[3] or _force(v)
     if tcls is TyArrow:
-        body = readback(apply_value(v, _fresh(depth, ty.dom)), ty.cod, depth + 1)
+        fresh = _new(VNe, (next(_SERIAL), NVar(depth, ty.dom), ty.dom))
+        body = readback(apply_value(v, fresh), ty.cod, depth + 1)
         return S.lam(ty.dom, body)
     if tcls is TyProd:
         return S.pair(readback(do_proj(1, v), ty.left, depth),
@@ -509,7 +542,7 @@ def readback_beta(v, depth: int) -> Term:
         v = v[3] or _force(v)
     cls = type(v)
     if cls is tuple:
-        fresh = _fresh(depth, v[3])
+        fresh = _new(VNe, (next(_SERIAL), NVar(depth, v[3]), v[3]))
         return S.lam(v[3], readback_beta(apply_value(v, fresh), depth + 1))
     if cls is VPair:
         return S.pair(readback_beta(v.fst, depth), readback_beta(v.snd, depth))
@@ -522,9 +555,9 @@ def readback_beta(v, depth: int) -> Term:
     if ncls is NFree:
         return S.free(ne.name, ne.ty)
     if ncls is NApp:
-        return S.app(readback_beta(VNe(next(_SERIAL), ne.fn, None), depth),
+        return S.app(readback_beta(_new(VNe, (next(_SERIAL), ne.fn, None)), depth),
                      readback_beta(ne.arg, depth))
-    inner = readback_beta(VNe(next(_SERIAL), ne.arg, None), depth)
+    inner = readback_beta(_new(VNe, (next(_SERIAL), ne.arg, None)), depth)
     return S.proj1(inner) if ne.which == 1 else S.proj2(inner)
 
 
@@ -532,26 +565,44 @@ def readback_beta(v, depth: int) -> Term:
 # Type-directed value equality
 
 def values_equal(u, v, ty: Ty, depth: int) -> bool:
-    _tick()
-    tcls = type(ty)
-    if tcls is TyTerminal:
-        return True
-    if type(u) is list:
-        u = u[3] or _force(u)
-    if type(v) is list:
-        v = v[3] or _force(v)
-    if u is v:
-        # One value object denotes one element; this shortcut is what keeps
-        # comparison linear when both sides get probed with the same fresh
-        # neutral at iterated arrow types.
-        return True
-    if tcls is TyArrow:
-        fresh = _fresh(depth, ty.dom)
-        return values_equal(apply_value(u, fresh), apply_value(v, fresh), ty.cod, depth + 1)
-    if tcls is TyProd:
-        return (values_equal(do_proj(1, u), do_proj(1, v), ty.left, depth)
-                and values_equal(do_proj(2, u), do_proj(2, v), ty.right, depth))
-    return _ne_equal(u.ne, v.ne, depth)
+    # one loop along the arrow spine and a product's right factor (see the
+    # module docstring); each probe is ticked and applied as apply_value does
+    work, limit = _WORK, _WORK_LIMIT
+    while True:
+        work[0] += 1
+        if work[0] > limit[0]:
+            _exhausted()
+        tcls = type(ty)
+        if tcls is TyTerminal:
+            return True
+        if type(u) is list:
+            u = u[3] or _force(u)
+        if type(v) is list:
+            v = v[3] or _force(v)
+        if u is v:
+            # One value object denotes one element; this shortcut is what keeps
+            # comparison linear when both sides get probed with the same fresh
+            # neutral at iterated arrow types.
+            return True
+        if tcls is TyArrow:
+            dom = ty.dom
+            fresh = _new(VNe, (next(_SERIAL), NVar(depth, dom), dom))
+            work[0] += 1
+            if work[0] > limit[0]:
+                _exhausted()
+            u = _APPLY((u, fresh))
+            work[0] += 1
+            if work[0] > limit[0]:
+                _exhausted()
+            v = _APPLY((v, fresh))
+            ty = ty.cod
+            depth += 1
+        elif tcls is TyProd:
+            if not values_equal(do_proj(1, u), do_proj(1, v), ty.left, depth):
+                return False
+            u, v, ty = do_proj(2, u), do_proj(2, v), ty.right
+        else:
+            return _ne_equal(u.ne, v.ne, depth)
 
 
 def _ne_equal(m, n, depth) -> bool:
@@ -625,12 +676,6 @@ class NormalForm(S.Record):
     kind: str  # "expanded" | "contracted" | "beta"
 
 
-def _no_loose_index(*terms: Term):
-    """Named free variables are allowed, loose de Bruijn indices not."""
-    if any(t.scope for t in terms):
-        raise IllTyped("the term has a loose de Bruijn index")
-
-
 @not_too_deep
 def _entry(run):
     """``run()`` as one entry call: its own step count and scope."""
@@ -643,7 +688,8 @@ def _entry(run):
 
 
 def _normal_form(a: Term, read, kind: str) -> NormalForm:
-    _no_loose_index(a)
+    if a.scope:  # named free variables are allowed, loose de Bruijn indices not
+        raise IllTyped("the term has a loose de Bruijn index")
     return _entry(lambda: NormalForm(read(eval_term(a, ())), kind))
 
 
@@ -676,8 +722,10 @@ def decide_eq(a: Term, b: Term) -> bool:
     eta-long style without materializing the long forms."""
     if a.ty is not b.ty:
         raise TypeMismatch(f"cannot compare {a.ty!r} with {b.ty!r}")
-    _no_loose_index(a, b)
+    if a.scope or b.scope:
+        raise IllTyped("the term has a loose de Bruijn index")
     if a is b:
         return True
-    _check_common_context(a, b)
+    if a.named or b.named:  # a closed pair has no name to agree on
+        _check_common_context(a, b)
     return _entry(lambda: values_equal(eval_term(a, ()), eval_term(b, ()), a.ty, 0))

@@ -44,6 +44,7 @@ from .errors import (
     IllTyped,
     ParseError,
     ResourceExhausted,
+    TooLargeToPrint,
     TypeMismatch,
     UnboundVariable,
 )
@@ -224,16 +225,19 @@ def type_node_count(ty: Ty) -> int:
 # the most type nodes, written out as trees, that a type or a term prints
 # inline; past it a term prints with a type-alias table
 INLINE_NODES = 1024
+# the most that ``show_term`` writes out with no alias table: a text of a
+# few tens of MB at most; past it the term is refused
+PRINT_NODES = 1 << 22
 
 
-def fits_inline(root: Ty | Term) -> bool:
+def fits_inline(root: Ty | Term, limit: int = INLINE_NODES) -> bool:
     """Whether ``root`` prints inline in bounded text: a type, or the
     types of a term's subterms, written out as trees take at most
-    ``INLINE_NODES`` nodes in all.  Each distinct node is visited once
-    and its tree size stops just past the cap, so a shared tower costs
-    its distinct nodes, not its unfolded tree."""
+    ``limit`` nodes in all.  Each distinct node is visited once and its
+    tree size stops just past the cap, so a shared tower costs its
+    distinct nodes, not its unfolded tree."""
     roots = {root} if isinstance(root, Ty) else {u.ty for u in subterms(root)}
-    cap = INLINE_NODES + 1
+    cap = limit + 1
     size: dict[int, int] = {}
     for t in subtypes(*roots):  # children first
         cls = type(t)
@@ -244,7 +248,7 @@ def fits_inline(root: Ty | Term) -> bool:
         else:
             n = 1
         size[t.uid] = min(n, cap)
-    return sum(size[t.uid] for t in roots) <= INLINE_NODES
+    return sum(size[t.uid] for t in roots) <= limit
 
 
 def type_atoms(ty: Ty) -> set[str]:
@@ -1064,7 +1068,13 @@ def show_term(t: Term, type_names: dict[int, str] | None = None) -> str:
     at depth 0) such that no free variable is named x<n>; with no free
     x<n>, that is x1, x2, ...  Distinct depths get distinct names, so the
     text parses back to ``t``.  ``type_names`` maps the uids of compound
-    types to alias identifiers, as ``type_alias_table`` gives them."""
+    types to alias identifiers, as ``type_alias_table`` gives them.
+    Without it, a term whose types written out take more than
+    ``PRINT_NODES`` nodes (``fits_inline`` with that limit) raises
+    ``TooLargeToPrint``, since its text could outgrow memory."""
+    if type_names is None and not fits_inline(t, PRINT_NODES):
+        raise TooLargeToPrint(f"term #{t.uid} has types of more than {PRINT_NODES} nodes written"
+                              " out; print it with the names of type_alias_table")
     taken = free_vars(t)
     names: list[str] = []  # names[d]: the binder at depth d
     last = 0  # the number in the deepest binder's name

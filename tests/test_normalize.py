@@ -19,8 +19,9 @@ LOOSE = S.lam(p, S.var(1, p))
 
 
 def test_decide_eq_rejects_a_loose_index():
-    with pytest.raises(IllTyped):
-        Nz.decide_eq(LOOSE, S.lam(p, S.var(0, p)))
+    for a, b in ((LOOSE, S.lam(p, S.var(0, p))), (S.lam(p, S.var(0, p)), LOOSE)):
+        with pytest.raises(IllTyped):
+            Nz.decide_eq(a, b)
     assert not Nz.decide_eq(S.lam(p, S.free("y", p)), S.lam(p, S.var(0, p)))
 
 
@@ -88,6 +89,31 @@ def test_decide_eq_requires_consistent_context():
     b = S.app(S.free("f", S.arrow(S.atom("q"), p)), S.free("x", S.atom("q")))
     with pytest.raises(TypeMismatch):
         Nz.decide_eq(a, b)
+
+
+def test_a_closed_pair_is_not_walked_for_names(monkeypatch):
+    # decide_eq looks for a common context only where a side has a name
+    pairs = [(gen_closed_term(ty, random.Random(seed)), gen_closed_term(ty, random.Random(seed + 1)))
+             for ty in PRODUCT_FREE_ROSTER for seed in range(4)]
+
+    def no_walk(a, b):
+        raise AssertionError("walked a closed pair")
+
+    monkeypatch.setattr(Nz, "_check_common_context", no_walk)
+    assert not all(Nz.decide_eq(a, b) for a, b in pairs)
+    with pytest.raises(AssertionError):
+        Nz.decide_eq(S.lam(p, S.free("y", p)), S.lam(p, S.var(0, p)))
+
+
+def test_a_name_at_two_types_is_refused_beside_a_closed_side():
+    # free_vars refuses a name used at two types within one side, also
+    # when the other side is closed and so has no name to agree on
+    q = S.atom("q")
+    two = S.apps(S.free("f", S.arrow(p, S.arrow(q, p))), S.free("x", p), S.free("x", q))
+    closed = S.lam(p, S.var(0, p))
+    for a, b in ((S.lam(p, two), closed), (closed, S.lam(p, two))):
+        with pytest.raises(IllTyped, match="'x' used at two types"):
+            Nz.decide_eq(a, b)
 
 
 def test_derived_alpha_is_definitional():
@@ -316,6 +342,44 @@ def test_a_term_too_deep_raises_the_documented_error():
         "assert Nz.decide_eq(S.app(lower(2), church(3, 3)), church(3, 2))\n"
         "print(Nz._WORK[0])\n")
     assert out.splitlines() == ["term too deep for the recursive evaluator"] * 3 + ["94"]
+
+
+def _expo_chain(n):
+    # \z:p. expo(0) n 2 (\v:p. v) z with n and 2 at level 1: 2^n
+    # applications of the identity, each delayed argument's code
+    # returning the next delayed argument, unforced
+    from betaeta.numerals import expo
+    return S.lam(p, S.apps(expo(0), church(n, 1), church(2, 1), S.lams(p, lambda v: v()),
+                           S.var(0, p)))
+
+
+@pytest.mark.parametrize("n, steps", [(14, 262_437), (17, 2_097_505)])
+def test_a_thunk_chain_is_forced_in_a_loop(n, steps):
+    # at n = 17 the chain is longer than the recursion limit, which a
+    # recursive force ran out of (TermTooDeep); the loop takes the same
+    # steps a recursion would, 262,437 at n = 14 either way
+    assert Nz.long_nf(_expo_chain(n)).term is S.lams(p, lambda x: x())
+    assert Nz._WORK[0] == steps
+
+
+def test_a_forced_chain_takes_the_final_value_and_a_trip_forces_none():
+    # three thunks, each code returning the next; the last gives the unit
+    def thunk(value, steps):
+        return [next(Nz._SERIAL), ((lambda env: value), steps, None), (), None]
+
+    last = thunk(Nz.VUNIT, 3)
+    chain = [thunk(thunk(last, 2), 1)]
+    chain += [chain[0][1][0](()), last]
+    try:
+        Nz.set_work_budget(5)  # 1 + 2 + 3 steps: the last one trips
+        with pytest.raises(ResourceExhausted):
+            Nz._force(chain[0])
+        assert all(t[3] is None and t[1] is not None for t in chain)
+        Nz.set_work_budget(6)
+        assert Nz._force(chain[0]) is Nz.VUNIT and Nz._WORK[0] == 6
+    finally:
+        Nz.set_work_budget(500_000_000)
+    assert all(t == [Nz.VUNIT[0], None, None, Nz.VUNIT] for t in chain)
 
 
 # the outermost normalization scope pauses the cyclic collector and puts

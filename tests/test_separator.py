@@ -3,7 +3,9 @@ import pytest
 from betaeta import numerals as N
 from betaeta import separator as Sep
 from betaeta import syntax as S
-from betaeta.errors import BadCertificate, EqualTerms, IllTyped, LevelAboveMax, TypeMismatch
+from betaeta.errors import (
+    BadCertificate, EqualTerms, IllTyped, LevelAboveMax, TooLargeToPrint, TypeMismatch,
+)
 from betaeta.normalize import decide_eq
 from betaeta.numerals import church
 
@@ -29,6 +31,27 @@ def test_worked_example_certificate_values():
     # one definer, ten lowering pairs, the two final arguments
     assert len(cert.head_args) == 1 + 20 + 2
     assert Sep.verify(cert)
+
+
+def test_a_head_argument_too_large_to_print_inline_is_refused():
+    # the first head argument is annotated at the level-20 numeral type,
+    # 25,165,818 characters written out; without an alias table show_term
+    # refuses it at once, and with one it prints and parses back
+    import time
+    import tracemalloc
+    head = Sep.separate_two(*worked_pair()).head_args[0]
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(TooLargeToPrint, match="type_alias_table"):
+            S.show_term(head)
+        elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1 and peak < 100_000_000
+    assert repr(head) == f"<term #{head.uid} : type #{head.ty.uid}>"
+    defs, names = S.type_alias_table([head])
+    assert S.parse_term(S.show_term(head, names), aliases=S.parse_alias_table(defs)) is head
 
 
 def test_church_pair_two_valued():

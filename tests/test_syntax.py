@@ -4,7 +4,7 @@ import pytest
 
 from betaeta import syntax as S
 from betaeta.errors import (
-    BetaEtaError, IllTyped, ParseError, TypeMismatch, UnboundVariable,
+    BetaEtaError, IllTyped, ParseError, TooLargeToPrint, TypeMismatch, UnboundVariable,
 )
 from betaeta.normalize import decide_eq
 
@@ -287,7 +287,22 @@ def test_a_binder_annotation_of_many_tokens_reads_its_aliases():
 def test_an_error_inside_a_binder_annotation_carries_its_position():
     for text, message, pos in (("\\x:p -> . x", "unexpected '.' in type", 8),
                                ("\\x:p -> (q * ). x", "unexpected ')' in type", 13),
-                               ("\\x:(p. x", "expected ')', found '.'", 5)):
+                               ("\\x:(p. x", "expected ')', found '.'", 5),
+                               ("\\x:p ->. x", "unexpected '.' in type", 7),
+                               ("\\x:(p -> p. x", "expected ')', found '.'", 10),
+                               ("\\x:p -> p) . x", "expected '.', found ')'", 9),
+                               ("\\x:p p. x", "expected '.', found 'p'", 5),
+                               ("\\x:p -> p", "unexpected end of input", 9),
+                               ("\\x:p * . x", "unexpected '.' in type", 7),
+                               ("\\x:. x", "unexpected '.' in type", 3),
+                               ("\\x:p -> p -> . x", "unexpected '.' in type", 13),
+                               ("\\x:p -> (p -> . x", "unexpected '.' in type", 14),
+                               ("\\x:p -> p p. x", "expected '.', found 'p'", 10),
+                               ("\\x:(p -> p) -> . x", "unexpected '.' in type", 15),
+                               ("\\x:p -> p. \\y:p -> p -> .y", "unexpected '.' in type", 24),
+                               ("\\x:p -> T * . x", "unexpected '.' in type", 12),
+                               ("\\x:p -> p -> p q. x", "expected '.', found 'q'", 15),
+                               ("\\x:p -> p -> p", "unexpected end of input", 14)):
         with pytest.raises(ParseError) as info:
             S.parse_term(text)
         assert (str(info.value), info.value.position) == (f"{message} (at position {pos})", pos)
@@ -572,6 +587,22 @@ def test_tokenizing_long_texts_keeps_no_table():
     for text in texts:
         S._tokenize(text)
     assert sizes() == before
+
+
+def test_show_term_refuses_only_past_the_print_bound():
+    # \x:A. x takes 3N + 1 type nodes written out, where the tower type A
+    # at k has N = 2^(k+1) - 1: past INLINE_NODES at k = 8 it still prints
+    # inline, and k = 20 is the first past PRINT_NODES
+    def identity(k):
+        return S.parse_term("\\x:A. x", aliases={"A": S.tower_type(k)})
+
+    small, under, over = identity(8), identity(19), identity(20)
+    assert not S.fits_inline(small) and S.parse_term(S.show_term(small)) is small
+    assert S.fits_inline(under, 3 * (2 ** 20 - 1) + 1) and not S.fits_inline(under, 3 * (2 ** 20 - 1))
+    assert S.fits_inline(under, S.PRINT_NODES) and not S.fits_inline(over, S.PRINT_NODES)
+    with pytest.raises(TooLargeToPrint, match="type_alias_table"):
+        S.show_term(over)
+    assert repr(over) == f"<term #{over.uid} : type #{over.ty.uid}>"
 
 
 def test_closed_terms_are_not_walked_for_names(monkeypatch):
