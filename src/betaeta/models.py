@@ -15,7 +15,8 @@ value of a lambda: its compiled body with its environment, applied
 without a table.  A table is built only when such a value is passed to
 a coded function, and applying a coded function ``f`` to ``x`` is
 ``f // n**x % n``, with ``n`` the card of its codomain, looked up when
-the application node compiles.  Each node compiles once per base into a
+the application node compiles.  A closed argument's table is built
+once per application node.  Each node compiles once per base into a
 process table keyed by its uid and the base, so a repeated evaluation
 compiles nothing.  A closed term is evaluated without an assignment: a
 free variable raises where evaluation reaches it.  ``eval_closed`` is
@@ -25,9 +26,12 @@ from ``numerals`` or ``normalize``.
 The model search walks the argument codes as a prefix tree, first
 argument slowest, so a partial application is computed once per prefix.
 That order fixes which witness comes first, and so a certificate's
-``model_args``.  Only the witness becomes ``Functional`` objects, of a
-new model.  A pair of one interned node is equal in every model, so
-nothing is evaluated.
+``model_args``.  The witness is relabeled so that ``a`` gives 0 and
+``b`` gives 1: one already so keeps its codes, since the identity
+relabeling moves none, and any other is transported.  Either way the
+relabeled witness is re-evaluated, and only it becomes ``Functional``
+objects, of a new model.  A pair of one interned node is equal in every
+model, so nothing is evaluated.
 
 The defining-term construction tells the branches of a function apart
 by a product with one prime per tuple over the branch type's argument
@@ -93,10 +97,10 @@ def _card(base: int, ty: Ty) -> int:
         cd = _card(base, ty.cod)
         cc = _card(base, ty.dom)
         if cc * (cd.bit_length() - 1) > 64 and cd > 1:
-            raise Overflow(f"cardinality of {S.show_type(ty)} exceeds the cap")
+            raise Overflow(f"cardinality of {ty!r} exceeds the cap")
         n = cd ** cc
         if n > CARD_CAP:
-            raise Overflow(f"cardinality of {S.show_type(ty)} exceeds the cap")
+            raise Overflow(f"cardinality of {ty!r} exceeds the cap")
     else:
         raise IllTyped("hierarchy types are built from atoms and arrows only")
     _CARDS[key] = n
@@ -107,7 +111,7 @@ def _enum_size(base: int, ty: Ty) -> int:
     """The card of ``ty``, which must be small enough to enumerate."""
     n = _card(base, ty)
     if n > ENUM_CAP:
-        raise Overflow(f"refusing to enumerate {n} elements of {S.show_type(ty)}")
+        raise Overflow(f"refusing to enumerate {n} elements of {ty!r}")
     return n
 
 
@@ -134,7 +138,7 @@ class PModel:
 
     def functional(self, ty: Ty, code: int) -> "Functional":
         if not 0 <= code < self.card(ty):
-            raise SideConditionViolated(f"code {code} out of range for {S.show_type(ty)}")
+            raise SideConditionViolated(f"code {code} out of range for {ty!r}")
         return Functional(self, ty, code)
 
     def enum(self, ty: Ty):
@@ -184,7 +188,7 @@ class Functional:
         return hash((self.model.base, self.ty.uid, self.code))
 
     def __repr__(self):
-        return f"Functional({S.show_type(self.ty)}, {self.code})"
+        return f"Functional({self.ty!r}, {self.code})"
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +250,11 @@ def _lam(body):
 
 def _app(fun, arg, base, t):
     """Apply a lambda by running its body, and a code by digit extraction,
-    after forcing a lambda argument to its code."""
+    after forcing a lambda argument to its code.  A closed argument has
+    the same code in every environment, so it is forced once."""
     dom = t.arg.ty
     n = _card_if_any(base, t.ty)
+    forced = None if t.arg.scope or t.arg.named else []  # a closed argument's code
 
     def app(env):
         f = fun(env)
@@ -256,7 +262,12 @@ def _app(fun, arg, base, t):
         if type(f) is tuple:
             return f[0](f[1] + (x,))
         if type(x) is tuple:
-            x = _force(x, base, dom)
+            if forced:
+                x = forced[0]
+            else:
+                x = _force(x, base, dom)
+                if forced is not None:
+                    forced.append(x)
         return f // n ** x % n
     return app
 
@@ -294,20 +305,6 @@ class Distinguished(S.Record):
     relabeling: list[int]
 
 
-def _relabel_perm(base: int, ra: int, rb: int) -> list[int]:
-    """A permutation of {0..base-1} sending ra to 0 and rb to 1, identity
-    beyond the swaps needed."""
-    perm = list(range(base))
-
-    def send(src, dst):
-        cur = perm.index(dst)
-        perm[src], perm[cur] = perm[cur], perm[src]
-
-    send(ra, 0)
-    send(rb, 1)
-    return perm
-
-
 def _transport(code: int, ty: Ty, base: int, perm: list[int], inv: list[int]) -> int:
     """The code ``code`` of type ``ty`` with its base elements renamed
     along ``perm``, whose inverse is ``inv``."""
@@ -335,20 +332,21 @@ def distinguish(a: Term, b: Term, max_base: int) -> Distinguished | None:
     lexicographic order of their codes, the first argument slowest, and
     the first that tells the terms apart is the witness; a certificate
     states it as ``model_args``, so the order is part of the certificate
-    format.  A base whose tuples exceed ``TUPLE_CAP`` raises Overflow
-    before either term is evaluated there.  A pair of one interned node
-    is evaluated at no base, and an equal pair of two nodes gets the full
-    search: the search does not consult normalization."""
+    format.  A witness whose values are already 0 and 1 keeps its codes,
+    as the identity relabeling moves none; either way the relabeled
+    witness is re-evaluated.  A base whose tuples exceed ``TUPLE_CAP``
+    raises Overflow before either term is evaluated there.  A pair of
+    one interned node is evaluated at no base, and an equal pair of two
+    nodes gets the full search: the search does not consult
+    normalization."""
     if a.ty is not b.ty:
         raise TypeMismatch("terms to distinguish must share a type")
-    if not (S.is_closed(a) and S.is_closed(b)):
+    if a.scope or a.named or b.scope or b.named:
         raise IllTyped("terms to distinguish must be closed")
-    arg_tys, result = split_arrows(a.ty)
-    if not isinstance(result, TyAtom):
-        raise IllTyped("the result type must be an atom")
-
+    if max_base < 2:  # no base to search: the result type is still checked
+        _result_atom(a.ty)
     for base in range(2, max_base + 1):
-        sizes, ns, total = _search_cards(a.ty, base)
+        arg_tys, sizes, ns, total = _SEARCH_CARDS.get((a.ty.uid, base)) or _search_cards(a.ty, base)
         if total > TUPLE_CAP:
             raise Overflow(f"argument search space of {total} tuples exceeds the cap")
         if a is b:  # one interned node: no model tells it from itself
@@ -358,30 +356,39 @@ def distinguish(a: Term, b: Term, max_base: int) -> Distinguished | None:
         found = _first_difference(va, vb, ns, sizes)
         if found is not None:
             codes, ra, rb = found
-            perm = _relabel_perm(base, ra, rb)
-            inv = [0] * base
-            for src, dst in enumerate(perm):
-                inv[dst] = src
-            codes = [_transport(c, ty, base, perm, inv) for c, ty in zip(codes, arg_tys)]
+            # a permutation of the base sending ra to 0 and rb to 1,
+            # the identity beyond the swaps needed
+            perm = list(range(base))
+            perm[0], perm[ra] = ra, 0
+            one = 0 if ra == 1 else 1  # where 1 went
+            perm[one], perm[rb] = perm[rb], perm[one]
+            if ra != 0 or rb != 1:
+                inv = sorted(range(base), key=perm.__getitem__)
+                codes = [_transport(c, t, base, perm, inv) for c, t in zip(codes, arg_tys)]
             _check_relabeled(va, vb, codes, ns)
             model = PModel(base)
-            return Distinguished(base, model, [Functional(model, ty, c)
-                                               for ty, c in zip(arg_tys, codes)], perm)
+            return Distinguished(base, model, [Functional(model, t, c)
+                                               for t, c in zip(arg_tys, codes)], perm)
     return None
 
 
+def _result_atom(ty: Ty) -> list[Ty]:
+    """The argument types of ``ty``, whose final result must be an atom."""
+    arg_tys, result = split_arrows(ty)
+    if not isinstance(result, TyAtom):
+        raise IllTyped("the result type must be an atom")
+    return arg_tys
+
+
 def _search_cards(ty: Ty, base: int):
-    """For a search at ``ty``: the card of each argument type, the card of
-    the result after each argument, and the number of argument tuples."""
+    """For a search at ``ty``: the argument types, the card of each, the
+    card of the result after each argument, and the number of argument
+    tuples.  A result that is no atom raises before any card is taken."""
     key = (ty.uid, base)
-    out = _SEARCH_CARDS.get(key)
-    if out is None:
-        sizes, ns = [], []
-        while isinstance(ty, TyArrow):
-            sizes.append(_card(base, ty.dom))
-            ty = ty.cod
-            ns.append(_card_if_any(base, ty))
-        out = _SEARCH_CARDS[key] = tuple(sizes), tuple(ns), math.prod(sizes)
+    arg_tys = _result_atom(ty)
+    sizes = tuple(_card(base, t) for t in arg_tys)
+    ns = tuple([_card_if_any(base, ty := ty.cod) for _ in arg_tys])  # down the spine
+    out = _SEARCH_CARDS[key] = tuple(arg_tys), sizes, ns, math.prod(sizes)
     return out
 
 

@@ -73,6 +73,9 @@ class Record:
 
     def __init__(self, *args, **kwargs):
         cls, fields = type(self), self._fields
+        if len(args) == len(fields) and not kwargs:  # every field, in order
+            self.__dict__.update(zip(fields, args))
+            return
         if len(args) > len(fields) or not kwargs.keys() <= set(fields[len(args):]):
             raise TypeError(f"{cls.__name__} takes the fields {', '.join(fields)}, each once")
         for name in fields[len(args):]:
@@ -102,7 +105,7 @@ class Ty:
     def __repr__(self):
         if not fits_inline(self):
             return f"<type #{self.uid}, {type_node_count(self)} shared nodes>"
-        return show_type(self)
+        return _show_type(self, None, 0)
 
 
 class TyAtom(Ty):
@@ -1047,8 +1050,24 @@ def _term_pass(text: str, toks: list, aliases, ctx: Context, make) -> Term:
 # ---------------------------------------------------------------------------
 # Printing
 
-def show_type(ty: Ty, names: dict[int, str] | None = None, _prec: int = 0) -> str:
-    """Render a type; ``names`` maps type uids to alias identifiers."""
+def show_type(ty: Ty, names: dict[int, str] | None = None) -> str:
+    """Render a type; ``names`` maps type uids to alias identifiers.
+    Without it, a type of more than ``PRINT_NODES`` nodes written out
+    (``fits_inline`` with that limit) raises ``TooLargeToPrint``, since
+    its text could outgrow memory."""
+    if names is None and not _printable(ty):
+        raise TooLargeToPrint(f"type #{ty.uid} has more than {PRINT_NODES} nodes written out;"
+                              " print it with the names of type_alias_table")
+    return _show_type(ty, names, 0)
+
+
+@memo(lambda ty: ty.uid)
+def _printable(ty: Ty) -> bool:
+    # asked once per type: a small type's walk costs several times its text
+    return fits_inline(ty, PRINT_NODES)
+
+
+def _show_type(ty: Ty, names: dict[int, str] | None, prec: int) -> str:
     if names is not None and ty.uid in names:
         return names[ty.uid]
     if isinstance(ty, TyAtom):
@@ -1056,10 +1075,10 @@ def show_type(ty: Ty, names: dict[int, str] | None = None, _prec: int = 0) -> st
     if isinstance(ty, TyTerminal):
         return "T"
     if isinstance(ty, TyArrow):
-        inner = f"{show_type(ty.dom, names, 1)} -> {show_type(ty.cod, names, 0)}"
-        return f"({inner})" if _prec >= 1 else inner
-    inner = f"{show_type(ty.left, names, 1)} * {show_type(ty.right, names, 2)}"
-    return f"({inner})" if _prec >= 2 else inner
+        inner = f"{_show_type(ty.dom, names, 1)} -> {_show_type(ty.cod, names, 0)}"
+        return f"({inner})" if prec >= 1 else inner
+    inner = f"{_show_type(ty.left, names, 1)} * {_show_type(ty.right, names, 2)}"
+    return f"({inner})" if prec >= 2 else inner
 
 
 def show_term(t: Term, type_names: dict[int, str] | None = None) -> str:
@@ -1100,7 +1119,7 @@ def show_term(t: Term, type_names: dict[int, str] | None = None) -> str:
             body = go(u.body, depth + 1, 0)
             ty = u.binder  # an atom is never aliased
             ty = ty.name if type(ty) is TyAtom else (
-                binder_types.get(ty) or binder_types.setdefault(ty, show_type(ty, type_names)))
+                binder_types.get(ty) or binder_types.setdefault(ty, _show_type(ty, type_names, 0)))
             s = f"\\{names[depth]}:{ty}. {body}"
             return f"({s})" if prec > 0 else s
         if cls is Free:

@@ -1,11 +1,16 @@
-"""Shared random generators for property-style tests.
+"""Shared random generators for property-style tests, and a small-scope
+corpus.
 
 Closed product-free terms are grown type-directedly: arrows introduce a
 binder, atoms apply a variable from scope to recursively generated
 arguments.  Types for the product machinery mix atoms, the terminal
-type, arrows and products under a node budget.
+type, arrows and products under a node budget.  The corpus lists every
+closed eta-long normal form of a type up to a number of variable
+occurrences, and runs each unequal pair through the separation.
 """
 
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -13,8 +18,11 @@ import sys
 
 import pytest
 
+from betaeta import checker, cli
 from betaeta import models as M
+from betaeta import separator as Sep
 from betaeta import syntax as S
+from betaeta.errors import BetaEtaError
 from betaeta.syntax import Term, Ty, TyArrow, TyAtom
 
 
@@ -38,6 +46,59 @@ def gen_closed_term(ty: Ty, rng: random.Random, fuel: int = 3) -> Term:
         return out
 
     return go(ty, [], fuel)
+
+
+def long_normal_forms(ty: Ty, max_occurrences: int) -> list[Term]:
+    """Every closed eta-long beta-normal term of the product-free type
+    ``ty`` with at most ``max_occurrences`` variable occurrences: fewer
+    occurrences first, then the innermost head variable first, then the
+    arguments' own order, left to right.  Distinct terms are never equal
+    (a small-scope corpus in the manner of SmallCheck)."""
+
+    def forms(ty, scope, n):
+        # the forms at ``ty`` with exactly ``n`` occurrences, under binders
+        # of the types in ``scope``, innermost last
+        if isinstance(ty, TyArrow):
+            return [S.lam(ty.dom, body) for body in forms(ty.cod, scope + (ty.dom,), n)]
+        out = []
+        for index, head_ty in enumerate(reversed(scope)):
+            arg_tys, result = S.split_arrows(head_ty)
+            if result is ty:
+                out.extend(S.apps(S.var(index, head_ty), *args)
+                           for args in spread(arg_tys, scope, n - 1))
+        return out
+
+    def spread(tys, scope, n):
+        # the tuples of forms at ``tys`` with ``n`` occurrences in all
+        if not tys:
+            return [()] if n == 0 else []
+        return [(first, *rest) for k in range(1, n - len(tys) + 2)
+                for first in forms(tys[0], scope, k)
+                for rest in spread(tys[1:], scope, n - k)]
+
+    return [t for n in range(1, max_occurrences + 1) for t in forms(ty, (), n)]
+
+
+def separate_every_pair(forms: list[Term], max_level: int = 24) -> tuple[list, str]:
+    """Each pair of ``forms``, the earlier first, through ``separate_two``,
+    its certificate serialized, parsed back and verified.  Returns each
+    pair's outcome, its level or ``"Class: message"`` of a refusal, and
+    the sha256 of the model witnesses in order, each ``[base, [[type,
+    code], ...], relabeling]`` or None."""
+    outcomes, witnesses = [], []
+    for i, a in enumerate(forms):
+        for b in forms[i + 1:]:
+            try:
+                cert = Sep.separate_two(a, b, max_level=max_level)
+            except BetaEtaError as e:
+                outcomes.append(f"{type(e).__name__}: {e}")
+                witnesses.append(None)
+                continue
+            assert checker.verify(cli.parse_certificate(cli.serialize_certificate(cert)))
+            outcomes.append(cert.level)
+            witnesses.append([cert.base, [[S.show_type(ty), code] for ty, code in cert.model_args],
+                              cert.relabeling])
+    return outcomes, hashlib.sha256(json.dumps(witnesses).encode()).hexdigest()
 
 
 def random_mixed_type(rng: random.Random, max_nodes: int = 30) -> Ty:

@@ -519,8 +519,12 @@ def test_distinguish_finds_nothing_on_an_eta_expanded_copy(evaluated, rng):
 
 
 def test_repeating_a_search_grows_nothing():
+    # the last pair applies F to a closed lambda, whose code each
+    # application node keeps once forced
     pairs = [worked_pair(), (S.parse_term("\\x:p->p. \\y:p. x y"),
-                             S.parse_term("\\x:p->p. \\y:p. x (x y)"))]
+                             S.parse_term("\\x:p->p. \\y:p. x (x y)")),
+             (S.parse_term("\\F:(p->p->p)->p. F (\\y:p. \\z:p. y)"),
+              S.parse_term("\\F:(p->p->p)->p. F (\\y:p. \\z:p. z)"))]
     first = [_payload(M.distinguish(a, b, 3)) for a, b in pairs]
     assert None not in first and (pairs[0][0].uid, 2) in M._CODE
     tables = M._CODE, M._CARDS, M._SEARCH_CARDS
@@ -530,6 +534,101 @@ def test_repeating_a_search_grows_nothing():
     # keyed by uids and bases alone, so no key keeps a term or a model alive
     for table in tables:
         assert all(type(key) is tuple and {type(i) for i in key} == {int} for key in table)
+
+
+def _two_nodes(t):
+    """``t`` and its one-step eta expansion, another node of its type."""
+    return t, S.lams(t.ty.dom, lambda x: S.app(t, x()))
+
+
+@pytest.mark.parametrize("max_base", [0, 1, 2, 3])
+def test_distinguish_raises_in_its_order(max_base):
+    # each input also fails every later check: at p -> p * p a loose index
+    # is open and its result no atom, and (p->p->p->p)->p has no card at
+    # base 2.  The first check raises, for one node and for two, whatever
+    # the bases searched; with none, the checks before the search still run
+    open_pair = S.lam(p, S.pair(S.var(1, p), S.var(0, p)))
+    no_card = "\\g:(p->p->p->p)->p. \\x:p. "
+    cases = [
+        ([(open_pair, S.parse_term("\\x:p. x"))], TypeMismatch, "must share a type"),
+        ([(open_pair,) * 2, _two_nodes(open_pair)], IllTyped, "must be closed"),
+        ([(S.parse_term(no_card + "<x, x>"),) * 2, _two_nodes(S.parse_term(no_card + "<x, x>"))],
+         IllTyped, "the result type must be an atom"),
+    ]
+    for pairs, error, message in cases:
+        for a, b in pairs:
+            with pytest.raises(error, match=message):
+                M.distinguish(a, b, max_base)
+    for a, b in ((S.parse_term(no_card + "x"),) * 2, _two_nodes(S.parse_term(no_card + "x"))):
+        if max_base < 2:
+            assert M.distinguish(a, b, max_base) is None
+        else:
+            with pytest.raises(Overflow, match=r"^cardinality of \(p -> p -> p -> p\) -> p "):
+                M.distinguish(a, b, max_base)
+
+
+def test_each_search_returns_its_own_lists():
+    # the witness of K against K' keeps its codes (a gives 0, b gives 1),
+    # and that of K' against K is relabeled; either way two searches
+    # return equal witnesses in lists of their own
+    K = S.parse_term("\\x:p. \\y:p. x"), S.parse_term("\\x:p. \\y:p. y")
+    for (a, b), codes, relabeling in ((K, [0, 1], [0, 1]), (K[::-1], [1, 0], [1, 0])):
+        first, second = M.distinguish(a, b, 3), M.distinguish(a, b, 3)
+        assert _payload(first) == _payload(second) == [2, [["p", c] for c in codes], relabeling]
+        assert first.args is not second.args and first.relabeling is not second.relabeling
+        first.args.clear()
+        first.relabeling.clear()
+        assert _payload(M.distinguish(a, b, 3)) == _payload(second)
+
+
+def test_each_relabeling_of_base_3_sends_the_values_to_0_and_1():
+    # numeral pairs that base 2 cannot tell apart: the base-3 witness of
+    # each gives another pair of values, so between them they need all six
+    # relabelings, and the relabeled witness gives 0 for a and 1 for b
+    relabelings = {(1, 3): [0, 1, 2], (3, 1): [1, 0, 2], (2, 4): [2, 1, 0],
+                   (4, 2): [2, 0, 1], (2, 6): [1, 2, 0], (6, 2): [0, 2, 1]}
+    for (i, j), relabeling in relabelings.items():
+        a, b = N.church(i, 0), N.church(j, 0)
+        found = M.distinguish(a, b, 3)
+        assert (found.base, found.relabeling) == (3, relabeling)
+        for t, want in ((a, 0), (b, 1)):
+            v = M.evaluate(t, 3)
+            for phi in found.args:
+                v = v[0](v[1] + (phi.code,))
+            assert v == want
+
+
+def test_a_closed_argument_is_forced_once_per_node_and_base(monkeypatch):
+    # F applied to a closed lambda: the search applies each of the 65,536
+    # elements of (p->p->p)->p at base 2 to it, in a and in its eta copy,
+    # which share the application node, and the lambda's table is built once
+    t = S.parse_term("\\F:(p->p->p)->p. F (\\y:p. \\z:p. y)")
+    arg_ty = t.ty.dom.dom
+    at_3 = M.eval_closed(t.body.arg, M.PModel(3)).code
+    tables = []
+    real = M._force
+
+    def spy(v, base, ty):
+        if ty is arg_ty and type(v) is tuple:
+            tables.append(base)
+        return real(v, base, ty)
+
+    monkeypatch.setattr(M, "_force", spy)
+    monkeypatch.setattr(M, "_CODE", {})  # compiled afresh, whatever ran before
+    assert M.distinguish(*_two_nodes(t), 2) is None
+    assert tables == [2]
+    # base 3 has no card for F's type, so F's codes are applied by hand:
+    # the code whose digit at the lambda's code is d, for each d
+    body, env = M.evaluate(t, 3)
+    assert [body(env + (d * 3 ** at_3,)) for d in range(3)] == [0, 1, 2]
+    assert tables == [2, 3]
+    assert M.distinguish(*_two_nodes(t), 2) is None and tables == [2, 3]
+
+
+def test_a_card_past_the_cap_is_refused_in_a_short_message():
+    with pytest.raises(Overflow, match=r"^cardinality of .* exceeds the cap$") as info:
+        M.PModel(2).card(S.numeral_type(20))
+    assert len(str(info.value)) < 200
 
 
 def test_distinguish_tuple_cap(monkeypatch):

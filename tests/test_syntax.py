@@ -605,6 +605,25 @@ def test_show_term_refuses_only_past_the_print_bound():
     assert repr(over) == f"<term #{over.uid} : type #{over.ty.uid}>"
 
 
+def test_show_type_refuses_only_past_the_print_bound():
+    # the level-20 numeral type is 25,165,818 characters written out, the
+    # first numeral type past PRINT_NODES; it is refused at once, with no
+    # node written, and prints with an alias table
+    import time
+    under, over = S.numeral_type(19), S.numeral_type(20)
+    assert S.fits_inline(under, S.PRINT_NODES) and not S.fits_inline(over, S.PRINT_NODES)
+    start = time.perf_counter()
+    with pytest.raises(TooLargeToPrint, match="type_alias_table"):
+        S.show_type(over)
+    assert time.perf_counter() - start < 1.0
+    defs, names = S.type_alias_table([over])
+    assert S.show_type(over, names) == names[over.uid] and len(defs) == 22
+    assert repr(over) == f"<type #{over.uid}, 23 shared nodes>"
+    assert S.show_type(S.numeral_type(2)) == repr(S.numeral_type(2)) == (
+        "(((p -> p) -> p -> p) -> (p -> p) -> p -> p) -> "
+        "((p -> p) -> p -> p) -> (p -> p) -> p -> p")
+
+
 def test_closed_terms_are_not_walked_for_names(monkeypatch):
     pairs = [(gen_closed_term(ty, random.Random(seed)), gen_closed_term(ty, random.Random(seed + 1)))
              for ty in PRODUCT_FREE_ROSTER for seed in range(4)]
