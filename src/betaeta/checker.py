@@ -178,13 +178,18 @@ def to_lambda(f: ArrowTerm) -> Term:
         return S.lams(f.src, lambda x: S.app(S.proj1(x()), S.proj2(x())))
     if isinstance(f, ABang):
         return S.lams(f.a, lambda x: S.UNIT)
+    # the parts are closed terms, translated before lams is called: a
+    # recursion from inside its body would add the C stack of lams's
+    # unpacked call to every level
     if isinstance(f, ACompose):
-        return S.lams(f.src, lambda x: S.app(to_lambda(f.g), S.app(to_lambda(f.f), x())))
+        g, h = to_lambda(f.g), to_lambda(f.f)
+        return S.lams(f.src, lambda x: S.app(g, S.app(h, x())))
     if isinstance(f, APairing):
-        return S.lams(f.src, lambda x: S.pair(S.app(to_lambda(f.f), x()),
-                                              S.app(to_lambda(f.g), x())))
+        h, k = to_lambda(f.f), to_lambda(f.g)
+        return S.lams(f.src, lambda x: S.pair(S.app(h, x()), S.app(k, x())))
     if isinstance(f, ACurry):
-        return S.lams(f.c, f.a, lambda x, y: S.app(to_lambda(f.f), S.pair(x(), y())))
+        h = to_lambda(f.f)
+        return S.lams(f.c, f.a, lambda x, y: S.app(h, S.pair(x(), y())))
     raise IllFormed(f"not an arrow term: {f!r}")
 
 

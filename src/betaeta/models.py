@@ -343,7 +343,7 @@ def distinguish(a: Term, b: Term, max_base: int) -> Distinguished | None:
         raise TypeMismatch("terms to distinguish must share a type")
     if a.scope or a.named or b.scope or b.named:
         raise IllTyped("terms to distinguish must be closed")
-    if max_base < 2:  # no base to search: the result type is still checked
+    if max_base < 2:  # no base to search: the type is still checked
         _result_atom(a.ty)
     for base in range(2, max_base + 1):
         arg_tys, sizes, ns, total = _SEARCH_CARDS.get((a.ty.uid, base)) or _search_cards(a.ty, base)
@@ -373,17 +373,21 @@ def distinguish(a: Term, b: Term, max_base: int) -> Distinguished | None:
 
 
 def _result_atom(ty: Ty) -> list[Ty]:
-    """The argument types of ``ty``, whose final result must be an atom."""
+    """The argument types of ``ty``, whose final result must be an atom
+    and which must be built from atoms and arrows only."""
     arg_tys, result = split_arrows(ty)
     if not isinstance(result, TyAtom):
         raise IllTyped("the result type must be an atom")
+    if not S.is_product_free(ty):
+        raise IllTyped("hierarchy types are built from atoms and arrows only")
     return arg_tys
 
 
 def _search_cards(ty: Ty, base: int):
     """For a search at ``ty``: the argument types, the card of each, the
     card of the result after each argument, and the number of argument
-    tuples.  A result that is no atom raises before any card is taken."""
+    tuples.  A result that is no atom, or a product or terminal type
+    anywhere in ``ty``, raises before any card is taken."""
     key = (ty.uid, base)
     arg_tys = _result_atom(ty)
     sizes = tuple(_card(base, t) for t in arg_tys)

@@ -9,22 +9,25 @@ iterated arrow types.
 
 Every value of terminal type reads back as the unit constant, so the
 terminal equation holds definitionally.  A contracted normal form is
-obtained from the long form by a maximal eta-contraction pass.  A plain
-beta normal form (no eta in either direction) is available as a
+obtained from the long form by one bottom-up eta-contraction pass.  A
+plain beta normal form (no eta in either direction) is available as a
 diagnostic to exhibit equalities whose proofs genuinely need eta.
 
 Values are plain containers with their serial number first, so ``v[0]``
-is the serial of every value, and the two built most often, closures and
-delayed arguments, call no class constructor.  A closure is the tuple ``(sid, code, env, binder)``, a delayed argument (a
-thunk) is the list ``[sid, code, env, value]``, and the rarer neutrals,
-pairs and unit are the named tuples ``VNe(sid, ne, ty)``,
-``VPair(sid, fst, snd)`` and ``VUnit(sid)``; a neutral, the most common
-of the three in comparisons, is built by ``tuple.__new__``, without the
-Python-level constructor that ``namedtuple`` generates.  The evaluator
-dispatches on the exact type: ``tuple`` is a closure, ``list`` a thunk,
-and a named tuple is neither.  The finite-model evaluator in ``models`` also
-represents a closure as a tuple, ``(body, env)``, so both evaluators
-build closures without a class.
+is the serial of every value, and none is built by a constructor frame.
+A closure is the tuple ``(sid, code, env, binder)`` and a delayed
+argument (a thunk) the list ``[sid, code, env, value]``.  The rest are
+named tuples built by ``tuple.__new__``: ``VPair(sid, fst, snd)``,
+``VUnit(sid)``, and a neutral, one value with its serial first and its
+type second, ``NVar(sid, ty, level)``, ``NFree(sid, ty, name)``,
+``NApp(sid, ty, fn, arg, arg_ty)`` or ``NProj(sid, ty, which, arg)``,
+whose ``fn`` and projected ``arg`` are neutrals (Berger and
+Schwichtenberg, "An inverse of the evaluation functional for typed
+lambda-calculus", 1991).  The evaluator dispatches on the exact
+type: ``tuple`` is a closure, ``list`` a thunk, and a named tuple is
+neither.  The finite-model evaluator in ``models`` also represents a
+closure as a tuple, ``(body, env)``, so both evaluators build closures
+without a class.
 
 Evaluation is call-by-need.  An argument that is itself an application
 with a free de Bruijn index becomes a thunk: its environment and its
@@ -235,45 +238,18 @@ def _force(t):
 
 VPair = namedtuple("VPair", "sid fst snd")
 VUnit = namedtuple("VUnit", "sid")
-VNe = namedtuple("VNe", "sid ne ty")
-# a neutral is built as _new(VNe, (sid, ne, ty)), without the Python-level
+# a neutral is one value, serial first and type second: a bound variable
+# by its de Bruijn level, a named free variable, a neutral applied to an
+# argument of type arg_ty, or a projection of a neutral
+NVar = namedtuple("NVar", "sid ty level")
+NFree = namedtuple("NFree", "sid ty name")
+NApp = namedtuple("NApp", "sid ty fn arg arg_ty")
+NProj = namedtuple("NProj", "sid ty which arg")
+# each is built as _new(cls, (sid, ...)), without the Python-level
 # __new__ that namedtuple generates
 _new = tuple.__new__
 
-VUNIT = VUnit(next(_SERIAL))
-
-
-class NVar:
-    __slots__ = ("level", "ty")
-
-    def __init__(self, level, ty):
-        self.level = level
-        self.ty = ty
-
-
-class NFree:
-    __slots__ = ("name", "ty")
-
-    def __init__(self, name, ty):
-        self.name = name
-        self.ty = ty
-
-
-class NApp:
-    __slots__ = ("fn", "arg", "arg_ty")
-
-    def __init__(self, fn, arg, arg_ty):
-        self.fn = fn
-        self.arg = arg
-        self.arg_ty = arg_ty
-
-
-class NProj:
-    __slots__ = ("which", "arg")
-
-    def __init__(self, which, arg):
-        self.which = which
-        self.arg = arg
+VUNIT = _new(VUnit, (next(_SERIAL),))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +294,7 @@ def _compile(t: Term):
         arg, n, _ = _compile(t.arg)
         out = _proj(1 if cls is Proj1 else 2, arg), n + 1, None
     elif cls is Free:
-        value = _new(VNe, (next(_SERIAL), NFree(t.name, t.ty), t.ty))
+        value = _new(NFree, (next(_SERIAL), t.ty, t.name))
         out = (lambda env: value), 1, None
     else:
         out = (lambda env: VUNIT), 1, None
@@ -375,7 +351,7 @@ def _spine(head, args):
             if type(f) is not tuple:
                 # neutral application: track the argument's type for readback
                 fty = f.ty
-                f = _new(VNe, (next(_SERIAL), NApp(f.ne, a, fty.dom), fty.cod))
+                f = _new(NApp, (next(_SERIAL), fty.cod, f, a, fty.dom))
                 continue
             key = f[0] << 64 | a[0]  # one int for the pair, and no value kept
             out = _APPLIED.get(key)
@@ -407,7 +383,7 @@ def _spine1(head, arg):
         a = arg(env)
         if type(f) is not tuple:
             fty = f.ty
-            return _new(VNe, (next(_SERIAL), NApp(f.ne, a, fty.dom), fty.cod))
+            return _new(NApp, (next(_SERIAL), fty.cod, f, a, fty.dom))
         key = f[0] << 64 | a[0]
         out = _APPLIED.get(key)
         if out is None:
@@ -428,7 +404,7 @@ def _spine2(head, arg1, arg2):
         a = arg1(env)
         if type(f) is not tuple:
             fty = f.ty
-            g = _new(VNe, (next(_SERIAL), NApp(f.ne, a, fty.dom), fty.cod))
+            g = _new(NApp, (next(_SERIAL), fty.cod, f, a, fty.dom))
         else:
             key = f[0] << 64 | a[0]
             g = _APPLIED.get(key)
@@ -451,7 +427,7 @@ def _spine2(head, arg1, arg2):
         b = arg2(env)
         if type(g) is not tuple:
             fty = g.ty
-            return _new(VNe, (next(_SERIAL), NApp(g.ne, b, fty.dom), fty.cod))
+            return _new(NApp, (next(_SERIAL), fty.cod, g, b, fty.dom))
         key = g[0] << 64 | b[0]
         out = _APPLIED.get(key)
         if out is None:
@@ -467,7 +443,7 @@ def _spine2(head, arg1, arg2):
 def _pair(fst, snd):
     def pair(env):
         u, v = fst(env), snd(env)  # the components take their serials first
-        return VPair(next(_SERIAL), u, v)
+        return _new(VPair, (next(_SERIAL), u, v))
     return pair
 
 
@@ -499,7 +475,7 @@ def do_proj(which, v):
     if type(v) is VPair:
         return v.fst if which == 1 else v.snd
     ty = v.ty
-    return _new(VNe, (next(_SERIAL), NProj(which, v.ne), ty.left if which == 1 else ty.right))
+    return _new(NProj, (next(_SERIAL), ty.left if which == 1 else ty.right, which, v))
 
 
 # ---------------------------------------------------------------------------
@@ -513,25 +489,25 @@ def readback(v, ty: Ty, depth: int) -> Term:
     if type(v) is list:
         v = v[3] or _force(v)
     if tcls is TyArrow:
-        fresh = _new(VNe, (next(_SERIAL), NVar(depth, ty.dom), ty.dom))
+        fresh = _new(NVar, (next(_SERIAL), ty.dom, depth))
         body = readback(apply_value(v, fresh), ty.cod, depth + 1)
         return S.lam(ty.dom, body)
     if tcls is TyProd:
         return S.pair(readback(do_proj(1, v), ty.left, depth),
                       readback(do_proj(2, v), ty.right, depth))
-    return readback_ne(v.ne, depth)
+    return readback_ne(v, depth)
 
 
-def readback_ne(ne, depth: int) -> Term:
-    cls = type(ne)
+def readback_ne(v, depth: int) -> Term:
+    cls = type(v)
     if cls is NVar:
-        return S.var(depth - 1 - ne.level, ne.ty)
+        return S.var(depth - 1 - v.level, v.ty)
     if cls is NFree:
-        return S.free(ne.name, ne.ty)
+        return S.free(v.name, v.ty)
     if cls is NApp:
-        return S.app(readback_ne(ne.fn, depth), readback(ne.arg, ne.arg_ty, depth))
-    inner = readback_ne(ne.arg, depth)
-    return S.proj1(inner) if ne.which == 1 else S.proj2(inner)
+        return S.app(readback_ne(v.fn, depth), readback(v.arg, v.arg_ty, depth))
+    inner = readback_ne(v.arg, depth)
+    return S.proj1(inner) if v.which == 1 else S.proj2(inner)
 
 
 def readback_beta(v, depth: int) -> Term:
@@ -542,23 +518,18 @@ def readback_beta(v, depth: int) -> Term:
         v = v[3] or _force(v)
     cls = type(v)
     if cls is tuple:
-        fresh = _new(VNe, (next(_SERIAL), NVar(depth, v[3]), v[3]))
+        fresh = _new(NVar, (next(_SERIAL), v[3], depth))
         return S.lam(v[3], readback_beta(apply_value(v, fresh), depth + 1))
     if cls is VPair:
         return S.pair(readback_beta(v.fst, depth), readback_beta(v.snd, depth))
     if cls is VUnit:
         return UNIT
-    ne = v.ne
-    ncls = type(ne)
-    if ncls is NVar:
-        return S.var(depth - 1 - ne.level, ne.ty)
-    if ncls is NFree:
-        return S.free(ne.name, ne.ty)
-    if ncls is NApp:
-        return S.app(readback_beta(_new(VNe, (next(_SERIAL), ne.fn, None)), depth),
-                     readback_beta(ne.arg, depth))
-    inner = readback_beta(_new(VNe, (next(_SERIAL), ne.arg, None)), depth)
-    return S.proj1(inner) if ne.which == 1 else S.proj2(inner)
+    if cls is NApp:
+        return S.app(readback_beta(v.fn, depth), readback_beta(v.arg, depth))
+    if cls is NProj:
+        inner = readback_beta(v.arg, depth)
+        return S.proj1(inner) if v.which == 1 else S.proj2(inner)
+    return readback_ne(v, depth)  # a variable, bound or free
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +557,7 @@ def values_equal(u, v, ty: Ty, depth: int) -> bool:
             return True
         if tcls is TyArrow:
             dom = ty.dom
-            fresh = _new(VNe, (next(_SERIAL), NVar(depth, dom), dom))
+            fresh = _new(NVar, (next(_SERIAL), dom, depth))
             work[0] += 1
             if work[0] > limit[0]:
                 _exhausted()
@@ -602,7 +573,7 @@ def values_equal(u, v, ty: Ty, depth: int) -> bool:
                 return False
             u, v, ty = do_proj(2, u), do_proj(2, v), ty.right
         else:
-            return _ne_equal(u.ne, v.ne, depth)
+            return _ne_equal(u, v, depth)
 
 
 def _ne_equal(m, n, depth) -> bool:
@@ -645,27 +616,23 @@ def eta_contract(t: Term) -> Term:
     terminal-typed argument, since all such arguments are equal."""
 
     def contract(out):
-        while True:
-            if type(out) is Lam and type(out.body) is App:
-                fn, arg = out.body.fun, out.body.arg
-                contractible = (
-                    (type(arg) is Var and arg.index == 0)
-                    or (type(out.binder) is TyTerminal and type(arg.ty) is TyTerminal)
-                )
-                if contractible and not _occurs(fn, 0):
-                    out = S.shift(fn, -1)
-                    continue
-            if (type(out) is Pair and type(out.fst) is Proj1
-                    and type(out.snd) is Proj2 and out.fst.arg is out.snd.arg):
-                out = out.fst.arg
-                continue
-            return out
+        if type(out) is Lam and type(out.body) is App:
+            fn, arg = out.body.fun, out.body.arg
+            contractible = (
+                (type(arg) is Var and arg.index == 0)
+                or (type(out.binder) is TyTerminal and type(arg.ty) is TyTerminal)
+            )
+            if contractible and not _occurs(fn, 0):
+                return S.shift(fn, -1)
+        elif (type(out) is Pair and type(out.fst) is Proj1
+                and type(out.snd) is Proj2 and out.fst.arg is out.snd.arg):
+            return out.fst.arg
+        return out
 
-    prev = None
-    while prev is not t:
-        prev = t
-        t = S.map_term(t, lambda u, d: u, post=contract)
-    return t
+    # one pass: map_term contracts the children before their parent, and a
+    # contraction leaves a child, itself contracted, or its shift; a shift
+    # is injective on the indices it meets, so it makes no new redex
+    return S.map_term(t, lambda u, d: u, post=contract)
 
 
 # ---------------------------------------------------------------------------

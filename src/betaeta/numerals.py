@@ -164,8 +164,21 @@ def lowering_pair(i: int) -> tuple[Term, Term]:
             lams(t1, t0, lambda y, z: z()))
 
 
-TAGS = ("Cond", "Lower", "Expo", "Add", "Mul", "Pair", "Proj1", "Proj2",
-        "Aux_T", "Aux_H", "Pred", "Raise", "Check")
+_BUILDERS = {
+    "Cond": cond,
+    "Lower": lower,
+    "Expo": expo,
+    "Add": add,
+    "Mul": mul,
+    "Pair": pairing,
+    "Proj1": proj_first,
+    "Proj2": proj_second,
+    "Aux_T": step_pair,
+    "Aux_H": fold_pairs,
+    "Pred": pred,
+    "Raise": raise_one,
+}
+TAGS = (*_BUILDERS, "Check")
 
 
 class CombinatorKind(Record):
@@ -181,22 +194,6 @@ class CombinatorKind(Record):
             raise SideConditionViolated("combinator level must be a natural number")
         if (self.check is not None) != (self.tag == "Check"):
             raise SideConditionViolated("a check constant is given exactly for Check")
-
-
-_BUILDERS = {
-    "Cond": cond,
-    "Lower": lower,
-    "Expo": expo,
-    "Add": add,
-    "Mul": mul,
-    "Pair": pairing,
-    "Proj1": proj_first,
-    "Proj2": proj_second,
-    "Aux_T": step_pair,
-    "Aux_H": fold_pairs,
-    "Pred": pred,
-    "Raise": raise_one,
-}
 
 
 def combinator(kind: CombinatorKind) -> Term:

@@ -15,7 +15,7 @@ from betaeta import syntax as S
 from betaeta.errors import BadCertificate
 from betaeta.numerals import church
 
-from conftest import memo_sizes
+from conftest import memo_sizes, run_in_child
 
 
 def run(capsys, *argv):
@@ -557,6 +557,30 @@ def test_a_deeply_nested_certificate_is_refused_as_not_json(tmp_path):
                           timeout=300)
     assert (proc.returncode, proc.stdout, proc.stderr.strip()) == (
         cli.EXIT_FAIL, "", "certificate: not JSON: nested more than 10000 deep")
+
+
+def test_a_deep_compose_chain_in_a_certificate_ends_with_an_exit_code(tmp_path):
+    # f is p1[p, p] behind 30,000 compositions with id[p]: its translation
+    # to a lambda term once recursed from inside each lams body, whose
+    # unpacked call takes C stack on Python 3.11, and crashed (exit 139).
+    # Now 3.11 replays it and fails, exit 1; 3.10's arrow reader refuses
+    # the nesting, exit 2.  A child runs it, as a crash would take the
+    # test process down
+    p = S.atom("p")
+    cert = json.loads(certio.serialize_certificate(C.collapse(C.AProj(1, p, p), C.AProj(2, p, p))))
+    cert["payload"]["f"] = "id[p] . " * 30_000 + "p1[p, p]"
+    path = tmp_path / "deep_compose.json"
+    path.write_text(json.dumps(cert))
+    out = run_in_child(
+        "import contextlib, io\n"
+        "from betaeta import cli\n"
+        "with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+        f"    code = cli.main(['verify', {str(path)!r}])\n"
+        "print(code, err.getvalue().strip())\n", timeout=300)
+    if sys.version_info >= (3, 11):
+        assert out == f"fail\n{cli.EXIT_FAIL} \n"
+    else:
+        assert out == f"{cli.EXIT_PARSE} parse error: arrow term nested too deeply (at position 0)\n"
 
 
 @pytest.mark.parametrize("level", [

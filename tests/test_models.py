@@ -554,6 +554,9 @@ def test_distinguish_raises_in_its_order(max_base):
         ([(open_pair,) * 2, _two_nodes(open_pair)], IllTyped, "must be closed"),
         ([(S.parse_term(no_card + "<x, x>"),) * 2, _two_nodes(S.parse_term(no_card + "<x, x>"))],
          IllTyped, "the result type must be an atom"),
+        ([(S.parse_term("\\x:p*p. p1 x"),) * 2,
+          (S.parse_term("\\x:p*p. p1 x"), S.parse_term("\\x:p*p. p2 x"))],
+         IllTyped, "hierarchy types are built from atoms and arrows only"),
     ]
     for pairs, error, message in cases:
         for a, b in pairs:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from betaeta import ccc as C
 from betaeta import normalize as Nz
 from betaeta import syntax as S
 from betaeta.errors import IllTyped, ResourceExhausted, TypeMismatch
@@ -132,12 +133,16 @@ def test_long_nf_idempotent():
 
 
 def test_contracted_forms_are_fixed_points():
+    # also translations of random arrows and their long forms, whose pairs
+    # and terminal types meet the pair and terminal rules: one contraction
+    # pass leaves nothing to contract
     rng = random.Random(13)
-    for ty in PRODUCT_FREE_ROSTER:
-        for _ in range(10):
-            t = gen_closed_term(ty, rng)
-            c = Nz.beta_eta_nf(t).term
-            assert Nz.beta_eta_nf(c).term is c
+    terms = [gen_closed_term(ty, rng) for ty in PRODUCT_FREE_ROSTER for _ in range(10)]
+    arrows = [C.to_lambda(C.random_arrow(rng, 3)) for _ in range(40)]
+    for t in terms + arrows + [Nz.long_nf(a).term for a in arrows]:
+        c = Nz.beta_eta_nf(t).term
+        assert Nz.beta_eta_nf(c).term is c
+        assert Nz.eta_contract(c) is c
 
 
 def test_terminal_argument_contraction():
