@@ -15,7 +15,8 @@ _NAMES = {
               " substitute_term substitute_types tower_type type_of TERMINAL UNIT",
     "normalize": "beta_eta_nf beta_nf decide_eq long_nf NormalForm",
     "numerals": "CombinatorKind church combinator lowering_pair",
-    "models": "Functional PModel define_functional distinguish i_defines_check kappa",
+    "hierarchy": "Functional PModel kappa",
+    "models": "define_functional distinguish i_defines_check",
     "checker": "ArrowTerm CollapseCertificate ProductCertificate SeparationCertificate"
                " decide_ccc_eq parse_arrow projector replay_collapse show_arrow to_lambda"
                " verify verify_product",

@@ -25,7 +25,7 @@ whose ``fn`` and projected ``arg`` are neutrals (Berger and
 Schwichtenberg, "An inverse of the evaluation functional for typed
 lambda-calculus", 1991).  The evaluator dispatches on the exact
 type: ``tuple`` is a closure, ``list`` a thunk, and a named tuple is
-neither.  The finite-model evaluator in ``models`` also represents a
+neither.  The finite-model evaluator in ``hierarchy`` also represents a
 closure as a tuple, ``(body, env)``, so both evaluators build closures
 without a class.
 

@@ -138,19 +138,26 @@ def raise_one(i: int) -> Term:
 def check(k: int, i: int) -> Term:
     """Equality test against the constant ``k``: a level-i numeral for n
     maps to 0 if n = k and to 1 otherwise.  Requires i >= 3k because each
-    recursion step burns three levels."""
+    recursion step burns three levels.  Built from ``check(0, i - 3k)``
+    up, each step wrapping the test below it, so no build nests."""
     if k < 0:
         raise SideConditionViolated("check constant must be a natural number")
     if i < 3 * k:
         raise SideConditionViolated(f"check against {k} needs level >= {3 * k}, got {i}")
-    if k == 0:
-        return lams(numeral_type(i), lambda x: apps(cond(i), x(), church(0, i), church(1, i)))
+    low = i - 3 * k
+    out = lams(numeral_type(low), lambda x: apps(cond(low), x(), church(0, low), church(1, low)))
+    for j in range(low + 3, i + 1, 3):
+        out = lams(numeral_type(j), _check_step(out, j))
+    return out
 
+
+def _check_step(below: Term, i: int):
+    """The body of ``check(k, i)`` over ``below``, which is ``check(k - 1, i - 3)``."""
     def body(x):
-        inner = app(check(k - 1, i - 3), app(pred(i - 3), x()))
+        inner = app(below, app(pred(i - 3), x()))
         lifted = app(raise_one(i), app(raise_one(i - 1), app(raise_one(i - 2), inner)))
         return apps(cond(i), x(), church(1, i), lifted)
-    return lams(numeral_type(i), body)
+    return body
 
 
 @_leveled

@@ -179,12 +179,17 @@ def arrows(*tys: Ty) -> Ty:
     return result
 
 
+# per base type uid: its tower types by level, grown on demand
+_TOWERS: dict = {}
+
+
 def tower_type(i: int, base: Ty | None = None) -> Ty:
     """The i-th iterate of A -> A starting from the atom p (or ``base``)."""
     t = base if base is not None else atom("p")
-    for _ in range(i):
-        t = arrow(t, t)
-    return t
+    levels = _TOWERS.setdefault(t.uid, [t])
+    while len(levels) <= i:
+        levels.append(arrow(levels[-1], levels[-1]))
+    return levels[i] if i > 0 else t
 
 
 def numeral_type(i: int, base: Ty | None = None) -> Ty:

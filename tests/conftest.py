@@ -19,6 +19,7 @@ import sys
 import pytest
 
 from betaeta import checker, cli
+from betaeta import hierarchy as H
 from betaeta import models as M
 from betaeta import separator as Sep
 from betaeta import syntax as S
@@ -147,7 +148,7 @@ def memo_sizes() -> dict[str, int]:
 
 def from_table(model: M.PModel, ty: TyArrow, digits: list[int]) -> M.Functional:
     """The element of ``ty`` whose table of outputs is ``digits``."""
-    return M.Functional(model, ty, M._pack(digits, model.card(ty.cod)))
+    return M.Functional(model, ty, H._pack(digits, model.card(ty.cod)))
 
 
 def min_check_level(phi: M.Functional) -> int:

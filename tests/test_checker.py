@@ -1,9 +1,11 @@
 """The checker and the certificate text stand apart from the producers:
 ``checker`` imports only the syntax, the normalizer and the errors, and
 ``certio`` only those and the checker, so a reader who replays a
-certificate trusts none of the code that built it.  The rule is read off
-the source, and off ``sys.modules`` in a fresh process that decodes and
-replays certificates, since the package imports a module on first use."""
+certificate trusts none of the code that built it; ``hierarchy``, the
+finite-model evaluator, imports only the syntax and the errors.  The rule
+is read off the source, and off ``sys.modules`` in a fresh process that
+decodes and replays certificates, since the package imports a module on
+first use."""
 
 import ast
 import os
@@ -39,6 +41,14 @@ def _package_imports(filename):
 def test_the_checker_imports_only_syntax_normalize_and_errors():
     modules = {module for module, _ in _package_imports("checker.py")}
     assert modules == {"errors", "syntax", "normalize"}
+
+
+def test_the_hierarchy_imports_only_syntax_and_errors():
+    # so the checker may re-evaluate a model witness without a producer
+    modules = {module for module, _ in _package_imports("hierarchy.py")}
+    assert modules == {"errors", "syntax"}
+    out = run_in_child("import sys\nimport betaeta.hierarchy\nprint(*sys.modules)\n")
+    assert _loaded(out) == {"betaeta", "betaeta.errors", "betaeta.hierarchy", "betaeta.syntax"}
 
 
 def test_certificate_io_imports_only_syntax_errors_the_checker_and_the_version():

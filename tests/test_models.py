@@ -9,6 +9,7 @@ import weakref
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from betaeta import hierarchy as H
 from betaeta import models as M
 from betaeta import numerals as N
 from betaeta import syntax as S
@@ -77,13 +78,13 @@ def test_application_is_digit_extraction():
 
 def test_eval_identity_table():
     m = M.PModel(2)
-    ident = M.eval_closed(S.parse_term("\\x:p. x"), m)
+    ident = H.eval_closed(S.parse_term("\\x:p. x"), m)
     assert ident.table() == [0, 1]
 
 
 def test_eval_church_one_is_identity():
     m = M.PModel(2)
-    v = M.eval_closed(N.church(1, 0), m)
+    v = H.eval_closed(N.church(1, 0), m)
     for psi in m.enum(pp):
         assert v(psi) == psi
 
@@ -92,22 +93,22 @@ def test_eval_refuses_a_free_variable():
     m = M.PModel(2)
     t = S.free("x", p)
     with pytest.raises(S.UnboundVariable):
-        M.eval_closed(t, m)
+        H.eval_closed(t, m)
 
 
 def test_eval_rejects_products():
     m = M.PModel(2)
     t = S.parse_term("\\x:p*p. p1 x")
     with pytest.raises(IllTyped):
-        M.eval_closed(t, m)
+        H.eval_closed(t, m)
 
 
 def test_worked_example_values():
     a, b = worked_pair()
     m = M.PModel(2)
     phi = from_table(m, ppp, [1, 0, 0, 0])  # 1 on the constant-zero branch
-    assert M.eval_closed(a, m)(phi).code == 0
-    assert M.eval_closed(b, m)(phi).code == 1
+    assert H.eval_closed(a, m)(phi).code == 0
+    assert H.eval_closed(b, m)(phi).code == 1
 
 
 def test_distinguish_worked_example():
@@ -167,7 +168,7 @@ def test_distinguish_rejects_a_loose_index():
 
 def test_eval_closed_rejects_a_loose_index():
     with pytest.raises(IllTyped):
-        M.eval_closed(S.lam(p, S.var(1, p)), M.PModel(2))
+        H.eval_closed(S.lam(p, S.var(1, p)), M.PModel(2))
 
 
 def test_transport_round_trip():
@@ -175,7 +176,7 @@ def test_transport_round_trip():
         m = M.PModel(base)
 
         def move(phi, perm=perm, inv=inv):
-            return m.functional(phi.ty, M._transport(phi.code, phi.ty, base, perm, inv))
+            return m.functional(phi.ty, H._transport(phi.code, phi.ty, base, perm, inv))
 
         moved = [move(phi) for phi in m.enum(ty)]
         # a permutation of the elements, and not the identity
@@ -202,7 +203,7 @@ def test_coded_application_is_the_elements_digit_extraction():
     # a lambda passed to a code is forced to its code first
     m = M.PModel(2)
     ident = from_table(m, pp, [0, 1])
-    at_ident = M.eval_closed(S.parse_term("\\g:(p->p)->p. g (\\y:p. y)"), m)
+    at_ident = H.eval_closed(S.parse_term("\\g:(p->p)->p. g (\\y:p. y)"), m)
     for g in m.enum(ppp):
         assert at_ident(g) == g(ident)
 
@@ -217,7 +218,7 @@ def test_coded_application_is_the_elements_digit_extraction():
 ], ids=["domain", "table", "nested-domain"])
 def test_materializing_a_lambda_is_capped(text, base, message):
     with pytest.raises(Overflow, match=f"^{re.escape(message)}$"):
-        M.eval_closed(S.parse_term(text), M.PModel(base))
+        H.eval_closed(S.parse_term(text), M.PModel(base))
 
 
 def test_branch_order_matches_catalogued_listing():
@@ -359,7 +360,7 @@ def test_closed_terms_define_their_values():
     for ty in PRODUCT_FREE_ROSTER:
         for _ in range(3):
             a = gen_closed_term(ty, rng, fuel=2)
-            value = M.eval_closed(a, m)
+            value = H.eval_closed(a, m)
             i = min_check_level(value)
             i += i % 2
             inst = S.substitute_types(a, {"p": S.numeral_type(i)})
@@ -526,8 +527,8 @@ def test_repeating_a_search_grows_nothing():
              (S.parse_term("\\F:(p->p->p)->p. F (\\y:p. \\z:p. y)"),
               S.parse_term("\\F:(p->p->p)->p. F (\\y:p. \\z:p. z)"))]
     first = [_payload(M.distinguish(a, b, 3)) for a, b in pairs]
-    assert None not in first and (pairs[0][0].uid, 2) in M._CODE
-    tables = M._CODE, M._CARDS, M._SEARCH_CARDS
+    assert None not in first and (pairs[0][0].uid, 2) in H._CODE
+    tables = H._CODE, H._CARDS, M._SEARCH_CARDS
     sizes = [len(t) for t in tables], memo_sizes(), S.interned_term_count()
     assert [_payload(M.distinguish(a, b, 3)) for a, b in pairs] == first
     assert ([len(t) for t in tables], memo_sizes(), S.interned_term_count()) == sizes
@@ -607,17 +608,17 @@ def test_a_closed_argument_is_forced_once_per_node_and_base(monkeypatch):
     # which share the application node, and the lambda's table is built once
     t = S.parse_term("\\F:(p->p->p)->p. F (\\y:p. \\z:p. y)")
     arg_ty = t.ty.dom.dom
-    at_3 = M.eval_closed(t.body.arg, M.PModel(3)).code
+    at_3 = H.eval_closed(t.body.arg, M.PModel(3)).code
     tables = []
-    real = M._force
+    real = H._force
 
     def spy(v, base, ty):
         if ty is arg_ty and type(v) is tuple:
             tables.append(base)
         return real(v, base, ty)
 
-    monkeypatch.setattr(M, "_force", spy)
-    monkeypatch.setattr(M, "_CODE", {})  # compiled afresh, whatever ran before
+    monkeypatch.setattr(H, "_force", spy)
+    monkeypatch.setattr(H, "_CODE", {})  # compiled afresh, whatever ran before
     assert M.distinguish(*_two_nodes(t), 2) is None
     assert tables == [2]
     # base 3 has no card for F's type, so F's codes are applied by hand:

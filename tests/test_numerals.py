@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from betaeta import numerals as N
@@ -72,6 +74,22 @@ def test_check_against_constant():
     assert decide_eq(S.app(N.check(2, 6), N.church(5, 6)), N.church(1, 6))
     assert decide_eq(S.app(N.check(0, 1), N.church(0, 1)), N.church(0, 1))
     assert decide_eq(S.app(N.check(0, 1), N.church(3, 1)), N.church(1, 1))
+
+
+# the sha256 of check(k, i) printed with its alias table, for each k < 12
+# at levels 3k, 3k + 1, 3k + 4 and 3k + 9, as the recursive build printed them
+CHECK_TERMS_PIN = "dbc088c875dd0c35914bf474e8f95ac9440a0e3d5d8ae0f4789178e18870cbca"
+
+
+def test_check_terms_are_pinned():
+    digest = hashlib.sha256()
+    for k in range(12):
+        for i in (3 * k, 3 * k + 1, 3 * k + 4, 3 * k + 9):
+            t = N.check(k, i)
+            defs, names = S.type_alias_table([t])
+            for line in [f"{n} = {d}" for n, d in defs] + [S.show_term(t, names)]:
+                digest.update((line + "\n").encode())
+    assert digest.hexdigest() == CHECK_TERMS_PIN
 
 
 def test_check_side_condition():

@@ -16,7 +16,8 @@ EXPORTS = {
               " substitute_term substitute_types tower_type type_of TERMINAL UNIT",
     "normalize": "beta_eta_nf beta_nf decide_eq long_nf NormalForm",
     "numerals": "CombinatorKind church combinator lowering_pair",
-    "models": "Functional PModel define_functional distinguish i_defines_check kappa",
+    "hierarchy": "Functional PModel kappa",
+    "models": "define_functional distinguish i_defines_check",
     "checker": "ArrowTerm CollapseCertificate ProductCertificate SeparationCertificate"
                " decide_ccc_eq projector replay_collapse show_arrow to_lambda verify"
                " verify_product",
@@ -24,8 +25,8 @@ EXPORTS = {
     "products": "IsoWitness build_iso differing_component measure separate_prod split type_nf",
     "ccc": "arrow_type_of check_axioms collapse parse_arrow",
 }
-SUBMODULES = ("syntax", "normalize", "numerals", "models", "checker", "separator", "products",
-              "ccc", "errors", "certio", "cli")
+SUBMODULES = ("syntax", "normalize", "numerals", "hierarchy", "models", "checker", "separator",
+              "products", "ccc", "errors", "certio", "cli")
 
 
 @pytest.mark.parametrize("module", sorted(EXPORTS))

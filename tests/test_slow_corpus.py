@@ -2,7 +2,9 @@
 minutes in all: run only with ``BETAETA_SLOW_CORPUS=1``, as a step of
 its own in CI.  The outcome of every pair is pinned: the level it
 separates at, whose certificate then verifies, or the refusal's class
-and message.  The cheap sets are in ``test_corpus.py``."""
+and message.  The cheap sets are in ``test_corpus.py``.  A check against
+8,000 at level 24,000 is built here too, in a child process, since the
+recursive build of it crashed the interpreter."""
 
 import os
 
@@ -10,7 +12,7 @@ import pytest
 
 from betaeta import syntax as S
 
-from conftest import long_normal_forms, separate_every_pair
+from conftest import long_normal_forms, run_in_child, separate_every_pair
 
 pytestmark = pytest.mark.skipif(os.environ.get("BETAETA_SLOW_CORPUS") != "1",
                                 reason="set BETAETA_SLOW_CORPUS=1 to run the slow corpus")
@@ -40,3 +42,11 @@ def test_every_unequal_pair_has_its_pinned_outcome(text, n):
     pairs, usual, other, digest = SLOW_CORPUS_PINS[text, n]
     forms = long_normal_forms(S.parse_type(text), n)
     assert separate_every_pair(forms) == ([other.get(i, usual) for i in range(pairs)], digest)
+
+
+def test_a_deep_check_builds():
+    # each level wraps the one below, so no build nests 8,000 calls deep
+    out = run_in_child("from betaeta import numerals as N, syntax as S\n"
+                       "n = S.numeral_type(24000)\n"
+                       "print(N.check(8000, 24000).ty is S.arrow(n, n))\n", timeout=120)
+    assert out == "True\n"

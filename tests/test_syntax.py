@@ -8,7 +8,7 @@ from betaeta.errors import (
 )
 from betaeta.normalize import decide_eq
 
-from conftest import PRODUCT_FREE_ROSTER, gen_closed_term, memo_sizes, run_in_child
+from conftest import PRODUCT_FREE_ROSTER, gen_closed_term, log_calls, memo_sizes, run_in_child
 
 p = S.atom("p")
 q = S.atom("q")
@@ -25,6 +25,20 @@ def test_tower_sharing_is_linear():
     assert S.tower_type(0) is p
     assert S.type_node_count(S.tower_type(30)) == 31
     assert S.type_node_count(S.tower_type(64)) == 65
+
+
+def test_a_tower_level_is_built_once(monkeypatch):
+    # each base keeps its tower levels, so a level asked for again, or one
+    # below it, interns nothing and takes no arrow lookup
+    q = S.atom("q")
+    top, over_q = S.tower_type(5000), S.tower_type(3, q)
+    calls = log_calls(monkeypatch, (S, "arrow"))
+    assert S.tower_type(5000) is top and S.numeral_type(4998) is top
+    assert S.tower_type(4999) is top.dom and S.tower_type(-1) is p
+    assert S.tower_type(3, q) is over_q and S.tower_type(2, q) is over_q.cod
+    assert calls == []
+    qq = S.arrow(q, q)
+    assert over_q is S.arrow(S.arrow(qq, qq), S.arrow(qq, qq))
 
 
 def test_repr_is_bounded_by_the_unfolded_size():
