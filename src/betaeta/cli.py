@@ -6,7 +6,8 @@ importing this module loads any.
 Exit codes: 0 success (for ``eq``: equal), 1 failed check or unequal
 pair, 2 parse error, 3 type error, 4 separation of a provably equal
 pair, 5 search or resource budget exceeded, 6 unsupported certificate
-schema version.
+schema version.  A refusal's code and stderr label are its error class's
+(see ``errors``), and a run's node and step budgets end with the run.
 """
 
 from __future__ import annotations
@@ -21,18 +22,14 @@ from .checker import (
 )
 from . import syntax as S
 from .errors import (
-    BadCertificate, BetaEtaError, EqualArrows, EqualTerms, IllFormed,
-    IllTyped, LevelAboveMax, NotSeparable, Overflow, ParseError, ResourceExhausted,
-    SideConditionViolated, TypeMismatch, UnboundVariable, UnsupportedSchema, not_too_deep,
+    BadCertificate, BetaEtaError, EqualTerms, IllTyped, Overflow, ParseError,
+    UnsupportedSchema, not_too_deep,
 )
 from .normalize import beta_eta_nf, decide_eq, long_nf, set_work_budget
 
-EXIT_FAIL = 1
-EXIT_PARSE = 2
-EXIT_TYPE = 3
-EXIT_EQUAL = 4
-EXIT_BUDGET = 5
-EXIT_SCHEMA = 6
+EXIT_FAIL, EXIT_PARSE, EXIT_TYPE, EXIT_EQUAL, EXIT_BUDGET, EXIT_SCHEMA = (
+    family.exit_code
+    for family in (BetaEtaError, ParseError, IllTyped, EqualTerms, Overflow, UnsupportedSchema))
 
 
 # ---------------------------------------------------------------------------
@@ -352,38 +349,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    S.set_node_budget(args.mem_budget)
-    set_work_budget(max(args.mem_budget * 50, 1_000_000))
+    nodes = S.set_node_budget(args.mem_budget)
+    steps = set_work_budget(max(args.mem_budget * 50, 1_000_000))
     try:
         return not_too_deep(args.fn)(args)
-    except ParseError as exc:
-        _diag(f"parse error: {exc}")
-        return EXIT_PARSE
-    except (IllTyped, TypeMismatch, UnboundVariable, IllFormed,
-            SideConditionViolated) as exc:
-        _diag(f"type error: {exc}")
-        return EXIT_TYPE
-    except (EqualTerms, EqualArrows) as exc:
-        _diag(f"equal: {exc}")
-        return EXIT_EQUAL
-    except LevelAboveMax as exc:
-        _diag(str(exc))
-        return EXIT_BUDGET
-    except (NotSeparable, Overflow, ResourceExhausted) as exc:
-        _diag(f"budget: {exc}")
-        return EXIT_BUDGET
-    except UnsupportedSchema as exc:
-        _diag(str(exc))
-        return EXIT_SCHEMA
-    except BadCertificate as exc:
-        _diag(f"certificate: {exc}")
-        return EXIT_FAIL
     except BetaEtaError as exc:
-        _diag(str(exc))
-        return EXIT_FAIL
+        _diag(f"{exc.label}{exc}")
+        return exc.exit_code
     except OSError as exc:
         _diag(f"io error: {exc}")
         return EXIT_FAIL
+    finally:
+        S.set_node_budget(nodes)
+        set_work_budget(steps)
 
 
 if __name__ == "__main__":

@@ -160,10 +160,12 @@ _SERIAL = count()
 _CODE: dict = {}
 
 
-def set_work_budget(n: int | None):
-    """Cap evaluation steps across normalization calls (None = unlimited)."""
-    _WORK_LIMIT[0] = float("inf") if n is None else n
+def set_work_budget(n: int | None) -> int | float:
+    """Cap evaluation steps across normalization calls (None = unlimited),
+    counted from 0 on; returns the old cap."""
+    old, _WORK_LIMIT[0] = _WORK_LIMIT[0], float("inf") if n is None else n
     _WORK[0] = 0
+    return old
 
 
 def _exhausted():

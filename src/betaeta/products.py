@@ -316,19 +316,13 @@ def split(a: Term):
         raise IllTyped("splitting expects a type in product normal form")
     if isinstance(a.ty, TyTerminal):
         return UNIT_MARKER
-    nf = long_nf(a).term
-
-    def walk(t):
-        if isinstance(t.ty, TyProd):
-            if not isinstance(t, S.Pair):
-                raise IllTyped("long form of a product is a pair")
-            return walk(t.fst) + [t.snd]
-        return [t]
-
-    try:
-        return walk(nf)
-    finally:
-        del walk
+    t, parts = long_nf(a).term, []
+    while isinstance(t.ty, TyProd):  # a left-nested pair, read from the right
+        if not isinstance(t, S.Pair):
+            raise IllTyped("long form of a product is a pair")
+        parts.append(t.snd)
+        t = t.fst
+    return [t, *parts[::-1]]
 
 
 def differing_component(a: Term, b: Term, iso: IsoWitness) -> int:

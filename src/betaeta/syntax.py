@@ -263,23 +263,18 @@ def type_atoms(ty: Ty) -> set[str]:
     return {t.name for t in subtypes(ty) if type(t) is TyAtom}
 
 
-def subst_type(ty: Ty, mapping: dict[str, Ty], _memo=None) -> Ty:
+def subst_type(ty: Ty, mapping: dict[str, Ty]) -> Ty:
     """Replace atoms by types throughout ``ty`` (uniform replacement)."""
-    if _memo is None:
-        _memo = {}
-    hit = _memo.get(ty.uid)
-    if hit is not None:
-        return hit
-    if isinstance(ty, TyAtom):
-        out = mapping.get(ty.name, ty)
-    elif isinstance(ty, TyArrow):
-        out = arrow(subst_type(ty.dom, mapping, _memo), subst_type(ty.cod, mapping, _memo))
-    elif isinstance(ty, TyProd):
-        out = prod(subst_type(ty.left, mapping, _memo), subst_type(ty.right, mapping, _memo))
-    else:
-        out = ty
-    _memo[ty.uid] = out
-    return out
+    out: dict[int, Ty] = {}
+    for t in subtypes(ty):  # children first
+        cls = type(t)
+        if cls is TyArrow:
+            out[t.uid] = arrow(out[t.dom.uid], out[t.cod.uid])
+        elif cls is TyProd:
+            out[t.uid] = prod(out[t.left.uid], out[t.right.uid])
+        else:
+            out[t.uid] = mapping.get(t.name, t) if cls is TyAtom else t
+    return out[ty.uid]
 
 
 def is_product_free(ty: Ty) -> bool:
@@ -345,9 +340,10 @@ _TERMS: dict = {}
 _NODE_BUDGET = [10_000_000]
 
 
-def set_node_budget(n: int | None):
-    """Cap the number of distinct interned term nodes (None = unlimited)."""
-    _NODE_BUDGET[0] = n
+def set_node_budget(n: int | None) -> int | None:
+    """Cap the distinct interned term nodes (None = unlimited); returns the old cap."""
+    old, _NODE_BUDGET[0] = _NODE_BUDGET[0], n
+    return old
 
 
 def interned_term_count() -> int:
@@ -705,10 +701,8 @@ def substitute_term(a: Term, name: str, b: Term) -> Term:
 @memo(lambda a, mapping: (a.uid, tuple(sorted((n, t.uid) for n, t in mapping.items()))))
 def substitute_types(a: Term, mapping: dict[str, Ty]) -> Term:
     """Apply an atom-to-type substitution to every annotation in ``a``."""
-    tymemo: dict = {}
-
     def ty(t):
-        return subst_type(t, mapping, tymemo)
+        return subst_type(t, mapping)
 
     def leaf(u, d):
         cls = type(u)
@@ -1095,7 +1089,8 @@ def show_term(t: Term, type_names: dict[int, str] | None = None) -> str:
     types to alias identifiers, as ``type_alias_table`` gives them.
     Without it, a term whose types written out take more than
     ``PRINT_NODES`` nodes (``fits_inline`` with that limit) raises
-    ``TooLargeToPrint``, since its text could outgrow memory."""
+    ``TooLargeToPrint``, since its text could outgrow memory.  The text is
+    one list of pieces, joined once, so it takes time linear in its length."""
     if type_names is None and not fits_inline(t, PRINT_NODES):
         raise TooLargeToPrint(f"term #{t.uid} has types of more than {PRINT_NODES} nodes written"
                               " out; print it with the names of type_alias_table")
@@ -1104,42 +1099,53 @@ def show_term(t: Term, type_names: dict[int, str] | None = None) -> str:
     last = 0  # the number in the deepest binder's name
     binder_types: dict[Ty, str] = {}  # each distinct binder type but an atom, rendered once
 
+    out: list[str] = []  # the text's pieces, joined once at the end
+    put = out.append
+
     def go(u, depth, prec):
         # prec 0 = top, 1 = left of an application, 2 = argument position
         nonlocal last
         cls = type(u)
-        if cls is App:
-            arg = u.arg  # a variable argument is named here, without a call
-            arg = names[depth + ~arg.index] if type(arg) is Var else go(arg, depth, 2)
-            s = f"{go(u.fun, depth, 1)} {arg}"
-            return f"({s})" if prec > 1 else s
         if cls is Var:
-            return names[depth + ~u.index]
-        if cls is Lam:
+            return put(names[depth + ~u.index])
+        if cls is Pair:
+            put("<")
+            go(u.fst, depth, 0)
+            put(", ")
+            go(u.snd, depth, 0)
+            return put(">")
+        if cls is Free or cls is Unit:
+            return put("k" if cls is Unit else u.name)
+        wrap = prec > (cls is not Lam)  # a lambda past the top, the others as arguments
+        if wrap:
+            put("(")
+        if cls is App:
+            go(u.fun, depth, 1)
+            put(" ")
+            arg = u.arg  # a variable argument is named here, without a call
+            put(names[depth + ~arg.index]) if type(arg) is Var else go(arg, depth, 2)
+        elif cls is Lam:
             if depth == len(names):  # the first binder this deep
                 last += 1
                 while (name := f"x{last}") in taken:
                     last += 1
                 names.append(name)
-            body = go(u.body, depth + 1, 0)
             ty = u.binder  # an atom is never aliased
             ty = ty.name if type(ty) is TyAtom else (
                 binder_types.get(ty) or binder_types.setdefault(ty, _show_type(ty, type_names, 0)))
-            s = f"\\{names[depth]}:{ty}. {body}"
-            return f"({s})" if prec > 0 else s
-        if cls is Free:
-            return u.name
-        if cls is Unit:
-            return "k"
-        if cls is Pair:
-            return f"<{go(u.fst, depth, 0)}, {go(u.snd, depth, 0)}>"
-        s = f"{'p1' if cls is Proj1 else 'p2'} {go(u.arg, depth, 2)}"
-        return f"({s})" if prec > 1 else s
+            put(f"\\{names[depth]}:{ty}. ")
+            go(u.body, depth + 1, 0)
+        else:
+            put("p1 " if cls is Proj1 else "p2 ")
+            go(u.arg, depth, 2)
+        if wrap:
+            put(")")
 
     try:
-        return go(t, 0, 0)
+        go(t, 0, 0)
     finally:
         del go
+    return "".join(out)
 
 
 def type_alias_table(roots: list[Term | Ty]) -> tuple[list[tuple[str, str]], dict[int, str]]:

@@ -9,6 +9,7 @@ import pytest
 from betaeta import certio, cli
 from betaeta import ccc as C
 from betaeta import models as M
+from betaeta import normalize as Nz
 from betaeta import products as P
 from betaeta import separator as Sep
 from betaeta import syntax as S
@@ -512,6 +513,20 @@ def test_mem_budget_from_the_environment(capsys, monkeypatch):
     assert "argument --mem-budget: invalid int value: '1e6'" in capsys.readouterr().err
 
 
+def test_a_run_s_budgets_end_with_the_run(capsys):
+    # the node cap trips on the run's first new node, and neither cap
+    # outlives the run: a separation in the same process still succeeds
+    caps = S._NODE_BUDGET[0], Nz._WORK_LIMIT[0]
+    budget = S.interned_term_count() + 2
+    code, out, err = run(capsys, "--mem-budget", str(budget), "eq",
+                         r"\a:qcap->qcap. \b:qcap. a (a b)", r"\a:qcap->qcap. \b:qcap. a b")
+    assert (code, out, err) == (cli.EXIT_BUDGET, "", f"budget: term interner exceeded {budget}"
+                                " nodes; raise the budget to continue\n")
+    assert (S._NODE_BUDGET[0], Nz._WORK_LIMIT[0]) == caps
+    a, b = (S.parse_term(r"\x:(p->p)->p. x \y:p. x \z:p. " + v) for v in "yz")
+    assert cli.verify_certificate(Sep.separate_two(a, b))
+
+
 def test_deep_term_exits_with_budget_code(tmp_path):
     # a deep recursion could take the test process down, so run a child.
     # Term and type text of any depth parses; comparing two terms that
@@ -795,6 +810,16 @@ def test_verify_rejects_a_source_field_of_the_wrong_type(tmp_path, capsys, field
     code, out, err = _verify_envelope(tmp_path, capsys, env)
     assert (code, out) == (cli.EXIT_FAIL, "")
     assert err.startswith("certificate: ") and message in err
+
+
+def test_verify_refuses_a_variable_bound_at_two_types(tmp_path, capsys):
+    code, out, _ = run(capsys, "separate", r"\x:p->p.\y:p. x y", r"\x:p->p.\y:p. x (x y)",
+                       "c", "d", "--ctx", "c:p, d:p")
+    env = json.loads(out)
+    assert env["payload"]["target_ctx"] == [["c", "p"], ["d", "p"]]
+    env["payload"]["bound_vars"] = [["c", "p -> p"]]
+    assert _verify_envelope(tmp_path, capsys, env) == (
+        cli.EXIT_FAIL, "", "certificate: variable 'c' bound at two types\n")
 
 
 def test_an_ill_typed_head_argument_is_reported_in_bounded_text(tmp_path, capsys):

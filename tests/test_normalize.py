@@ -47,6 +47,11 @@ def test_eta_contraction_drops_wrapper():
     assert Nz.beta_eta_nf(t).term is S.free("f", S.arrow(p, p))
 
 
+def test_eta_keeps_a_wrapper_whose_variable_occurs_in_the_function():
+    t = S.parse_term("\\f:p->p->p.\\x:p. f x x")
+    assert S.show_term(Nz.beta_eta_nf(t).term) == "\\x1:p -> p -> p. \\x2:p. x1 x2 x2"
+
+
 def test_pair_of_projections_contracts():
     ctx = S.Context([("c", S.prod(p, p))])
     t = S.parse_term("<p1 c, p2 c>", ctx)
@@ -78,6 +83,12 @@ def test_decide_eq_nested_example_pair():
     a = S.parse_term("\\x:(p->p)->p. x \\y:p. x \\z:p. y")
     b = S.parse_term("\\x:(p->p)->p. x \\y:p. x \\z:p. z")
     assert not Nz.decide_eq(a, b)
+
+
+def test_neutral_applications_to_arguments_of_two_types_differ():
+    a = S.parse_term("\\x:(p->p)->p.\\z:p->p.\\w:p. x z")
+    b = S.parse_term("\\x:(p->p)->p.\\z:p->p.\\w:p. z w")
+    assert Nz.decide_eq(a, b) is False
 
 
 def test_decide_eq_requires_matching_types():
@@ -156,6 +167,18 @@ def test_beta_nf_keeps_eta_redexes():
     ctx = S.Context([("f", S.arrow(p, p))])
     t = S.parse_term("\\x:p. f x", ctx)
     assert Nz.beta_nf(t).term is t  # no eta step in the diagnostic form
+
+
+@pytest.mark.parametrize("src, text", [
+    ("\\x:p*p. <p2 x, p1 x>", "\\x1:p * p. <p2 x1, p1 x1>"),
+    ("\\x:p. k", "\\x1:p. k"),
+    # a projection of a neutral read back as such: its argument g stays unexpanded
+    ("\\f:(p->p)->p*p. \\g:p->p. p2 (f g)", "\\x1:(p -> p) -> p * p. \\x2:p -> p. p2 (x1 x2)"),
+])
+def test_beta_nf_reads_back_pairs_projections_and_the_unit(src, text):
+    t = S.parse_term(src)
+    out = Nz.beta_nf(t).term
+    assert out is t and S.show_term(out) == text
 
 
 def test_work_budget_aborts():
@@ -585,6 +608,10 @@ SPINE_SHAPES = [
     ("\\a:p. (\\z:p->p. z a) ((\\u:p. \\v:p. u) a)", "\\x1:p. x1", 17, 6, 4),
     # three arguments
     ("\\a:p. \\b:p. (\\x:p. \\y:p. \\z:p. z) a b a", "\\x1:p. \\x2:p. x1", 20, 7, 5),
+    # three arguments to a neutral head, and to a head bound to a delayed neutral
+    ("\\f:p->p->p->p.\\x:p. f x x x", "\\x1:p -> p -> p -> p. \\x2:p. x1 x2 x2 x2", 20, 7, 2),
+    ("\\h:p->p->p->p->p. \\y:p. (\\g:p->p->p->p. g y y y) (h y)",
+     "\\x1:p -> p -> p -> p -> p. \\x2:p. x1 x2 x2 x2 x2", 28, 10, 3),
 ]
 
 
